@@ -1,18 +1,31 @@
 """Brute-force validator in a truncated two-mode Fock space.
 
-Builds dense ladder operators on the basis ``|n_a, n_b>`` (``n <= cutoff``
-per mode), exponentiates the element generators with scipy's
-scaling-and-squaring ``expm``, and reads homodyne moments directly from the
-state vector.  Deliberately slow and simple so it shares nothing with the
-phase-space engine it checks.
+The state is the amplitude matrix ``psi[n_a, n_b]`` (``n <= cutoff`` per
+mode).  Each element of the chain conserves a photon-number combination even
+after truncation, so its unitary is exactly a direct sum of small blocks:
+
+* the squeezer ``g (a^dag b^dag - a b)`` conserves ``n_a - n_b``: one block
+  per diagonal of ``psi``;
+* the balanced coupler conserves ``n_a + n_b``: one block per anti-diagonal;
+* the Dove-prism rotation is a phase on each row.
+
+The ``2 cutoff + 1`` blocks of an element, each at most ``cutoff + 1`` square,
+are zero-padded into one stack and exponentiated by a single batched call to
+scipy's scaling-and-squaring ``expm``; a padded slot exponentiates to the
+identity and carries no amplitude.  This is the same truncated operator as
+the dense ``(cutoff+1)^2``-square ``expm`` (kept in :func:`build_operators`
+as the test reference), not an approximation.  Homodyne moments are read
+directly from ``psi``.  The oracle shares nothing with the phase-space
+engine it checks.
 
 Reliability gauge: the probability sitting on the top two Fock layers of
 either mode ("tail mass").  A state whose tail mass exceeds the tolerance is
 flagged unreliable and refuses to report moments.
 
-Memory: every two-mode operator is a dense ``(cutoff+1)^2`` square matrix,
-i.e. ``(cutoff+1)^4`` entries; the cutoff-80 ceiling costs ~0.4 GB per
-operator (float64) and takes minutes to exponentiate.
+Cost: an element's block stack holds ``(2 cutoff + 1)(cutoff + 1)^2`` reals.
+Measured on one core (one BLAS thread), building one element takes about
+14 / 50 / 130 ms at cutoff 40 / 60 / 80, and the cutoff-80 stack is 8.5 MB;
+the dense route took 3.9 / 30 / 164 s and about 0.4 GB per operator at 80.
 """
 
 from __future__ import annotations
@@ -31,10 +44,12 @@ __all__ = [
     "CUTOFF_SCHEDULE",
     "UnreliableStateError",
     "TwoModeOperators",
+    "BlockUnitary",
     "FockState",
     "OracleReport",
     "annihilation",
     "build_operators",
+    "opa_unitary",
     "bs_unitary",
     "evolve",
     "moments",
@@ -64,8 +79,10 @@ def annihilation(cutoff: int) -> np.ndarray:
 class TwoModeOperators:
     """Dense two-mode ladder operators, modes embedded by tensor product.
 
-    ``a`` acts on the first tensor factor (mode A), ``b`` on the second; both
-    are real, so the creation operators are plain transposes.
+    Not used by :func:`evolve`; kept as the reference the blocked unitaries
+    are tested against.  ``a`` acts on the first tensor factor (mode A),
+    ``b`` on the second; both are real, so the creation operators are plain
+    transposes.
     """
 
     cutoff: int
@@ -76,64 +93,94 @@ class TwoModeOperators:
     def dim(self) -> int:
         return (self.cutoff + 1) ** 2
 
-    @property
-    def x_a(self) -> np.ndarray:
-        return self.a + self.a.T
-
     def total_number_diagonal(self) -> np.ndarray:
         n = np.arange(self.cutoff + 1)
         return np.add.outer(n, n).ravel().astype(float)
 
 
 def build_operators(cutoff: int) -> TwoModeOperators:
-    """Two-mode ladder operators at the given per-mode cutoff."""
+    """Dense two-mode ladder operators at the given per-mode cutoff."""
     a1 = annihilation(cutoff)
     eye = np.eye(cutoff + 1)
     return TwoModeOperators(cutoff=cutoff, a=np.kron(a1, eye), b=np.kron(eye, a1))
 
 
-@lru_cache(maxsize=6)
-def _cached_operators(cutoff: int) -> TwoModeOperators:
-    return build_operators(cutoff)
+@dataclass(frozen=True)
+class BlockUnitary:
+    """A two-mode unitary stored as the direct sum of its invariant blocks.
+
+    ``blocks[k]`` acts on the amplitudes at flat indices ``index[k]`` of the
+    raveled ``psi``; a padded slot has index ``(cutoff+1)^2`` and an identity
+    row and column in its block.  Both generators in the chain are real and
+    antisymmetric, so the blocks are real orthogonal matrices.
+    """
+
+    blocks: np.ndarray
+    index: np.ndarray
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """The unitary applied to the amplitude matrix ``psi`` (same shape)."""
+        padded = np.append(psi.ravel(), 0.0)[self.index]
+        # real blocks times the real and imaginary parts in one batched matmul
+        pair = self.blocks @ np.stack((padded.real, padded.imag), axis=-1)
+        out = np.empty(psi.size + 1, dtype=complex)
+        out[self.index] = pair[..., 0] + 1j * pair[..., 1]
+        return out[:-1].reshape(psi.shape)
+
+
+def _block_unitary(cutoff: int, conserve_total: bool, strength: float) -> BlockUnitary:
+    """exp(strength * G) for one of the two ladder generators, block by block.
+
+    ``conserve_total=False``: ``G = a^dag b^dag - a b``, blocks of fixed
+    ``n_a - n_b`` stepped by ``(n_a, n_b) -> (n_a + 1, n_b + 1)`` with matrix
+    element ``sqrt((n_a + 1)(n_b + 1))``.  ``conserve_total=True``:
+    ``G = a^dag b - a b^dag``, blocks of fixed ``n_a + n_b`` stepped by
+    ``(n_a, n_b) -> (n_a + 1, n_b - 1)`` with ``sqrt((n_a + 1) n_b)``.
+    """
+    dim = cutoff + 1
+    label = np.arange(2 * cutoff + 1)[:, None]
+    step = np.arange(dim)[None, :]
+    n_a = step + np.maximum(label - cutoff, 0)
+    if conserve_total:
+        n_b = label - n_a
+        raised = n_b
+    else:
+        n_b = step + np.maximum(cutoff - label, 0)
+        raised = n_b + 1
+    valid = (n_a <= cutoff) & (n_b >= 0) & (n_b <= cutoff)
+    index = np.where(valid, n_a * dim + n_b, dim * dim)
+    linked = valid[:, :-1] & valid[:, 1:]
+    weight = np.sqrt(np.where(linked, (n_a[:, :-1] + 1) * raised[:, :-1], 0))
+    gen = np.zeros((2 * cutoff + 1, dim, dim))
+    rows = np.arange(cutoff)
+    gen[:, rows + 1, rows] = strength * weight
+    gen[:, rows, rows + 1] = -strength * weight
+    blocks = expm(gen)
+    blocks.flags.writeable = False
+    index.flags.writeable = False
+    return BlockUnitary(blocks=blocks, index=index)
 
 
 @lru_cache(maxsize=6)
-def _x_a_complex(cutoff: int) -> np.ndarray:
-    x = _cached_operators(cutoff).x_a.astype(complex)
-    x.flags.writeable = False
-    return x
-
-
-@lru_cache(maxsize=6)
-def _opa_unitary(g: float, cutoff: int) -> np.ndarray:
+def opa_unitary(g: float, cutoff: int) -> BlockUnitary:
     """exp(g (a^dag b^dag - a b)): two-mode squeezer matching
     ``A = a cosh g + b^dag sinh g`` in the Heisenberg picture."""
-    ops = _cached_operators(cutoff)
-    gen = g * (ops.a.T @ ops.b.T - ops.a @ ops.b)
-    # stored complex so the state matvec stays in one BLAS call
-    u = expm(gen).astype(complex)
-    u.flags.writeable = False
-    return u
+    return _block_unitary(cutoff, conserve_total=False, strength=g)
 
 
 @lru_cache(maxsize=4)
-def bs_unitary(cutoff: int, mixing_angle: float = math.pi / 4.0) -> np.ndarray:
+def bs_unitary(cutoff: int, mixing_angle: float = math.pi / 4.0) -> BlockUnitary:
     """exp(zeta (a^dag b - a b^dag)): at zeta = pi/4 the balanced coupler
     ``a -> (a + b)/sqrt2``, ``b -> (b - a)/sqrt2``."""
-    ops = _cached_operators(cutoff)
-    gen = mixing_angle * (ops.a.T @ ops.b - ops.a @ ops.b.T)
-    u = expm(gen).astype(complex)
-    u.flags.writeable = False
-    return u
+    return _block_unitary(cutoff, conserve_total=True, strength=mixing_angle)
 
 
 @lru_cache(maxsize=16)
-def _displacement_column(magnitude: float, angle: float, cutoff: int) -> np.ndarray:
-    """D(alpha)|0> for a single mode (first column of the displacement unitary)."""
+def _displacement_column(magnitude: float, cutoff: int) -> np.ndarray:
+    """D(|alpha|)|0> for a single mode (first column of the displacement
+    unitary); the phase of alpha is the rotation ``e^{i theta n}`` applied to it."""
     a1 = annihilation(cutoff)
-    alpha = magnitude * complex(math.cos(angle), math.sin(angle))
-    d = expm(alpha * a1.T.astype(complex) - np.conj(alpha) * a1.astype(complex))
-    col = d[:, 0].copy()
+    col = expm(magnitude * (a1.T - a1))[:, 0].copy()
     col.flags.writeable = False
     return col
 
@@ -173,19 +220,19 @@ class OracleReport:
 
 def _evolve_at(config: ExperimentConfig, cutoff: int, tail_tolerance: float) -> FockState:
     dim = cutoff + 1
-    # displaced vacuum in mode A, vacuum in mode B
-    col = _displacement_column(config.alpha_mag, config.theta, cutoff)
-    e0 = np.zeros(dim, dtype=complex)
-    e0[0] = 1.0
-    psi = np.kron(col, e0)
-    psi = _opa_unitary(config.g, cutoff) @ psi
-    n_a = np.repeat(np.arange(dim), dim)
-    psi = np.exp(1j * 2.0 * config.ell * config.phi * n_a) * psi
-    psi = bs_unitary(cutoff) @ psi
-    psi = psi / np.linalg.norm(psi)
-    probs = np.abs(psi.reshape(dim, dim)) ** 2
+    # psi[n_a, n_b]: displaced vacuum in mode A, vacuum in mode B
+    psi = np.zeros((dim, dim), dtype=complex)
+    n = np.arange(dim)
+    psi[:, 0] = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
+    psi = opa_unitary(config.g, cutoff).apply(psi)
+    psi *= np.exp(1j * 2.0 * config.ell * config.phi * n)[:, None]
+    psi = bs_unitary(cutoff).apply(psi)
+    psi /= np.linalg.norm(psi)
+    probs = np.abs(psi) ** 2
     tail = float(max(1.0 - probs[: cutoff - 1, : cutoff - 1].sum(), 0.0))
-    return FockState(cutoff=cutoff, amplitudes=psi, tail_mass=tail, tail_tolerance=tail_tolerance)
+    return FockState(
+        cutoff=cutoff, amplitudes=psi.ravel(), tail_mass=tail, tail_tolerance=tail_tolerance
+    )
 
 
 def evolve(
@@ -221,12 +268,17 @@ def moments(state: FockState, allow_unreliable: bool = False) -> OracleReport:
         raise UnreliableStateError(
             f"tail mass {state.tail_mass:.3e} exceeds tolerance {state.tail_tolerance:.1e}"
         )
-    ops = _cached_operators(state.cutoff)
-    psi = state.amplitudes
-    xpsi = _x_a_complex(state.cutoff) @ psi
+    dim = state.cutoff + 1
+    psi = state.amplitudes.reshape(dim, dim)
+    # X_A = a + a^dag acts on the row index n_a: the banded (a + a^T) @ psi
+    root = np.sqrt(np.arange(1, dim))[:, None]
+    xpsi = np.zeros_like(psi)
+    xpsi[:-1] = root * psi[1:]
+    xpsi[1:] += root * psi[:-1]
     x_mean = float(np.real(np.vdot(psi, xpsi)))
     x_second = float(np.real(np.vdot(xpsi, xpsi)))
-    n_total = float(np.sum(ops.total_number_diagonal() * np.abs(psi) ** 2))
+    n = np.arange(dim)
+    n_total = float(np.sum(np.add.outer(n, n) * np.abs(psi) ** 2))
     return OracleReport(
         x_mean=x_mean,
         x_second_moment=x_second,

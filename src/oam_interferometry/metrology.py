@@ -94,30 +94,26 @@ def homodyne_second_moment_lossy(config: ExperimentConfig) -> float:
     return t * homodyne_second_moment(config) + (1.0 - t)
 
 
-def _fluctuation_from_moments(second: float, mean: float) -> float:
-    variance = second - mean * mean
-    if variance < -1e-9:
-        raise ArithmeticError(f"negative quadrature variance {variance:.3e}")
-    return math.sqrt(max(variance, 0.0))
-
-
-def quadrature_fluctuation(config: ExperimentConfig) -> float:
-    """Delta X_A = sqrt(<X^2> - <X>^2); independent of theta and |alpha|,
-    equal to ``sqrt(cosh 2g + sinh 2g cos(2 l phi))``."""
-    return _fluctuation_from_moments(homodyne_second_moment(config), homodyne_mean(config))
-
-
-def quadrature_fluctuation_lossy(config: ExperimentConfig) -> float:
-    """Delta X_A with loss: variance relaxes as ``T Var + (1 - T)``."""
-    return _fluctuation_from_moments(
-        homodyne_second_moment_lossy(config), homodyne_mean_lossy(config)
-    )
-
-
 def _noise_term(config: ExperimentConfig) -> float:
     return math.cosh(2.0 * config.g) + math.sinh(2.0 * config.g) * math.cos(
         2.0 * config.ell * config.phi
     )
+
+
+def quadrature_fluctuation(config: ExperimentConfig) -> float:
+    """Delta X_A = sqrt(<X^2> - <X>^2); independent of theta and |alpha|,
+    equal to ``sqrt(cosh 2g + sinh 2g cos(2 l phi))``.
+
+    Evaluated from that closed form: the subtraction of the two moments
+    cancels catastrophically for bright inputs.
+    """
+    return math.sqrt(_noise_term(config))
+
+
+def quadrature_fluctuation_lossy(config: ExperimentConfig) -> float:
+    """Delta X_A with loss: variance relaxes as ``T Var + (1 - T)``."""
+    t = config.transmissivity
+    return math.sqrt(t * (_noise_term(config) - 1.0) + 1.0)
 
 
 def sensitivity(config: ExperimentConfig) -> float:

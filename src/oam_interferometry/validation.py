@@ -43,15 +43,26 @@ class CheckResult:
     tolerance: float
     worst: float = 0.0
     worst_at: str = ""
+    # oracle checks only: the cutoff and tail mass of the state at the worst point
+    cutoff: int | None = None
+    tail_mass: float | None = None
 
     @property
     def passed(self) -> bool:
         return self.worst <= self.tolerance
 
-    def update(self, deviation: float, where: str) -> None:
+    def update(
+        self,
+        deviation: float,
+        where: str,
+        cutoff: int | None = None,
+        tail_mass: float | None = None,
+    ) -> None:
         if deviation > self.worst:
             self.worst = deviation
             self.worst_at = where
+            self.cutoff = cutoff
+            self.tail_mass = tail_mass
 
 
 @dataclass
@@ -73,10 +84,13 @@ class ValidationReport:
         ]
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            out.append(
+            line = (
                 f"  {c.name:<44s} worst {c.worst:.3e}  tol {c.tolerance:.1e}  "
                 f"{status}  at {c.worst_at}"
             )
+            if c.cutoff is not None:
+                line += f"  cutoff={c.cutoff} tail={c.tail_mass:.1e}"
+            out.append(line)
         out.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return out
 
@@ -164,9 +178,10 @@ def run_validation(
         checks["photon_engine"].update(rel(photon_number(state), photon_cf), where)
 
         report = fock_oracle.moments(fock_oracle.evolve(config, tail_tolerance=tail_tolerance))
-        checks["mean_oracle"].update(abs(report.x_mean - mean_cf), where)
-        checks["second_oracle"].update(abs(report.x_second_moment - second_cf), where)
-        checks["photon_oracle"].update(abs(report.photon_number - photon_cf), where)
+        gauge = (report.cutoff_used, report.tail_mass)
+        checks["mean_oracle"].update(abs(report.x_mean - mean_cf), where, *gauge)
+        checks["second_oracle"].update(abs(report.x_second_moment - second_cf), where, *gauge)
+        checks["photon_oracle"].update(abs(report.photon_number - photon_cf), where, *gauge)
 
     for config in random_lossy_configs(loss_draws):
         where = _describe(config)

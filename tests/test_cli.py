@@ -230,6 +230,18 @@ class TestValidateHarness:
         assert "loss scaling of mean" in text
         assert text.strip().endswith("overall: PASS")
 
+    def test_oracle_checks_report_cutoff_and_tail_mass(self):
+        report = run_validation("quick")
+        for check in report.checks:
+            if "oracle" in check.name:
+                assert check.cutoff == 40
+                assert 0.0 <= check.tail_mass < fock_oracle.DEFAULT_TAIL_TOLERANCE
+            else:
+                assert check.cutoff is None and check.tail_mass is None
+        oracle_lines = [line for line in report.lines() if "oracle vs" in line]
+        assert len(oracle_lines) == 3
+        assert all(" cutoff=40 tail=" in line for line in oracle_lines)
+
     def test_corrupted_coupler_sign_is_caught_at_zero_gain(self, monkeypatch):
         real = fock_oracle.bs_unitary
         monkeypatch.setattr(

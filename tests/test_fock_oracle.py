@@ -16,6 +16,8 @@ from oam_interferometry import (
     mean_photon_number,
     moments,
 )
+from oam_interferometry.fock_oracle import bs_unitary, opa_unitary
+from oam_interferometry.validation import ORACLE_TOL
 
 
 def _cfg(**kw):
@@ -60,6 +62,34 @@ class TestLadderOperators:
         assert np.array_equal(ops.b, np.kron(eye, a1))
         n = ops.total_number_diagonal()
         assert n[0] == 0.0 and n[-1] == 6.0
+
+
+class TestBlockedUnitaries:
+    """The symmetry-blocked unitaries against dense expm of the same truncated
+    generators on the (cutoff+1)^2-dimensional two-mode space."""
+
+    CUTOFF = 12
+
+    @pytest.fixture(scope="class")
+    def psi(self):
+        rng = np.random.default_rng(1212)
+        dim = self.CUTOFF + 1
+        psi = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return psi / np.linalg.norm(psi)
+
+    @pytest.mark.parametrize("g", [0.3, 0.9])
+    def test_squeezer_matches_dense_expm(self, g, psi):
+        ops = build_operators(self.CUTOFF)
+        dense = expm(g * (ops.a.T @ ops.b.T - ops.a @ ops.b))
+        blocked = opa_unitary(g, self.CUTOFF).apply(psi)
+        assert np.max(np.abs(blocked.ravel() - dense @ psi.ravel())) <= 1e-12
+
+    @pytest.mark.parametrize("mixing_angle", [math.pi / 4.0, 3.0 * math.pi / 4.0])
+    def test_coupler_matches_dense_expm(self, mixing_angle, psi):
+        ops = build_operators(self.CUTOFF)
+        dense = expm(mixing_angle * (ops.a.T @ ops.b - ops.a @ ops.b.T))
+        blocked = bs_unitary(self.CUTOFF, mixing_angle).apply(psi)
+        assert np.max(np.abs(blocked.ravel() - dense @ psi.ravel())) <= 1e-12
 
 
 class TestDirectExpectations:
@@ -132,6 +162,17 @@ class TestTruncationControl:
         state = evolve(cfg, cutoff_schedule=(6, 24))
         assert state.reliable
         assert state.cutoff == 24
+
+    def test_schedule_reaches_the_cutoff_80_rung(self):
+        cfg = _cfg(g=0.5, ell=2, alpha_mag=3.0, theta=0.7, phi=0.4)
+        assert not evolve(cfg, cutoff=40).reliable
+        assert not evolve(cfg, cutoff=60).reliable
+        state = evolve(cfg)
+        assert state.cutoff == 80 and state.reliable
+        report = moments(state)
+        assert abs(report.x_mean - homodyne_mean(cfg)) <= ORACLE_TOL
+        assert abs(report.x_second_moment - homodyne_second_moment(cfg)) <= ORACLE_TOL
+        assert abs(report.photon_number - mean_photon_number(cfg)) <= ORACLE_TOL
 
     def test_hot_state_is_flagged_unreliable(self):
         cfg = _cfg(g=0.8, ell=1, alpha_mag=3.0, theta=0.0, phi=0.1)

@@ -114,6 +114,31 @@ class TestSecondMomentAndFluctuation:
             )
             assert guarded_rel(quadrature_fluctuation(cfg), expected) < 1e-9
 
+    def test_matches_moment_subtraction_at_moderate_amplitude(self):
+        # the defining sqrt(<X^2> - <X>^2) is accurate while |alpha| is modest
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            cfg = random_config(rng, lossy=True)
+            lossless = dataclasses.replace(cfg, transmissivity=1.0)
+            direct = math.sqrt(homodyne_second_moment(lossless) - homodyne_mean(lossless) ** 2)
+            direct_lossy = math.sqrt(
+                homodyne_second_moment_lossy(cfg) - homodyne_mean_lossy(cfg) ** 2
+            )
+            assert guarded_rel(quadrature_fluctuation(lossless), direct) < 1e-9
+            assert guarded_rel(quadrature_fluctuation_lossy(cfg), direct_lossy) < 1e-9
+
+    @pytest.mark.parametrize("alpha_mag", [1e6, 1e9])
+    def test_bright_input_keeps_the_squeezed_noise(self, alpha_mag):
+        # g=3 at cos(2 l phi) = -1: exactly e^-3; subtracting the two moments
+        # instead leaves 0.23 at |alpha| = 1e6 and 239 at 1e9
+        cfg = _cfg(g=3.0, ell=1, alpha_mag=alpha_mag, theta=0.3, phi=math.pi / 2.0)
+        assert quadrature_fluctuation(cfg) == pytest.approx(math.exp(-3.0), rel=1e-9)
+        assert evaluate(cfg).fluctuation == pytest.approx(math.exp(-3.0), rel=1e-9)
+        lossy = dataclasses.replace(cfg, transmissivity=0.4)
+        expected = math.sqrt(0.4 * math.exp(-6.0) + 0.6)
+        assert quadrature_fluctuation_lossy(lossy) == pytest.approx(expected, rel=1e-9)
+        assert evaluate(lossy).fluctuation == pytest.approx(expected, rel=1e-9)
+
 
 class TestSensitivity:
     def test_optimum_substitution(self):
