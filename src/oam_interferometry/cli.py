@@ -14,14 +14,12 @@ Exit codes: 0 success, 1 usage/parse error, 2 validation failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +45,12 @@ _AXIS_NAMES = _SCALAR_KEYS
 # max_loss optimises phi/theta internally and searches T itself
 _MAX_LOSS_AXES = ("g", "ell", "alpha_sq")
 
+# Largest sweep grid (product of the axis counts), checked at parse time before
+# anything is allocated.  A grid is evaluated and formatted at once: measured
+# peak memory is about 225 bytes per point after run_sweep and 455 after
+# to_csv, so the cap keeps a sweep under about 1 GB.
+MAX_SWEEP_POINTS = 2_000_000
+
 _DEFAULTS = {
     "g": 0.0,
     "ell": 1,
@@ -71,6 +75,23 @@ class SweepAxis:
     start: float
     stop: float
     count: int
+
+    def __post_init__(self) -> None:
+        # every value the axis produces must be a valid working-point field:
+        # a sweep evaluates its grid at once and builds no per-point config
+        if self.count < 1:
+            raise ValueError("sweep count must be >= 1")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(f"{self.name} axis must produce finite values")
+        values = self.values()
+        if self.name == "ell" and (
+            np.any(np.abs(values - np.round(values)) > 1e-9) or round(values[0]) < 1
+        ):
+            raise ValueError("ell axis must produce positive integers")
+        if self.name in ("g", "alpha_sq") and values[0] < 0:
+            raise ValueError(f"{self.name} axis must produce values >= 0")
+        if self.name == "transmissivity" and not (0.0 <= values[0] and values[-1] <= 1.0):
+            raise ValueError("transmissivity axis must produce values in [0, 1]")
 
     def values(self) -> np.ndarray:
         vals = np.linspace(self.start, self.stop, self.count)
@@ -183,16 +204,16 @@ def parse_config(text: str) -> ExperimentConfig | SweepSpec:
             start = _parse_float("sweep start", parts[1], line_no)
             stop = _parse_float("sweep stop", parts[2], line_no)
             count = _parse_int("sweep count", parts[3], line_no)
-            if count < 1:
-                raise ConfigError(f"line {line_no}: sweep count must be >= 1")
-            axis = SweepAxis(name, start, stop, count)
-            if name == "ell":
-                for v in axis.values():
-                    if abs(v - round(v)) > 1e-9 or round(v) < 1:
-                        raise ConfigError(
-                            f"line {line_no}: ell axis must produce positive integers"
-                        )
-            axes.append(axis)
+            points = count * math.prod(axis.count for axis in axes)
+            if points > MAX_SWEEP_POINTS:
+                raise ConfigError(
+                    f"line {line_no}: sweep grid of {points} points exceeds the limit "
+                    f"of {MAX_SWEEP_POINTS}"
+                )
+            try:
+                axes.append(SweepAxis(name, start, stop, count))
+            except ValueError as exc:
+                raise ConfigError(f"line {line_no}: {exc}") from None
         else:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
 
@@ -236,72 +257,82 @@ def render_config(config: ExperimentConfig) -> str:
     )
 
 
-def _with_axis_value(config: ExperimentConfig, name: str, value: float) -> ExperimentConfig:
-    if name == "alpha_sq":
-        return dataclasses.replace(config, alpha_mag=math.sqrt(value))
-    if name == "ell":
-        return dataclasses.replace(config, ell=int(round(value)))
-    return dataclasses.replace(config, **{name: float(value)})
+def _flags(values) -> list[str]:
+    """Flag column for numeric results: inf is divergent, nan non-finite."""
+    values = np.asarray(values)
+    flags = np.where(np.isinf(values), "divergent", np.where(np.isnan(values), "non-finite", ""))
+    return flags.ravel().tolist()
 
 
-def _flag_for(value: float, flag: str = "") -> str:
-    if flag:
-        return flag
-    if math.isinf(value):
-        return "divergent"
-    if math.isnan(value):
-        return "non-finite"
-    return ""
+def _grid_rows(axis_values: Sequence[np.ndarray], value, flags: Sequence[str]) -> tuple:
+    """Rows ``(*coordinates, value, flag)`` of an open grid, in C order."""
+    shape = tuple(len(v) for v in axis_values)
+    coords = [np.broadcast_to(grid, shape).ravel().tolist() for grid in np.ix_(*axis_values)]
+    return tuple(zip(*coords, np.ravel(value).tolist(), flags))
 
 
-def _evaluate_quantity(quantity: str, config: ExperimentConfig, grid: int) -> tuple[float, str]:
-    if quantity == "signal":
-        return metrology.homodyne_mean_lossy(config), ""
-    if quantity == "sensitivity":
-        return metrology.sensitivity(config), ""
-    if quantity == "sensitivity_lossy":
-        return metrology.sensitivity_lossy(config), ""
-    if quantity == "qcrb":
-        return metrology.quantum_cramer_rao_bound(config), ""
-    if quantity == "snl":
-        return metrology.shot_noise_limit(config), ""
-    if quantity == "hl":
-        return metrology.heisenberg_limit(config), ""
-    if quantity == "visibility":
-        return metrology.visibility(config), ""
-    if quantity == "max_loss":
-        result = metrology.max_allowable_loss(config.g, config.ell, config.alpha_mag, grid=grid)
-        return result.loss, "" if result.sub_snl_exists else "no-sub-snl-region"
-    raise ConfigError(f"unknown quantity {quantity!r}")
+def _grid_inputs(base: ExperimentConfig, axes: Sequence[SweepAxis], axis_values) -> list:
+    """The six table inputs: each swept field an open-grid array along its own
+    dimension, every other field the base config's scalar."""
+    inputs = {  # keyed by axis name, in table order; "alpha_sq" carries |alpha|
+        "g": base.g,
+        "ell": base.ell,
+        "alpha_sq": base.alpha_mag,
+        "theta": base.theta,
+        "phi": base.phi,
+        "transmissivity": base.transmissivity,
+    }
+    for axis, grid in zip(axes, np.ix_(*axis_values)):
+        if axis.name == "alpha_sq":
+            grid = np.sqrt(grid)
+        elif axis.name == "ell":
+            grid = np.round(grid)
+        inputs[axis.name] = grid
+    return [inputs[name] for name in _AXIS_NAMES]
 
 
-def run_sweep(spec: SweepSpec, grid: int = 2048, max_workers: int | None = None) -> SweepResult:
+def _failed_at(quantity: str, axes, axis_values, point, exc: Exception) -> SweepError:
+    coords = ", ".join(f"{a.name}={v[i]:g}" for a, v, i in zip(axes, axis_values, point))
+    return SweepError(f"{quantity} failed at ({coords}): {exc}")
+
+
+def _max_loss_grid(spec: SweepSpec, inputs: list, axis_values, grid: int):
+    """max_loss keeps its per-point search; points in C order."""
+    shape = tuple(len(v) for v in axis_values)
+    g, ell, alpha_mag = (np.broadcast_to(x, shape).ravel().tolist() for x in inputs[:3])
+    losses, flags = [], []
+    for i, point in enumerate(zip(g, ell, alpha_mag)):
+        try:
+            result = metrology.max_allowable_loss(point[0], int(point[1]), point[2], grid=grid)
+        except (ValueError, ArithmeticError) as exc:
+            index = np.unravel_index(i, shape)
+            raise _failed_at(spec.quantity, spec.axes, axis_values, index, exc) from exc
+        losses.append(result.loss)
+        flags.append("" if result.sub_snl_exists else "no-sub-snl-region")
+    return losses, flags
+
+
+def run_sweep(spec: SweepSpec, grid: int = 2048) -> SweepResult:
     """Evaluate the grid; rows come back in lexicographic axis order.
 
-    Points are evaluated concurrently but assembled in grid order, so output
-    is deterministic.  Divergent values are flagged, not dropped; genuine
-    evaluation errors are re-raised annotated with their grid coordinates.
+    The grid is one broadcast call of the quantity's table function on
+    open-grid axis arrays (``max_loss`` keeps a per-point search).  Divergent
+    values are flagged, not dropped; the first point in row order where the
+    quantity is undefined raises a SweepError naming its grid coordinates.
     """
     axes = spec.axes
-    value_grids = [axis.values() for axis in axes]
-    points = [tuple(vals) for vals in _product(value_grids)]
-
-    def evaluate(point: tuple) -> tuple:
-        config = spec.base
-        for axis, v in zip(axes, point):
-            config = _with_axis_value(config, axis.name, v)
-        coords = ", ".join(f"{axis.name}={v:g}" for axis, v in zip(axes, point))
+    axis_values = [axis.values() for axis in axes]
+    inputs = _grid_inputs(spec.base, axes, axis_values)
+    if spec.quantity == "max_loss":
+        value, flags = _max_loss_grid(spec, inputs, axis_values, grid)
+    elif spec.quantity in metrology.TABLE:
         try:
-            value, flag = _evaluate_quantity(spec.quantity, config, grid)
+            value = metrology.TABLE[spec.quantity](*inputs)
         except (ValueError, ArithmeticError) as exc:
-            raise SweepError(f"{spec.quantity} failed at ({coords}): {exc}") from exc
-        return point + (value, _flag_for(value, flag))
-
-    if len(points) >= 64:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = tuple(pool.map(evaluate, points))
+            raise _failed_at(spec.quantity, axes, axis_values, exc.point, exc) from exc
+        flags = _flags(value)
     else:
-        rows = tuple(evaluate(p) for p in points)
+        raise ConfigError(f"unknown quantity {spec.quantity!r}")
 
     metadata = {
         "quantity": spec.quantity,
@@ -310,23 +341,7 @@ def run_sweep(spec: SweepSpec, grid: int = 2048, max_workers: int | None = None)
         "grid": str(grid),
     }
     columns = tuple(a.name for a in axes) + ("value", "flag")
-    return SweepResult(columns=columns, rows=rows, metadata=metadata)
-
-
-def _product(grids: Sequence[np.ndarray]):
-    if len(grids) == 1:
-        for v in grids[0]:
-            yield (float(v),)
-    else:
-        for v in grids[0]:
-            for w in grids[1]:
-                yield (float(v), float(w))
-
-
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
+    return SweepResult(columns=columns, rows=_grid_rows(axis_values, value, flags), metadata=metadata)
 
 
 def to_csv(result: SweepResult, timestamp: bool = True) -> str:
@@ -342,8 +357,10 @@ def to_csv(result: SweepResult, timestamp: bool = True) -> str:
     if timestamp:
         lines.append(f"# generated={datetime.now(timezone.utc).isoformat()}")
     lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    # rows hold Python floats and strings, and str(float) is the shortest
+    # round-tripping repr
+    row_format = ",".join(["%s"] * len(result.columns))
+    lines.extend([row_format % row for row in result.rows])
     return "\n".join(lines) + "\n"
 
 
@@ -372,36 +389,27 @@ def _figure_metadata(figure_id: str, quantity: str, params: str) -> dict:
 def reproduce(figure_id: str, grid: int = 2048) -> SweepResult:
     """Emit the dataset behind a named figure with its parameters baked in."""
     if figure_id == "fig2":
-        base = ExperimentConfig(g=1.0, ell=3, alpha_mag=math.sqrt(10.0), theta=0.0, phi=0.0)
         phis = np.linspace(-math.pi / 2.0, math.pi / 2.0, 101)
         thetas = np.linspace(-math.pi, math.pi, 81)
-        rows = []
-        for ph in phis:
-            for th in thetas:
-                cfg = dataclasses.replace(base, phi=float(ph), theta=float(th))
-                value = metrology.homodyne_mean(cfg)
-                rows.append((float(ph), float(th), value, _flag_for(value)))
+        phi, theta = np.ix_(phis, thetas)
+        value = metrology.signal_table(1.0, 3, math.sqrt(10.0), theta, phi, 1.0)
         return SweepResult(
             ("phi", "theta", "value", "flag"),
-            tuple(rows),
+            _grid_rows((phis, thetas), value, _flags(value)),
             _figure_metadata("fig2", "signal", "g=1,ell=3,alpha_sq=10"),
         )
 
     if figure_id in ("fig3", "fig6"):
         t = 1.0 if figure_id == "fig3" else 0.62
-        base = ExperimentConfig(
-            g=2.0, ell=1, alpha_mag=10.0, theta=math.pi / 2.0, phi=0.0, transmissivity=t
-        )
-        snl = metrology.shot_noise_limit(base)
         quantity = "sensitivity" if figure_id == "fig3" else "sensitivity_lossy"
+        phis = np.linspace(0.0, math.pi, 201)
+        point = (2.0, 1, 10.0, math.pi / 2.0)  # g, ell, |alpha|, theta
+        values = metrology.TABLE[quantity](*point, phis, t)
+        snl = float(metrology.snl_table(*point, 0.0, t))
         rows = []
-        for ph in np.linspace(0.0, math.pi, 201):
-            cfg = dataclasses.replace(base, phi=float(ph))
-            value = (
-                metrology.sensitivity(cfg) if figure_id == "fig3" else metrology.sensitivity_lossy(cfg)
-            )
-            rows.append((float(ph), quantity, value, _flag_for(value)))
-            rows.append((float(ph), "snl", snl, ""))
+        for ph, value, flag in zip(phis.tolist(), values.tolist(), _flags(values)):
+            rows.append((ph, quantity, value, flag))
+            rows.append((ph, "snl", snl, ""))
         return SweepResult(
             ("phi", "quantity", "value", "flag"),
             tuple(rows),
@@ -409,15 +417,15 @@ def reproduce(figure_id: str, grid: int = 2048) -> SweepResult:
         )
 
     if figure_id == "fig4":
+        gs = np.linspace(0.25, 3.0, 56)
         rows = []
         for asq in (10.0, 100.0, 1000.0):
             amag = math.sqrt(asq)
-            for g in np.linspace(0.25, 3.0, 56):
-                cfg = ExperimentConfig(g=float(g), ell=1, alpha_mag=amag, theta=0.0, phi=0.0)
-                sens = metrology.optimal_sensitivity(float(g), 1, amag)
-                bound = metrology.quantum_cramer_rao_bound(cfg)
-                rows.append((float(g), asq, "sensitivity_opt", sens, _flag_for(sens)))
-                rows.append((float(g), asq, "qcrb", bound, _flag_for(bound)))
+            sens = [metrology.optimal_sensitivity(g, 1, amag) for g in gs.tolist()]
+            bound = metrology.qcrb_table(gs, 1, amag, 0.0, 0.0, 1.0).tolist()
+            for g, s, b, s_flag, b_flag in zip(gs.tolist(), sens, bound, _flags(sens), _flags(bound)):
+                rows.append((g, asq, "sensitivity_opt", s, s_flag))
+                rows.append((g, asq, "qcrb", b, b_flag))
         return SweepResult(
             ("g", "alpha_sq", "quantity", "value", "flag"),
             tuple(rows),
@@ -484,7 +492,7 @@ def _cmd_eval(args) -> int:
         config.transmissivity,
         report.signal_mean, report.fluctuation, report.sensitivity,
         report.snl, report.hl, report.qcrb, report.visibility,
-        _flag_for(report.sensitivity),
+        _flags(report.sensitivity)[0],
     )
     result = SweepResult(
         columns,

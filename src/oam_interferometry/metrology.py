@@ -2,6 +2,13 @@
 sensitivity, the metrology benchmarks (shot-noise limit, Heisenberg limit,
 quantum Cramer-Rao bound), optimal operating points, and loss robustness.
 
+The seven sweep quantities (``signal``, ``sensitivity``,
+``sensitivity_lossy``, ``qcrb``, ``snl``, ``hl``, ``visibility``) are each
+defined once, as a closed form that broadcasts over numpy arrays of
+``(g, ell, alpha_mag, theta, phi, transmissivity)``; ``TABLE`` maps each name
+to its function.  The scalar functions of an ``ExperimentConfig`` call the same
+definitions, so a sweep row and a direct call agree bit for bit.
+
 Every closed form here is also reproduced independently by the phase-space
 engine (and, at small parameters, by the truncated-Fock validator); the test
 suite keeps the two routes in agreement.
@@ -9,17 +16,26 @@ suite keeps the two routes in agreement.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import ExperimentConfig, mean_photon_number
+from .interferometer import ExperimentConfig
 
 __all__ = [
     "DERIVATIVE_FLOOR",
+    "TABLE",
     "SensitivityReport",
     "MaxLossResult",
+    "signal_table",
+    "sensitivity_table",
+    "sensitivity_lossy_table",
+    "qcrb_table",
+    "snl_table",
+    "hl_table",
+    "visibility_table",
     "homodyne_mean",
     "homodyne_mean_slope",
     "homodyne_mean_lossy",
@@ -46,33 +62,260 @@ __all__ = [
 # below this slope magnitude the error-propagation ratio is reported as inf
 DERIVATIVE_FLOOR = 1e-12
 
+_SQRT2 = math.sqrt(2.0)
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
+
+
+# --- the quantity table -------------------------------------------------------
+
+
+class _Steps:
+    """Shape and failing steps of one table evaluation.
+
+    Where the scalar formula would raise, a table function records the failure
+    and goes on; ``result`` then raises at the first failing point in C order
+    (the lexicographic order of an open grid) the error the scalar formula
+    raises there, with that point's index into the broadcast shape as the
+    exception's ``point`` attribute.  Steps are recorded in the order the
+    formula takes them, so a point failing in two steps reports the first.
+    """
+
+    def __init__(self, *args) -> None:
+        shapes = [a.shape for a in args if isinstance(a, np.ndarray)]
+        self.shape = np.broadcast_shapes(*shapes) if shapes else ()
+        self._checks: list = []
+
+    def libm(self, fn, x, where=True) -> np.ndarray:
+        """``fn`` applied to each element of ``x`` as a Python float.
+
+        One-variable factors (hyperbolics, squares) go through ``math``:
+        numpy's cosh and sinh differ from libm in the last place on about a
+        quarter of inputs, and numpy's ``x**2`` is ``x*x``, not ``pow``.  On an
+        open grid ``x`` is one axis, so this costs one call per axis value.  An
+        element where ``fn`` raises fails the points it reaches where ``where``
+        holds.
+        """
+        if not isinstance(x, np.ndarray):
+            try:
+                return np.float64(fn(x))
+            except (ArithmeticError, ValueError) as exc:
+                self._checks.append((where, exc))
+                return np.float64(math.nan)
+        flat = x.ravel().tolist()
+        values = np.empty(len(flat))
+        errors = None
+        for i, v in enumerate(flat):
+            try:
+                values[i] = fn(v)
+            except (ArithmeticError, ValueError) as exc:
+                values[i] = math.nan
+                if errors is None:
+                    errors = np.full(len(flat), None, dtype=object)
+                errors[i] = exc
+        if errors is not None:
+            errors = errors.reshape(x.shape)
+            self._checks.append((errors.astype(bool) & where, errors))
+        return values.reshape(x.shape)
+
+    def fail(self, where, error: Exception) -> None:
+        """The formula raises ``error`` at the points where ``where`` holds."""
+        self._checks.append((where, error))
+
+    def result(self, value) -> np.ndarray:
+        """``value`` broadcast to the full shape, or the first failure raised."""
+        if self.shape:
+            masks = [np.broadcast_to(where, self.shape) for where, _ in self._checks]
+            failed = functools.reduce(np.logical_or, masks, np.zeros(self.shape, bool))
+            if not failed.any():
+                return np.broadcast_to(value, self.shape)
+            point = tuple(int(i) for i in np.unravel_index(int(np.argmax(failed)), self.shape))
+            error = next(error for mask, (_, error) in zip(masks, self._checks) if mask[point])
+        else:
+            error = next((error for where, error in self._checks if where), None)
+            if error is None:
+                return value
+            point = ()
+        if isinstance(error, np.ndarray):
+            error = np.broadcast_to(error, self.shape)[point]
+        exc = type(error)(*error.args)
+        exc.point = point
+        raise exc
+
+
+def _square(x: float) -> float:
+    return x**2
+
+
+def _slope(steps: _Steps, g, ell, alpha_mag, theta, phi):
+    """d<X_A>/dphi of the lossless chain."""
+    delta = theta + 2.0 * ell * phi
+    return -_TWO_SQRT2 * ell * alpha_mag * steps.libm(math.cosh, g) * np.sin(delta)
+
+
+def _noise(steps: _Steps, g, ell, phi, where=True):
+    """Var X_A of the lossless chain, ``cosh 2g + sinh 2g cos(2 l phi)``."""
+    return steps.libm(lambda x: math.cosh(2.0 * x), g, where) + steps.libm(
+        lambda x: math.sinh(2.0 * x), g, where
+    ) * np.cos(2.0 * ell * phi)
+
+
+def _photon_number(steps: _Steps, g, alpha_mag):
+    """Mean photon number before any loss, ``cosh(2g) |alpha|^2 + 2 sinh^2 g``
+    (as ``interferometer.mean_photon_number``)."""
+    return steps.libm(lambda x: math.cosh(2.0 * x), g) * steps.libm(
+        _square, alpha_mag
+    ) + 2.0 * steps.libm(lambda x: math.sinh(x) ** 2, g)
+
+
+@np.errstate(all="ignore")
+def signal_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    """<X_A> with arm transmissivity T:
+    ``sqrt(T) sqrt(2) |alpha| [cos(theta + 2 l phi) cosh g + cos(theta) sinh g]``."""
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    delta = theta + 2.0 * ell * phi
+    mean = _SQRT2 * alpha_mag * (
+        np.cos(delta) * steps.libm(math.cosh, g) + np.cos(theta) * steps.libm(math.sinh, g)
+    )
+    return steps.result(np.sqrt(transmissivity) * mean)
+
+
+@np.errstate(all="ignore")
+def sensitivity_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    """Lossless error-propagation sensitivity ``Delta X_A / |d<X_A>/dphi|``
+    (T is ignored); ``inf`` where the slope magnitude is below DERIVATIVE_FLOOR,
+    and there the noise term is never evaluated."""
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    slope = np.abs(_slope(steps, g, ell, alpha_mag, theta, phi))
+    live = ~(slope < DERIVATIVE_FLOOR)
+    noise = _noise(steps, g, ell, phi, where=live)
+    return steps.result(np.where(live, np.sqrt(noise) / slope, np.inf))
+
+
+@np.errstate(all="ignore")
+def sensitivity_lossy_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    """Error-propagation sensitivity with arm transmissivity T:
+    ``sqrt(T [cosh 2g + sinh 2g cos(2 l phi) - 1] + 1)`` over
+    ``2 sqrt2 T l cosh g |alpha sin(theta + 2 l phi)|``; ``inf`` where that
+    denominator is below DERIVATIVE_FLOOR (T = 0, zero slope)."""
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    delta = theta + 2.0 * ell * phi
+    denom = (
+        transmissivity
+        * _TWO_SQRT2
+        * ell
+        * steps.libm(math.cosh, g)
+        * alpha_mag
+        * np.abs(np.sin(delta))
+    )
+    live = ~(np.abs(denom) < DERIVATIVE_FLOOR)
+    noise = _noise(steps, g, ell, phi, where=live)
+    value = np.sqrt(transmissivity * (noise - 1.0) + 1.0) / denom
+    return steps.result(np.where(live, value, np.inf))
+
+
+@np.errstate(all="ignore")
+def qcrb_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    """Quantum Cramer-Rao bound of the probe state:
+    ``1 / (2 l sqrt(sinh^2 2g + |alpha|^2 [1 + 2 cosh 2g + cosh 4g]))``."""
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    s = steps.libm(lambda x: math.sinh(2.0 * x) ** 2, g) + steps.libm(_square, alpha_mag) * (
+        1.0
+        + 2.0 * steps.libm(lambda x: math.cosh(2.0 * x), g)
+        + steps.libm(lambda x: math.cosh(4.0 * x), g)
+    )
+    steps.fail(s <= 0.0, ValueError("bound undefined for the degenerate g = alpha = 0 input"))
+    return steps.result(1.0 / (2.0 * ell * np.sqrt(s)))
+
+
+@np.errstate(all="ignore")
+def snl_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    """Shot-noise limit ``1 / (2 l sqrt(N))``, N the lossless photon number."""
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    n = _photon_number(steps, g, alpha_mag)
+    steps.fail(n <= 0.0, ValueError("shot-noise limit undefined for zero photon number"))
+    return steps.result(1.0 / (2.0 * ell * np.sqrt(n)))
+
+
+@np.errstate(all="ignore")
+def hl_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    """Heisenberg limit ``1 / (2 l N)``, N the lossless photon number."""
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    n = _photon_number(steps, g, alpha_mag)
+    steps.fail(n <= 0.0, ValueError("Heisenberg limit undefined for zero photon number"))
+    return steps.result(1.0 / (2.0 * ell * n))
+
+
+@np.errstate(all="ignore")
+def visibility_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    """Signal contrast ``(hi - lo) / (|hi| + |lo|)`` of <X_A> over a turn of
+    the rotation angle, from its exact extrema
+    ``hi, lo = sqrt(T) sqrt(2) |alpha| (+-cosh g + cos(theta) sinh g)``.
+
+    Since ``cosh g >= |cos(theta) sinh g|``, hi >= 0 >= lo and the contrast is
+    exactly 1 wherever it is defined.
+    """
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    steps.fail(alpha_mag <= 0.0, ValueError("visibility undefined for zero input amplitude"))
+    scale = np.sqrt(transmissivity) * _SQRT2 * alpha_mag
+    cosh_g = steps.libm(math.cosh, g)
+    offset = np.cos(theta) * steps.libm(math.sinh, g)
+    hi, lo = scale * (cosh_g + offset), scale * (offset - cosh_g)
+    denom = np.abs(hi) + np.abs(lo)
+    steps.fail(denom == 0.0, ValueError("visibility undefined: signal is identically zero"))
+    return steps.result((hi - lo) / denom)
+
+
+@np.errstate(all="ignore")
+def _slope_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    return steps.result(_slope(steps, g, ell, alpha_mag, theta, phi))
+
+
+@np.errstate(all="ignore")
+def _noise_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    return steps.result(_noise(steps, g, ell, phi))
+
+
+# quantity name -> closed form over broadcast (g, ell, alpha_mag, theta, phi,
+# transmissivity); the inputs must lie in ExperimentConfig's domain
+TABLE = {
+    "signal": signal_table,
+    "sensitivity": sensitivity_table,
+    "sensitivity_lossy": sensitivity_lossy_table,
+    "qcrb": qcrb_table,
+    "snl": snl_table,
+    "hl": hl_table,
+    "visibility": visibility_table,
+}
+
+
+def _at(table, config: ExperimentConfig, transmissivity: float | None = None) -> float:
+    """A table function at one working point."""
+    if transmissivity is None:
+        transmissivity = config.transmissivity
+    return float(
+        table(config.g, config.ell, config.alpha_mag, config.theta, config.phi, transmissivity)
+    )
+
+
+# --- scalar closed forms of one working point ---------------------------------
 
 
 def homodyne_mean(config: ExperimentConfig) -> float:
     """<X_A> of the lossless chain:
     ``sqrt(2) |alpha| [cos(theta + 2 l phi) cosh g + cos(theta) sinh g]``."""
-    delta = config.theta + 2.0 * config.ell * config.phi
-    return math.sqrt(2.0) * config.alpha_mag * (
-        math.cos(delta) * math.cosh(config.g) + math.cos(config.theta) * math.sinh(config.g)
-    )
+    return _at(signal_table, config, transmissivity=1.0)
 
 
 def homodyne_mean_slope(config: ExperimentConfig) -> float:
     """Analytic d<X_A>/dphi of the lossless chain."""
-    delta = config.theta + 2.0 * config.ell * config.phi
-    return (
-        -_TWO_SQRT2
-        * config.ell
-        * config.alpha_mag
-        * math.cosh(config.g)
-        * math.sin(delta)
-    )
+    return _at(_slope_table, config)
 
 
 def homodyne_mean_lossy(config: ExperimentConfig) -> float:
     """<X_A> with arm transmissivity T: the lossless mean scaled by sqrt(T)."""
-    return math.sqrt(config.transmissivity) * homodyne_mean(config)
+    return _at(signal_table, config)
 
 
 def homodyne_second_moment(config: ExperimentConfig) -> float:
@@ -95,9 +338,7 @@ def homodyne_second_moment_lossy(config: ExperimentConfig) -> float:
 
 
 def _noise_term(config: ExperimentConfig) -> float:
-    return math.cosh(2.0 * config.g) + math.sinh(2.0 * config.g) * math.cos(
-        2.0 * config.ell * config.phi
-    )
+    return _at(_noise_table, config)
 
 
 def quadrature_fluctuation(config: ExperimentConfig) -> float:
@@ -123,10 +364,7 @@ def sensitivity(config: ExperimentConfig) -> float:
     working point carries no first-order signal), never raises, so sweeps can
     flag divergent points instead of aborting.
     """
-    slope = homodyne_mean_slope(config)
-    if abs(slope) < DERIVATIVE_FLOOR:
-        return math.inf
-    return math.sqrt(_noise_term(config)) / abs(slope)
+    return _at(sensitivity_table, config)
 
 
 def sensitivity_lossy(config: ExperimentConfig) -> float:
@@ -137,74 +375,34 @@ def sensitivity_lossy(config: ExperimentConfig) -> float:
     lossless form at T = 1 and is reported as ``inf`` at T = 0 (total loss)
     or where the slope vanishes.
     """
-    t = config.transmissivity
-    delta = config.theta + 2.0 * config.ell * config.phi
-    denom = (
-        t
-        * _TWO_SQRT2
-        * config.ell
-        * math.cosh(config.g)
-        * config.alpha_mag
-        * abs(math.sin(delta))
-    )
-    if abs(denom) < DERIVATIVE_FLOOR:
-        return math.inf
-    return math.sqrt(t * (_noise_term(config) - 1.0) + 1.0) / denom
+    return _at(sensitivity_lossy_table, config)
 
 
-def visibility(config: ExperimentConfig, samples: int = 2048) -> float:
+def visibility(config: ExperimentConfig) -> float:
     """Signal contrast ``(max - min) / (|max| + |min|)`` of <X_A> over a full
-    turn of the rotation angle at fixed theta.
+    turn of the rotation angle at fixed theta, from the exact extrema
+    ``sqrt(T) sqrt(2) |alpha| (+-cosh g + cos(theta) sinh g)``: exactly 1.
 
     Loss rescales the whole trace by sqrt(T), so the contrast is unaffected.
+    Raises ValueError at zero amplitude or T = 0, where the signal vanishes.
     """
-    if config.alpha_mag <= 0.0:
-        raise ValueError("visibility undefined for zero input amplitude")
-    ell, theta = config.ell, config.theta
-    phis = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    # exact extrema candidates: cos(theta + 2 l phi) = +/-1
-    extrema = [
-        ((k * math.pi - theta) / (2.0 * ell)) % (2.0 * math.pi) for k in range(4 * ell + 2)
-    ]
-    phis = np.concatenate([phis, extrema])
-    scale = math.sqrt(config.transmissivity) * math.sqrt(2.0) * config.alpha_mag
-    means = scale * (
-        np.cos(theta + 2.0 * ell * phis) * math.cosh(config.g)
-        + math.cos(theta) * math.sinh(config.g)
-    )
-    hi, lo = float(np.max(means)), float(np.min(means))
-    denom = abs(hi) + abs(lo)
-    if denom == 0.0:
-        raise ValueError("visibility undefined: signal is identically zero")
-    return (hi - lo) / denom
+    return _at(visibility_table, config)
 
 
 def shot_noise_limit(config: ExperimentConfig) -> float:
     """``1 / (2 l sqrt(N))`` with N the lossless mean photon number."""
-    n = mean_photon_number(config)
-    if n <= 0.0:
-        raise ValueError("shot-noise limit undefined for zero photon number")
-    return 1.0 / (2.0 * config.ell * math.sqrt(n))
+    return _at(snl_table, config)
 
 
 def heisenberg_limit(config: ExperimentConfig) -> float:
     """``1 / (2 l N)`` with N the lossless mean photon number."""
-    n = mean_photon_number(config)
-    if n <= 0.0:
-        raise ValueError("Heisenberg limit undefined for zero photon number")
-    return 1.0 / (2.0 * config.ell * n)
+    return _at(hl_table, config)
 
 
 def quantum_cramer_rao_bound(config: ExperimentConfig) -> float:
     """Best sensitivity allowed by the probe state's Fisher information:
     ``1 / (2 l sqrt(sinh^2 2g + |alpha|^2 [1 + 2 cosh 2g + cosh 4g]))``."""
-    g = config.g
-    s = math.sinh(2.0 * g) ** 2 + config.alpha_mag**2 * (
-        1.0 + 2.0 * math.cosh(2.0 * g) + math.cosh(4.0 * g)
-    )
-    if s <= 0.0:
-        raise ValueError("bound undefined for the degenerate g = alpha = 0 input")
-    return 1.0 / (2.0 * config.ell * math.sqrt(s))
+    return _at(qcrb_table, config)
 
 
 def optimal_operating_point(g: float, ell: int, alpha_mag: float) -> tuple[float, float]:

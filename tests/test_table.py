@@ -1,0 +1,352 @@
+"""The quantity table: every sweep and figure row equals the scalar API's
+direct call bit for bit, undefined points fail where the point-by-point
+evaluation fails first, and sweep axes are checked at parse time."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from oam_interferometry import (
+    ExperimentConfig,
+    heisenberg_limit,
+    homodyne_mean,
+    homodyne_mean_lossy,
+    metrology,
+    quantum_cramer_rao_bound,
+    sensitivity,
+    sensitivity_lossy,
+    shot_noise_limit,
+    visibility,
+)
+from oam_interferometry.cli import (
+    MAX_SWEEP_POINTS,
+    ConfigError,
+    SweepAxis,
+    SweepError,
+    parse_config,
+    reproduce,
+    run_sweep,
+    to_csv,
+)
+
+SCALAR = {
+    "signal": homodyne_mean_lossy,
+    "sensitivity": sensitivity,
+    "sensitivity_lossy": sensitivity_lossy,
+    "qcrb": quantum_cramer_rao_bound,
+    "snl": shot_noise_limit,
+    "hl": heisenberg_limit,
+    "visibility": visibility,
+}
+
+BASE = "g = 0.7\nell = 2\nalpha_sq = 6.5\ntheta = 0.4\nphi = 0.9\ntransmissivity = 0.55\n"
+
+# each axis over a range that reaches its domain edge where it has one
+AXES = {
+    "g": "g 0 3 13",
+    "ell": "ell 1 4 4",
+    "alpha_sq": "alpha_sq 0 50 11",
+    "theta": "theta -3.2 3.2 17",
+    "phi": "phi 0 3.1416 19",
+    "transmissivity": "transmissivity 0 1 9",
+}
+
+
+def per_point(spec):
+    """The sweep evaluated point by point through the scalar API: the rows
+    ``(*coordinates, value)``, or the message of the first failing point."""
+    base = spec.base
+    rows = []
+    for point in itertools.product(*(axis.values() for axis in spec.axes)):
+        fields = dict(
+            g=base.g,
+            ell=base.ell,
+            alpha_mag=base.alpha_mag,
+            theta=base.theta,
+            phi=base.phi,
+            transmissivity=base.transmissivity,
+        )
+        for axis, v in zip(spec.axes, point):
+            if axis.name == "alpha_sq":
+                fields["alpha_mag"] = math.sqrt(v)
+            elif axis.name == "ell":
+                fields["ell"] = int(round(v))
+            else:
+                fields[axis.name] = float(v)
+        try:
+            value = SCALAR[spec.quantity](ExperimentConfig(**fields))
+        except (ValueError, ArithmeticError) as exc:
+            coords = ", ".join(f"{a.name}={v:g}" for a, v in zip(spec.axes, point))
+            return f"{spec.quantity} failed at ({coords}): {exc}"
+        rows.append(tuple(float(v) for v in point) + (value,))
+    return rows
+
+
+def assert_matches_per_point(text):
+    """run_sweep agrees with the point-by-point evaluation: the same bits in
+    every row, or the same SweepError at the same first point."""
+    spec = parse_config(text)
+    expected = per_point(spec)
+    if isinstance(expected, str):
+        with pytest.raises(SweepError) as info:
+            run_sweep(spec)
+        assert str(info.value) == expected
+        return None
+    result = run_sweep(spec)
+    assert [tuple(map(repr, row[:-1])) for row in result.rows] == [
+        tuple(map(repr, row)) for row in expected
+    ]
+    for row in result.rows:
+        value, flag = row[-2], row[-1]
+        assert flag == ("divergent" if math.isinf(value) else "non-finite" if math.isnan(value) else "")
+    return result
+
+
+@pytest.mark.parametrize("axis", AXES)
+@pytest.mark.parametrize("quantity", SCALAR)
+def test_one_axis_rows_equal_direct_calls(quantity, axis):
+    assert_matches_per_point(f"{BASE}quantity = {quantity}\nsweep = {AXES[axis]}\n")
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [
+        ("phi", "theta"),
+        ("g", "alpha_sq"),
+        ("transmissivity", "phi"),
+        ("ell", "g"),
+        ("alpha_sq", "transmissivity"),
+        ("theta", "ell"),
+    ],
+)
+@pytest.mark.parametrize("quantity", SCALAR)
+def test_two_axis_rows_equal_direct_calls(quantity, outer, inner):
+    text = f"{BASE}quantity = {quantity}\nsweep = {AXES[outer]}\nsweep = {AXES[inner]}\n"
+    assert_matches_per_point(text)
+
+
+@pytest.mark.parametrize("quantity", ["sensitivity", "sensitivity_lossy"])
+@pytest.mark.parametrize("ell", [1, 3])
+def test_noise_cancellation_region(quantity, ell):
+    # cos(2 l phi) within 1e-12 of -1, where cosh 2g + sinh 2g cos(2 l phi)
+    # cancels down to e^-2g
+    centre = math.pi / (2 * ell)
+    text = (
+        f"ell = {ell}\nalpha_sq = 40\ntheta = 1.5707963267948966\ntransmissivity = 0.8\n"
+        f"quantity = {quantity}\n"
+        f"sweep = phi {centre - 1e-6!r} {centre + 1e-6!r} 21\nsweep = g 0 3 31\n"
+    )
+    result = assert_matches_per_point(text)
+    assert all(math.isfinite(row[-2]) for row in result.rows)
+
+
+@pytest.mark.parametrize("quantity", ["sensitivity", "sensitivity_lossy", "signal"])
+def test_divergent_points_match(quantity):
+    # alpha_sq = 0 and theta + 2 l phi on a multiple of pi both zero the slope
+    text = (
+        f"g = 1.1\nell = 1\ntheta = 0\ntransmissivity = 0.5\nquantity = {quantity}\n"
+        "sweep = alpha_sq 0 4 3\nsweep = phi 0 3.141592653589793 5\n"
+    )
+    result = assert_matches_per_point(text)
+    if quantity != "signal":
+        assert sum(row[-1] == "divergent" for row in result.rows) >= 5
+
+
+def test_qcrb_overflow_fails_at_the_overflowing_gain():
+    spec = parse_config("alpha_sq = 4\nquantity = qcrb\nsweep = g 100 200 3\n")
+    with pytest.raises(SweepError, match=r"^qcrb failed at \(g=200\): "):
+        run_sweep(spec)
+    assert_matches_per_point("alpha_sq = 4\nquantity = qcrb\nsweep = g 100 200 3\n")
+
+
+def test_zero_slope_stays_divergent_where_the_noise_term_overflows():
+    # the slope check comes before the noise term, whose cosh 2g overflows
+    # beyond g = 355
+    text = "alpha_sq = 4\ntheta = 0\nphi = 0\nquantity = sensitivity\nsweep = g 300 400 3\n"
+    result = assert_matches_per_point(text)
+    assert [row[1:] for row in result.rows] == [(math.inf, "divergent")] * 3
+
+
+@pytest.mark.parametrize(
+    "quantity, axes, where",
+    [
+        # the overflow at g = 200 fails every row with g = 200, the third first
+        ("qcrb", ("alpha_sq 1 2 2", "g 100 200 3"), "alpha_sq=1, g=200"),
+        # cosh 2g overflows at g = 400, the third row
+        ("snl", ("theta 0 1 2", "g 0 400 3"), "theta=0, g=400"),
+        # the first row has no photons; the second row's overflow comes earlier
+        # in the formula but later in row order
+        ("snl", ("alpha_sq 0 1 2", "g 0 400 2"), "alpha_sq=0, g=0"),
+        # zero amplitude fails before the zero transmissivity of the same row
+        ("visibility", ("transmissivity 1 0 2", "alpha_sq 1 0 2"), "transmissivity=0, alpha_sq=0"),
+    ],
+)
+def test_first_undefined_point_in_row_order_is_named(quantity, axes, where):
+    text = f"ell = 1\nalpha_sq = 1\ntheta = 0.3\nquantity = {quantity}\n" + "".join(
+        f"sweep = {axis}\n" for axis in axes
+    )
+    with pytest.raises(SweepError, match=rf"^{quantity} failed at \({where}\): "):
+        run_sweep(parse_config(text))
+    assert_matches_per_point(text)
+
+
+def reference(quantity, cfg):
+    """Each closed form on Python floats through ``math`` (libm), term by term
+    in the order of the scalar formulas: the bits a table row must carry."""
+    g, ell, a, theta, phi, t = (
+        cfg.g, cfg.ell, cfg.alpha_mag, cfg.theta, cfg.phi, cfg.transmissivity
+    )
+    delta = theta + 2.0 * ell * phi
+    noise = math.cosh(2.0 * g) + math.sinh(2.0 * g) * math.cos(2.0 * ell * phi)
+    n = math.cosh(2.0 * g) * a**2 + 2.0 * math.sinh(g) ** 2
+    if quantity == "signal":
+        return math.sqrt(t) * (
+            math.sqrt(2.0) * a * (math.cos(delta) * math.cosh(g) + math.cos(theta) * math.sinh(g))
+        )
+    if quantity == "sensitivity":
+        slope = -2.0 * math.sqrt(2.0) * ell * a * math.cosh(g) * math.sin(delta)
+        return math.inf if abs(slope) < 1e-12 else math.sqrt(noise) / abs(slope)
+    if quantity == "sensitivity_lossy":
+        denom = t * 2.0 * math.sqrt(2.0) * ell * math.cosh(g) * a * abs(math.sin(delta))
+        return math.inf if abs(denom) < 1e-12 else math.sqrt(t * (noise - 1.0) + 1.0) / denom
+    if quantity == "qcrb":
+        s = math.sinh(2.0 * g) ** 2 + a**2 * (1.0 + 2.0 * math.cosh(2.0 * g) + math.cosh(4.0 * g))
+        return 1.0 / (2.0 * ell * math.sqrt(s))
+    if quantity == "snl":
+        return 1.0 / (2.0 * ell * math.sqrt(n))
+    if quantity == "hl":
+        return 1.0 / (2.0 * ell * n)
+    assert quantity == "visibility"
+    return 1.0
+
+
+@pytest.mark.parametrize("quantity", SCALAR)
+def test_table_carries_the_libm_closed_forms(quantity):
+    # numpy's cosh and sinh differ from libm in the last place on about a
+    # quarter of inputs, and its x**2 is x*x, not pow: the table must not use
+    # them
+    rng = np.random.default_rng(11)
+    n = 400
+    g = rng.uniform(0.0, 4.0, n)
+    ell = rng.integers(1, 6, n).astype(float)
+    alpha_sq = rng.uniform(0.01, 1000.0, n)
+    # points where pow(|alpha|, 2) and x*x differ, the second also in qcrb
+    alpha_sq[:2] = 380.42426988653233, 170.17647524349584
+    g[1], ell[1] = 0.5, 1.0
+    theta, phi = rng.uniform(-7.0, 7.0, (2, n))
+    t = rng.uniform(0.05, 1.0, n)
+    values = metrology.TABLE[quantity](g, ell, np.sqrt(alpha_sq), theta, phi, t)
+    for i in range(n):
+        cfg = ExperimentConfig(
+            g=g[i],
+            ell=int(ell[i]),
+            alpha_mag=math.sqrt(alpha_sq[i]),
+            theta=theta[i],
+            phi=phi[i],
+            transmissivity=t[i],
+        )
+        assert repr(float(values[i])) == repr(reference(quantity, cfg)), (i, cfg)
+
+
+def test_table_broadcasts_and_names_the_failing_point():
+    g = np.array([[0.0], [0.5]])
+    alpha = np.array([0.0, 1.0, 2.0])
+    values = metrology.snl_table(g[1:], 1, alpha, 0.0, 0.0, 1.0)
+    assert values.shape == (1, 3)
+    for a, value in zip(alpha, values[0]):
+        cfg = ExperimentConfig(g=0.5, ell=1, alpha_mag=float(a), theta=0.0, phi=0.0)
+        assert value == shot_noise_limit(cfg)
+    with pytest.raises(ValueError, match="zero photon number") as info:
+        metrology.snl_table(g, 1, alpha, 0.0, 0.0, 1.0)
+    assert info.value.point == (0, 0)
+
+
+def test_scalar_inputs_give_the_scalar_value():
+    cfg = ExperimentConfig(g=1.3, ell=2, alpha_mag=2.5, theta=0.2, phi=0.1, transmissivity=0.4)
+    fields = (cfg.g, cfg.ell, cfg.alpha_mag, cfg.theta, cfg.phi, cfg.transmissivity)
+    for name, fn in SCALAR.items():
+        assert float(metrology.TABLE[name](*fields)) == fn(cfg)
+
+
+@pytest.mark.parametrize("figure", ["fig2", "fig3", "fig6"])
+def test_figure_rows_equal_direct_calls(figure):
+    result = reproduce(figure)
+    for row in result.rows:
+        if figure == "fig2":
+            phi, theta, value, _ = row
+            cfg = ExperimentConfig(g=1.0, ell=3, alpha_mag=math.sqrt(10.0), theta=theta, phi=phi)
+            assert value == homodyne_mean(cfg)
+            continue
+        phi, quantity, value, _ = row
+        cfg = ExperimentConfig(
+            g=2.0,
+            ell=1,
+            alpha_mag=10.0,
+            theta=math.pi / 2.0,
+            phi=phi,
+            transmissivity=1.0 if figure == "fig3" else 0.62,
+        )
+        fn = {"snl": shot_noise_limit, "sensitivity": sensitivity}.get(quantity, sensitivity_lossy)
+        expected = fn(cfg)
+        assert value == expected or (math.isinf(value) and math.isinf(expected))
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig4", "fig7"])
+def test_csv_rows_are_the_repr_of_each_value(figure):
+    result = reproduce(figure, grid=0)
+    body = to_csv(result, timestamp=False).splitlines()[-len(result.rows):]
+    assert body == [
+        ",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in result.rows
+    ]
+
+
+class TestAxisDomain:
+    @pytest.mark.parametrize(
+        "axis, fragment",
+        [
+            ("g -1 1 3", "g axis must produce values >= 0"),
+            ("alpha_sq -4 4 3", "alpha_sq axis must produce values >= 0"),
+            ("transmissivity 0 2 3", r"transmissivity axis must produce values in \[0, 1\]"),
+            ("transmissivity -0.5 1 3", r"transmissivity axis must produce values in \[0, 1\]"),
+            ("phi -1e308 1e308 3", "phi axis must produce finite values"),
+        ],
+    )
+    def test_rejected_at_parse_time_with_the_line(self, axis, fragment):
+        with pytest.raises(ConfigError, match=rf"^line 3: {fragment}"):
+            parse_config(f"alpha_sq = 1\nquantity = signal\nsweep = {axis}\n")
+
+    def test_axis_built_in_code_is_checked_too(self):
+        with pytest.raises(ValueError, match="^g axis must produce values >= 0"):
+            SweepAxis("g", -1.0, 1.0, 3)
+
+    def test_edges_of_the_domain_are_accepted(self):
+        spec = parse_config(
+            "quantity = signal\nsweep = g 0 1 2\nsweep = transmissivity 0 1 2\n"
+        )
+        assert [a.name for a in spec.axes] == ["g", "transmissivity"]
+
+
+class TestGridSizeCap:
+    # parse-only: none of these grids is ever evaluated
+
+    def test_one_axis_over_the_cap(self):
+        with pytest.raises(ConfigError, match=r"^line 2: sweep grid of \d+ points exceeds"):
+            parse_config(f"quantity = signal\nsweep = phi 0 1 {MAX_SWEEP_POINTS + 1}\n")
+
+    def test_extreme_count_is_rejected_before_allocation(self):
+        with pytest.raises(ConfigError, match="line 2: sweep grid of 10{18} points"):
+            parse_config("quantity = signal\nsweep = phi 0 1 1e18\n")
+
+    def test_product_over_the_cap_names_the_second_axis(self):
+        side = math.isqrt(MAX_SWEEP_POINTS) + 1
+        assert side * side > MAX_SWEEP_POINTS
+        with pytest.raises(ConfigError, match=rf"^line 3: sweep grid of {side * side} points"):
+            parse_config(f"quantity = signal\nsweep = phi 0 1 {side}\nsweep = theta 0 1 {side}\n")
+
+    def test_grid_at_the_cap_parses(self):
+        spec = parse_config(
+            f"quantity = signal\nsweep = phi 0 1 {MAX_SWEEP_POINTS // 1000}\nsweep = theta 0 1 1000\n"
+        )
+        assert math.prod(a.count for a in spec.axes) == MAX_SWEEP_POINTS
