@@ -23,26 +23,15 @@ from typing import Sequence
 
 import numpy as np
 
-from . import metrology
+from . import __version__, metrology
 from .interferometer import ExperimentConfig
 from .validation import run_validation
 
-__version__ = "0.1.0"
-
-QUANTITIES = (
-    "signal",
-    "sensitivity",
-    "sensitivity_lossy",
-    "qcrb",
-    "snl",
-    "hl",
-    "visibility",
-    "max_loss",
-)
+QUANTITIES = tuple(metrology.TABLE)
 
 _SCALAR_KEYS = ("g", "ell", "alpha_sq", "theta", "phi", "transmissivity")
 _AXIS_NAMES = _SCALAR_KEYS
-# max_loss optimises phi/theta internally and searches T itself
+# max_loss optimises phi/theta internally and solves for T itself
 _MAX_LOSS_AXES = ("g", "ell", "alpha_sq")
 
 # Largest sweep grid (product of the axis counts), checked at parse time before
@@ -257,10 +246,13 @@ def render_config(config: ExperimentConfig) -> str:
     )
 
 
-def _flags(values) -> list[str]:
-    """Flag column for numeric results: inf is divergent, nan non-finite."""
+def _flags(values, quantity: str = "") -> list[str]:
+    """Flag column for numeric results: inf is divergent, nan non-finite, and
+    a max_loss of 0 means no loss keeps the optimum below the shot-noise limit."""
     values = np.asarray(values)
     flags = np.where(np.isinf(values), "divergent", np.where(np.isnan(values), "non-finite", ""))
+    if quantity == "max_loss":
+        flags = np.where(values == 0.0, "no-sub-snl-region", flags)
     return flags.ravel().tolist()
 
 
@@ -296,49 +288,29 @@ def _failed_at(quantity: str, axes, axis_values, point, exc: Exception) -> Sweep
     return SweepError(f"{quantity} failed at ({coords}): {exc}")
 
 
-def _max_loss_grid(spec: SweepSpec, inputs: list, axis_values, grid: int):
-    """max_loss keeps its per-point search; points in C order."""
-    shape = tuple(len(v) for v in axis_values)
-    g, ell, alpha_mag = (np.broadcast_to(x, shape).ravel().tolist() for x in inputs[:3])
-    losses, flags = [], []
-    for i, point in enumerate(zip(g, ell, alpha_mag)):
-        try:
-            result = metrology.max_allowable_loss(point[0], int(point[1]), point[2], grid=grid)
-        except (ValueError, ArithmeticError) as exc:
-            index = np.unravel_index(i, shape)
-            raise _failed_at(spec.quantity, spec.axes, axis_values, index, exc) from exc
-        losses.append(result.loss)
-        flags.append("" if result.sub_snl_exists else "no-sub-snl-region")
-    return losses, flags
-
-
-def run_sweep(spec: SweepSpec, grid: int = 2048) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid; rows come back in lexicographic axis order.
 
     The grid is one broadcast call of the quantity's table function on
-    open-grid axis arrays (``max_loss`` keeps a per-point search).  Divergent
-    values are flagged, not dropped; the first point in row order where the
-    quantity is undefined raises a SweepError naming its grid coordinates.
+    open-grid axis arrays.  Divergent values are flagged, not dropped; the
+    first point in row order where the quantity is undefined raises a
+    SweepError naming its grid coordinates.
     """
+    if spec.quantity not in metrology.TABLE:
+        raise ConfigError(f"unknown quantity {spec.quantity!r}")
     axes = spec.axes
     axis_values = [axis.values() for axis in axes]
     inputs = _grid_inputs(spec.base, axes, axis_values)
-    if spec.quantity == "max_loss":
-        value, flags = _max_loss_grid(spec, inputs, axis_values, grid)
-    elif spec.quantity in metrology.TABLE:
-        try:
-            value = metrology.TABLE[spec.quantity](*inputs)
-        except (ValueError, ArithmeticError) as exc:
-            raise _failed_at(spec.quantity, axes, axis_values, exc.point, exc) from exc
-        flags = _flags(value)
-    else:
-        raise ConfigError(f"unknown quantity {spec.quantity!r}")
+    try:
+        value = metrology.TABLE[spec.quantity](*inputs)
+    except (ValueError, ArithmeticError) as exc:
+        raise _failed_at(spec.quantity, axes, axis_values, exc.point, exc) from exc
+    flags = _flags(value, spec.quantity)
 
     metadata = {
         "quantity": spec.quantity,
         "config_sha256": hashlib.sha256(render_config(spec.base).encode()).hexdigest(),
         "axes": ";".join(f"{a.name}[{a.start:g}:{a.stop:g}:{a.count}]" for a in axes),
-        "grid": str(grid),
     }
     columns = tuple(a.name for a in axes) + ("value", "flag")
     return SweepResult(columns=columns, rows=_grid_rows(axis_values, value, flags), metadata=metadata)
@@ -386,7 +358,7 @@ def _figure_metadata(figure_id: str, quantity: str, params: str) -> dict:
     }
 
 
-def reproduce(figure_id: str, grid: int = 2048) -> SweepResult:
+def reproduce(figure_id: str) -> SweepResult:
     """Emit the dataset behind a named figure with its parameters baked in."""
     if figure_id == "fig2":
         phis = np.linspace(-math.pi / 2.0, math.pi / 2.0, 101)
@@ -433,7 +405,7 @@ def reproduce(figure_id: str, grid: int = 2048) -> SweepResult:
         )
 
     if figure_id == "fig7":
-        result = metrology.max_allowable_loss(2.0, 1, 10.0, grid=grid)
+        result = metrology.max_allowable_loss(2.0, 1, 10.0)
         flag = "" if result.sub_snl_exists else "no-sub-snl-region"
         rows = ((2.0, 1.0, 100.0, result.loss, flag),)
         return SweepResult(
@@ -443,16 +415,14 @@ def reproduce(figure_id: str, grid: int = 2048) -> SweepResult:
         )
 
     if figure_id == "fig8":
-        rows = []
-        for asq in (10.0, 100.0, 1000.0):
-            amag = math.sqrt(asq)
-            for g in np.linspace(0.5, 4.0, 36):
-                result = metrology.max_allowable_loss(float(g), 1, amag, grid=grid)
-                flag = "" if result.sub_snl_exists else "no-sub-snl-region"
-                rows.append((float(g), asq, result.loss, flag))
+        alpha_sqs = np.array([10.0, 100.0, 1000.0])
+        gs = np.linspace(0.5, 4.0, 36)
+        alpha_sq_grid, g_grid = np.ix_(alpha_sqs, gs)
+        value = metrology.max_loss_table(g_grid, 1, np.sqrt(alpha_sq_grid), 0.0, 0.0, 1.0)
+        rows = _grid_rows((alpha_sqs, gs), value, _flags(value, "max_loss"))
         return SweepResult(
             ("g", "alpha_sq", "value", "flag"),
-            tuple(rows),
+            tuple((g, asq, v, flag) for asq, g, v, flag in rows),
             _figure_metadata("fig8", "max_loss", "ell=1,alpha_sq=10|100|1000"),
         )
 
@@ -510,13 +480,13 @@ def _cmd_sweep(args) -> int:
     spec = _read_config(args.config)
     if not isinstance(spec, SweepSpec):
         raise ConfigError("sweep expects a config with sweep axes and a quantity")
-    result = run_sweep(spec, grid=args.grid)
+    result = run_sweep(spec)
     _emit(to_csv(result), args.out)
     return 0
 
 
 def _cmd_reproduce(args) -> int:
-    result = reproduce(args.figure, grid=args.grid)
+    result = reproduce(args.figure)
     _emit(to_csv(result), args.out)
     return 0
 
@@ -525,7 +495,7 @@ def _cmd_max_loss(args) -> int:
     config = _read_config(args.config)
     if not isinstance(config, ExperimentConfig):
         raise ConfigError("max-loss expects a plain configuration, not sweep axes")
-    result = metrology.max_allowable_loss(config.g, config.ell, config.alpha_mag, grid=args.grid)
+    result = metrology.max_allowable_loss(config.g, config.ell, config.alpha_mag)
     flag = "" if result.sub_snl_exists else "no-sub-snl-region"
     out = SweepResult(
         ("g", "ell", "alpha_sq", "value", "flag"),
@@ -559,9 +529,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if config_required:
             p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument(
-            "--grid", type=int, default=2048, help="optimum-search grid density per period"
-        )
 
     p_eval = sub.add_parser("eval", help="full report for one working point")
     add_common(p_eval)

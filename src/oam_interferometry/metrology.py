@@ -2,12 +2,14 @@
 sensitivity, the metrology benchmarks (shot-noise limit, Heisenberg limit,
 quantum Cramer-Rao bound), optimal operating points, and loss robustness.
 
-The seven sweep quantities (``signal``, ``sensitivity``,
-``sensitivity_lossy``, ``qcrb``, ``snl``, ``hl``, ``visibility``) are each
-defined once, as a closed form that broadcasts over numpy arrays of
-``(g, ell, alpha_mag, theta, phi, transmissivity)``; ``TABLE`` maps each name
-to its function.  The scalar functions of an ``ExperimentConfig`` call the same
-definitions, so a sweep row and a direct call agree bit for bit.
+The eight sweep quantities (``signal``, ``sensitivity``,
+``sensitivity_lossy``, ``qcrb``, ``snl``, ``hl``, ``visibility``,
+``max_loss``) are each defined once, as a closed form that broadcasts over
+numpy arrays of ``(g, ell, alpha_mag, theta, phi, transmissivity)``; ``TABLE``
+maps each name to its function.  The scalar functions of an
+``ExperimentConfig`` and ``max_allowable_loss`` call the same definitions, so
+a sweep row and a direct call agree bit for bit.  The maximum allowable loss
+is the exact root of a quadratic in the transmissivity, not a search.
 
 Every closed form here is also reproduced independently by the phase-space
 engine (and, at small parameters, by the truncated-Fock validator); the test
@@ -36,6 +38,7 @@ __all__ = [
     "snl_table",
     "hl_table",
     "visibility_table",
+    "max_loss_table",
     "homodyne_mean",
     "homodyne_mean_slope",
     "homodyne_mean_lossy",
@@ -266,6 +269,33 @@ def visibility_table(g, ell, alpha_mag, theta, phi, transmissivity):
 
 
 @np.errstate(all="ignore")
+def max_loss_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    """Largest loss fraction 1 - T* at which the optimal lossy sensitivity
+    still reaches the lossless shot-noise limit; 0 where even T = 1 cannot.
+
+    Equating ``optimal_sensitivity`` at T with the shot-noise limit gives
+    ``2 c^2 T^2 + N k T - N = 0`` with ``c = |alpha| cosh g``,
+    ``k = 1 - e^-2g`` and N the lossless photon number.  T* is its positive
+    root ``2 / (k + sqrt(k^2 + 8 c^2 / N))``, which does not cancel, and
+    ``c^2 / N = cosh^2 g / (cosh 2g + 2 (sinh g / |alpha|)^2)`` stays finite
+    until cosh 2g overflows, for any |alpha| > 0.  Independent of l, theta,
+    phi and T.
+    """
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    steps.fail(alpha_mag <= 0.0, ValueError("alpha_mag must be > 0"))
+    # N / |alpha|^2 before c^2 / N, so an overflowing g fails at cosh 2g first;
+    # squaring sinh g / |alpha|, not |alpha|, leaves no |alpha|^2 to underflow
+    n_scaled = (
+        steps.libm(lambda x: math.cosh(2.0 * x), g)
+        + 2.0 * (steps.libm(math.sinh, g) / alpha_mag) ** 2
+    )
+    c2_over_n = steps.libm(lambda x: math.cosh(x) ** 2, g) / n_scaled
+    k = steps.libm(lambda x: -math.expm1(-2.0 * x), g)
+    t_star = 2.0 / (k + np.sqrt(k * k + 8.0 * c2_over_n))
+    return steps.result(np.where(t_star >= 1.0, 0.0, 1.0 - t_star))
+
+
+@np.errstate(all="ignore")
 def _slope_table(g, ell, alpha_mag, theta, phi, transmissivity):
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
     return steps.result(_slope(steps, g, ell, alpha_mag, theta, phi))
@@ -287,6 +317,7 @@ TABLE = {
     "snl": snl_table,
     "hl": hl_table,
     "visibility": visibility_table,
+    "max_loss": max_loss_table,
 }
 
 
@@ -447,9 +478,9 @@ def grid_min_sensitivity(
 ) -> tuple[float, float, float]:
     """Brute-force minimum of the sensitivity over a (phi, theta) grid.
 
-    Independent check on the analytic optimum: scans one full rotation period
-    and one theta turn, optionally zooming once into the best cell.  Returns
-    ``(value, phi, theta)``.
+    Independent check on the analytic optimum, for the tests: scans one full
+    rotation period and one theta turn, optionally zooming once into the best
+    cell.  Returns ``(value, phi, theta)``.
     """
     if alpha_mag <= 0.0:
         raise ValueError("alpha_mag must be > 0")
@@ -519,7 +550,7 @@ def hybrid_phase_sensitivity(g: float, alpha_mag: float) -> float:
 
 @dataclass(frozen=True)
 class MaxLossResult:
-    """Outcome of the maximum-allowable-loss search.
+    """Outcome of the maximum-allowable-loss root.
 
     ``loss`` is the largest fraction 1 - T at which the best lossy sensitivity
     still reaches the lossless shot-noise limit; ``sub_snl_exists`` is False
@@ -531,59 +562,18 @@ class MaxLossResult:
     sub_snl_exists: bool
 
 
-def max_allowable_loss(
-    g: float,
-    ell: int,
-    alpha_mag: float,
-    t_resolution: float = 1e-6,
-    grid: int = 2048,
-) -> MaxLossResult:
+def max_allowable_loss(g: float, ell: int, alpha_mag: float) -> MaxLossResult:
     """Largest loss fraction keeping the optimal sensitivity at or below the
-    lossless shot-noise limit, found by bisection on the transmissivity.
+    lossless shot-noise limit: the exact root of ``max_loss_table``, which
+    does not depend on ell.
 
-    The per-T optimum is the closed form of ``optimal_sensitivity``; when
-    ``grid`` > 0 a dense rotation-angle scan confirms the closed form is not
-    beaten before the bisection starts.  The optimum must be monotone in T on
-    the bracket; a violation raises ArithmeticError.
+    The working point is validated as an ``ExperimentConfig``; zero amplitude
+    raises ValueError, and a gain whose cosh 2g overflows raises
+    OverflowError.
     """
-    if alpha_mag <= 0.0:
-        raise ValueError("alpha_mag must be > 0")
-    snl = shot_noise_limit(
-        ExperimentConfig(g=g, ell=ell, alpha_mag=alpha_mag, theta=0.0, phi=0.0)
-    )
-
-    def best(t: float) -> float:
-        return optimal_sensitivity(g, ell, alpha_mag, transmissivity=t)
-
-    if grid:
-        grid_best, _, _ = grid_min_sensitivity(
-            g, ell, alpha_mag, phi_points=grid, theta_points=64, refine=False
-        )
-        if grid_best < best(1.0) * (1.0 - 1e-9):
-            raise ArithmeticError("grid scan found a point below the closed-form optimum")
-
-    if best(1.0) > snl:
-        return MaxLossResult(loss=0.0, transmissivity=1.0, sub_snl_exists=False)
-
-    lo = 0.5
-    while best(lo) <= snl:
-        lo *= 0.5
-        if lo < 1e-12:
-            raise ArithmeticError("failed to bracket the loss threshold")
-    hi = 1.0
-
-    samples = [best(t) for t in np.linspace(lo, hi, 9)]
-    if any(b - a > 1e-12 * max(1.0, abs(a)) for a, b in zip(samples, samples[1:])):
-        raise ArithmeticError("optimal sensitivity is not monotone on the bracket")
-
-    while hi - lo > t_resolution:
-        mid = 0.5 * (lo + hi)
-        if best(mid) > snl:
-            lo = mid
-        else:
-            hi = mid
-    t_star = 0.5 * (lo + hi)
-    return MaxLossResult(loss=1.0 - t_star, transmissivity=t_star, sub_snl_exists=True)
+    config = ExperimentConfig(g=g, ell=ell, alpha_mag=alpha_mag, theta=0.0, phi=0.0)
+    loss = _at(max_loss_table, config)
+    return MaxLossResult(loss=loss, transmissivity=1.0 - loss, sub_snl_exists=loss != 0.0)
 
 
 @dataclass(frozen=True)
@@ -604,8 +594,13 @@ def evaluate(config: ExperimentConfig) -> SensitivityReport:
 
     Signal, fluctuation, and sensitivity honour the config's transmissivity
     (reducing to the lossless forms at T = 1); the benchmarks are the lossless
-    references.
+    references.  Visibility is ``nan`` where the signal vanishes (zero
+    amplitude or T = 0) and ``visibility`` raises.
     """
+    try:
+        contrast = visibility(config)
+    except ValueError:
+        contrast = math.nan
     return SensitivityReport(
         signal_mean=homodyne_mean_lossy(config),
         fluctuation=quadrature_fluctuation_lossy(config),
@@ -613,5 +608,5 @@ def evaluate(config: ExperimentConfig) -> SensitivityReport:
         snl=shot_noise_limit(config),
         hl=heisenberg_limit(config),
         qcrb=quantum_cramer_rao_bound(config),
-        visibility=visibility(config),
+        visibility=contrast,
     )

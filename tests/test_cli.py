@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oam_interferometry
 from oam_interferometry import ExperimentConfig, fock_oracle
 from oam_interferometry import homodyne_mean, quantum_cramer_rao_bound, shot_noise_limit
 from oam_interferometry.cli import (
@@ -208,7 +210,7 @@ class TestReproduce:
         assert flag == ""
 
     def test_fig8_interior_maximum_at_reference_brightness(self):
-        result = reproduce("fig8", grid=0)
+        result = reproduce("fig8")
         curve = [(g, v) for g, asq, v, _ in result.rows if asq == 100.0]
         values = [v for _, v in curve]
         imax = values.index(max(values))
@@ -279,6 +281,20 @@ class TestMainEntry:
         row = lines[1].split(",")
         assert float(row[8]) == pytest.approx(1.2718171032039976e-3, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "text", ["g = 1\nalpha_sq = 0", "alpha_sq = 4\ntransmissivity = 0"]
+    )
+    def test_eval_reports_undefined_visibility_as_nan(self, tmp_path, capsys, text):
+        # vacuum input, and total loss: no signal, so no contrast and no slope
+        path = self._write(tmp_path, text)
+        assert main(["eval", "--config", path]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert row["visibility"] == "nan"
+        assert row["sensitivity"] == "inf"
+        assert row["flag"] == "divergent"
+        assert math.isfinite(float(row["snl"])) and math.isfinite(float(row["qcrb"]))
+
     def test_eval_rejects_sweep_config(self, tmp_path):
         path = self._write(tmp_path, "alpha_sq=1\nquantity = snl\nsweep = g 0 1 3")
         assert main(["eval", "--config", path]) == 1
@@ -313,8 +329,22 @@ class TestMainEntry:
         value = float(out.splitlines()[-1].split(",")[3])
         assert value == pytest.approx(0.38, abs=0.01)
 
+    def test_grid_flag_is_gone(self, tmp_path, capsys):
+        path = self._write(tmp_path, FIG3_TEXT)
+        assert main(["max-loss", "--config", path, "--grid", "0"]) == 1
+        capsys.readouterr()
+
     def test_reproduce_to_file(self, tmp_path, capsys):
         out = tmp_path / "fig7.csv"
         assert main(["reproduce", "fig7", "--out", str(out)]) == 0
         capsys.readouterr()
         assert "max_loss" in out.read_text()
+
+
+def test_one_version_everywhere():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"]
+    header = to_csv(reproduce("fig7"), timestamp=False).splitlines()[0]
+    assert oam_interferometry.__version__ == declared
+    assert header == f"# oam-interferometry {declared}"

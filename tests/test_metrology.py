@@ -380,7 +380,7 @@ class TestMaxAllowableLoss:
 
     def test_loss_tolerance_curve_has_interior_maximum(self):
         gs = np.linspace(0.5, 4.0, 15)
-        losses = [max_allowable_loss(float(g), 1, 10.0, grid=0).loss for g in gs]
+        losses = [max_allowable_loss(float(g), 1, 10.0).loss for g in gs]
         imax = int(np.argmax(losses))
         assert 0 < imax < len(losses) - 1
 

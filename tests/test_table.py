@@ -295,7 +295,7 @@ def test_figure_rows_equal_direct_calls(figure):
 
 @pytest.mark.parametrize("figure", ["fig3", "fig4", "fig7"])
 def test_csv_rows_are_the_repr_of_each_value(figure):
-    result = reproduce(figure, grid=0)
+    result = reproduce(figure)
     body = to_csv(result, timestamp=False).splitlines()[-len(result.rows):]
     assert body == [
         ",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in result.rows
