@@ -12,19 +12,36 @@ Lossless elements are symplectic matrices ``S`` (``S @ Omega @ S.T == Omega``)
 applied as ``mean -> S mean``, ``cov -> S cov S^T``.  Photon loss is a virtual
 beam splitter against vacuum environment modes followed by a partial trace,
 which for Gaussian states is plain row/column deletion.
+
+Every element and every state is checked when it is built, with tolerances
+that scale with the entries, because rounding in ``S Omega S^T`` grows like
+``max|S|^2`` (``cosh^2 g`` for the amplifier) and in ``S cov S^T`` like
+``max|cov|`` (``cosh 2g``):
+
+* an element is symplectic when ``symplectic_defect(S) <= SYMPLECTIC_TOL *
+  max(1, max|S|^2)``;
+* a covariance is symmetric when ``max|cov - cov^T| <= SYMMETRY_TOL *
+  max(1, max|cov|)``.
+
+``symplectic_defect`` itself stays absolute.  Both comparisons fail on NaN,
+and a covariance with an infinite or NaN entry is rejected as not finite.
+The amplifier accepts ``|g| <= MAX_GAIN`` and raises a ``ValueError`` naming
+``g`` beyond it; near ``g = 355.2`` ``cosh 2g`` leaves the double range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 __all__ = [
     "SYMPLECTIC_TOL",
+    "SYMMETRY_TOL",
+    "MAX_GAIN",
     "GaussianState",
     "SymplecticOp",
     "LossChannel",
@@ -44,27 +61,40 @@ __all__ = [
     "min_uncertainty_eigenvalue",
 ]
 
-# an order above double-precision accumulation for 8x8 products
+# an order above double-precision accumulation for 8x8 products, relative to
+# max(1, max|S|^2)
 SYMPLECTIC_TOL = 1e-10
-
-
-def omega(modes: int) -> np.ndarray:
-    """Symplectic form for ``modes`` modes: block diagonal [[0, 1], [-1, 0]]."""
-    if modes < 1:
-        raise ValueError("modes must be >= 1")
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return block_diag(*([block] * modes))
-
-
-def symplectic_defect(matrix: np.ndarray) -> float:
-    """Max-abs deviation of ``S Omega S^T`` from ``Omega``."""
-    w = omega(matrix.shape[0] // 2)
-    return float(np.max(np.abs(matrix @ w @ matrix.T - w)))
+# relative to max(1, max|cov|)
+SYMMETRY_TOL = 1e-8
+# cosh(2 * 350) is 5e303, so covariance entries and the sums in S cov S^T stay
+# finite; cosh 2g itself overflows near g = 355.2
+MAX_GAIN = 350.0
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+@functools.cache
+def omega(modes: int) -> np.ndarray:
+    """Symplectic form for ``modes`` modes: block diagonal [[0, 1], [-1, 0]].
+
+    Built once per mode count and returned read-only.
+    """
+    if modes < 1:
+        raise ValueError("modes must be >= 1")
+    w = np.zeros((2 * modes, 2 * modes))
+    i = np.arange(0, 2 * modes, 2)
+    w[i, i + 1] = 1.0
+    w[i + 1, i] = -1.0
+    return _readonly(w)
+
+
+def symplectic_defect(matrix: np.ndarray) -> float:
+    """Max-abs deviation of ``S Omega S^T`` from ``Omega``."""
+    w = omega(matrix.shape[0] // 2)
+    return float(np.abs(matrix @ w @ matrix.T - w).max())
 
 
 @dataclass(frozen=True)
@@ -87,7 +117,10 @@ class GaussianState:
             raise ValueError("mean must be a vector of length 2 * mode_count")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("cov must be square and match the mean vector")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-8):
+        peak = float(np.abs(cov).max())
+        if not peak < math.inf:
+            raise ValueError("cov must be finite")
+        if not np.abs(cov - cov.T).max() <= SYMMETRY_TOL * max(1.0, peak):
             raise ValueError("cov must be symmetric")
         cov = 0.5 * (cov + cov.T)
         object.__setattr__(self, "mean", _readonly(mean))
@@ -109,8 +142,9 @@ class SymplecticOp:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise ValueError("matrix must be square with even dimension")
+        peak = float(np.abs(m).max())
         defect = symplectic_defect(m)
-        if defect > SYMPLECTIC_TOL:
+        if not defect <= SYMPLECTIC_TOL * max(1.0, peak * peak):
             raise ValueError(f"{self.label}: not symplectic (defect {defect:.3e})")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -157,6 +191,8 @@ def displace(state: GaussianState, mode: int, magnitude: float, angle: float) ->
 
 def opa_matrix(g: float) -> SymplecticOp:
     """Two-mode squeezer (parametric amplifier) of gain ``g`` on modes (A, B)."""
+    if not abs(g) <= MAX_GAIN:
+        raise ValueError(f"g = {g} is outside the engine's range |g| <= {MAX_GAIN:g}")
     ch, sh = math.cosh(g), math.sinh(g)
     m = np.array(
         [
@@ -207,7 +243,9 @@ def extend_with_environment(op: SymplecticOp) -> SymplecticOp:
     """Direct sum of a two-mode element with the identity on two environment modes."""
     if op.matrix.shape != (4, 4):
         raise ValueError("dimension mismatch: expected a 4x4 system operator")
-    return SymplecticOp(block_diag(op.matrix, np.eye(4)), op.label)
+    m = np.eye(8)
+    m[:4, :4] = op.matrix
+    return SymplecticOp(m, op.label)
 
 
 def virtual_bs_matrix(transmissivity: float) -> SymplecticOp:

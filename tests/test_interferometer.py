@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from oam_interferometry import (
     run_pipeline,
     vacuum_state,
 )
+from oam_interferometry.phase_space import MAX_GAIN
+from oam_interferometry.validation import ENGINE_TOL, LOSS_LAW_TOL
 from helpers import guarded_rel, random_config
 
 
@@ -171,3 +174,21 @@ class TestEngineAgainstClosedForms:
         assert quadrature_mean(state) == pytest.approx(
             math.sqrt(0.4) * homodyne_mean(cfg), rel=1e-12
         )
+
+
+class TestLargeGain:
+    @pytest.mark.parametrize("g", [8.0, 10.0, 50.0, 200.0, 300.0, MAX_GAIN])
+    def test_engine_runs_and_keeps_the_laws(self, g):
+        cfg = _cfg(g=g, ell=2, alpha_mag=3.0, theta=0.3, phi=0.2, transmissivity=0.7)
+        lossless, lossy = run_lossless(cfg), run_lossy(cfg)
+        assert guarded_rel(photon_number(lossless), mean_photon_number(cfg)) <= ENGINE_TOL
+        law = math.sqrt(0.7) * homodyne_mean(cfg)
+        assert guarded_rel(quadrature_mean(lossy), law) <= LOSS_LAW_TOL
+
+    @pytest.mark.parametrize("run", [run_lossless, run_lossy])
+    def test_gain_past_the_range_fails_loudly(self, run):
+        cfg = _cfg(g=400.0, alpha_mag=3.0, transmissivity=0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^g = 400\.0 is outside the engine's range"):
+                run(cfg)

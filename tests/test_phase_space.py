@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from oam_interferometry import (
     GaussianState,
@@ -24,6 +25,7 @@ from oam_interferometry import (
     vacuum_state,
     virtual_bs_matrix,
 )
+from oam_interferometry.phase_space import MAX_GAIN
 from helpers import random_two_mode_state
 
 TOL = 1e-10
@@ -275,3 +277,104 @@ class TestLossChannel:
         assert min_uncertainty_eigenvalue(vacuum_state(3)) >= -1e-14
         w = omega(2)
         assert np.array_equal(w[:2, :2], np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+class TestFastPathsMatchReferences:
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_omega_equals_block_diag(self, modes):
+        block = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert np.array_equal(omega(modes), block_diag(*([block] * modes)))
+
+    def test_omega_is_read_only(self):
+        with pytest.raises(ValueError):
+            omega(2)[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: opa_matrix(1.3),
+            lambda: opa_matrix(300.0),
+            lambda: angular_displacement_matrix(3, 0.7),
+            bs_matrix,
+        ],
+        ids=["opa", "opa-300", "ad", "bs"],
+    )
+    def test_extend_equals_block_diag_bit_for_bit(self, make):
+        op = make()
+        ext = extend_with_environment(op).matrix
+        ref = block_diag(op.matrix, np.eye(4))
+        assert ext.dtype == ref.dtype and ext.tobytes() == ref.tobytes()
+
+    @given(
+        modes=st.integers(1, 3),
+        data=st.data(),
+        delta=st.floats(-2e-8, 2e-8),
+        poison=st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_symmetry_check_equals_allclose_on_unit_entries(self, modes, data, delta, poison):
+        # with every |entry| <= 1 the scaled tolerance is the old absolute 1e-8
+        n = 2 * modes
+        entries = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n * n, max_size=n * n))
+        cov = np.array(entries).reshape(n, n)
+        cov = np.triu(cov) + np.triu(cov, 1).T
+        i, j = data.draw(st.sampled_from([(a, b) for a in range(n) for b in range(n) if a != b]))
+        cov[i, j] += delta
+        if poison:
+            cov[0, 0] = math.nan
+        expected = bool(np.allclose(cov, cov.T, rtol=0.0, atol=1e-8))
+        try:
+            GaussianState(np.zeros(n), cov)
+            accepted = True
+        except ValueError as exc:
+            assert ("finite" if poison else "symmetric") in str(exc)
+            accepted = False
+        assert accepted == expected
+
+
+class TestScaledChecks:
+    def test_all_nan_matrix_rejected(self):
+        with pytest.raises(ValueError, match="not symplectic"):
+            SymplecticOp(np.full((4, 4), np.nan), "X")
+
+    def test_one_nan_entry_rejected(self):
+        m = np.eye(4)
+        m[2, 1] = np.nan
+        with pytest.raises(ValueError, match="not symplectic"):
+            SymplecticOp(m, "X")
+
+    def test_perturbed_large_gain_squeezer_rejected(self):
+        # relative defect about 1e-6, far above SYMPLECTIC_TOL
+        m = opa_matrix(10.0).matrix.copy()
+        m[0, 0] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="not symplectic"):
+            SymplecticOp(m, "OPA")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cov_rejected(self, bad):
+        cov = np.eye(2)
+        cov[1, 1] = bad
+        with pytest.raises(ValueError, match="cov must be finite"):
+            GaussianState(np.zeros(2), cov)
+
+    def test_symmetry_boundary_is_inclusive(self):
+        # np.allclose(cov, cov.T, rtol=0, atol=1e-8) accepts exactly 1e-8
+        cov = np.eye(2)
+        cov[0, 1] = 1e-8
+        GaussianState(np.zeros(2), cov)
+        cov[0, 1] = math.nextafter(1e-8, 1.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianState(np.zeros(2), cov)
+
+    def test_asymmetry_scales_with_the_entries(self):
+        big = np.diag([1e6, 1e6])
+        big[0, 1] = 1e-3  # 1e-9 relative: rounding-sized, accepted
+        assert GaussianState(np.zeros(2), big).cov[0, 1] == pytest.approx(5e-4)
+        big[0, 1] = 1.0  # 1e-6 relative: rejected
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianState(np.zeros(2), big)
+
+    @pytest.mark.parametrize("g", [math.nextafter(MAX_GAIN, math.inf), -400.0, math.inf, math.nan])
+    def test_gain_past_the_range_names_g(self, g):
+        with pytest.raises(ValueError, match=r"g = .* outside the engine's range"):
+            opa_matrix(g)
