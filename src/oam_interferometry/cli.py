@@ -6,9 +6,11 @@ Config files are UTF-8 key=value lines with ``#`` comments.  Scalar keys:
 in radians, ``alpha_sq`` is the squared coherent amplitude).  A sweep adds
 ``quantity = <name>`` and one or two ``sweep = <param> <start> <stop>
 <count>`` lines.  Output is CSV with a ``#``-prefixed metadata header; every
-non-finite or sentinel value carries a flag column entry.
+non-finite or sentinel value carries a flag column entry.  A point where the
+quantity is undefined is a nan row, counted in an ``# undefined=`` header line.
 
-Exit codes: 0 success, 1 usage/parse error, 2 validation failure.
+Exit codes: 0 success, 1 usage/parse error or a sweep with no defined point,
+2 validation failure.
 """
 
 from __future__ import annotations
@@ -263,9 +265,9 @@ def _grid_rows(axis_values: Sequence[np.ndarray], value, flags: Sequence[str]) -
     return tuple(zip(*coords, np.ravel(value).tolist(), flags))
 
 
-def _grid_inputs(base: ExperimentConfig, axes: Sequence[SweepAxis], axis_values) -> list:
-    """The six table inputs: each swept field an open-grid array along its own
-    dimension, every other field the base config's scalar."""
+def _table_inputs(base: ExperimentConfig, axes: Sequence[SweepAxis], values) -> list:
+    """The six table inputs: each swept field from ``values`` (open-grid
+    arrays, or one point's floats), every other field the base config's."""
     inputs = {  # keyed by axis name, in table order; "alpha_sq" carries |alpha|
         "g": base.g,
         "ell": base.ell,
@@ -274,46 +276,56 @@ def _grid_inputs(base: ExperimentConfig, axes: Sequence[SweepAxis], axis_values)
         "phi": base.phi,
         "transmissivity": base.transmissivity,
     }
-    for axis, grid in zip(axes, np.ix_(*axis_values)):
+    for axis, value in zip(axes, values):
         if axis.name == "alpha_sq":
-            grid = np.sqrt(grid)
+            value = np.sqrt(value)
         elif axis.name == "ell":
-            grid = np.round(grid)
-        inputs[axis.name] = grid
+            value = np.round(value)
+        inputs[axis.name] = value
     return [inputs[name] for name in _AXIS_NAMES]
 
 
-def _failed_at(quantity: str, axes, axis_values, point, exc: Exception) -> SweepError:
-    coords = ", ".join(f"{a.name}={v[i]:g}" for a, v, i in zip(axes, axis_values, point))
-    return SweepError(f"{quantity} failed at ({coords}): {exc}")
+def _failed_at(spec: SweepSpec, point: Sequence[float]) -> SweepError:
+    """The error of one undefined grid point: the quantity evaluated at that
+    point's scalars raises the closed form's own error."""
+    try:
+        metrology.TABLE[spec.quantity](*_table_inputs(spec.base, spec.axes, point))
+        reason = "value is nan"  # an overflow to inf met 0 or inf, no step failed
+    except (ValueError, ArithmeticError) as exc:
+        reason = str(exc)
+    coords = ", ".join(f"{a.name}={v:g}" for a, v in zip(spec.axes, point))
+    return SweepError(f"{spec.quantity} failed at ({coords}): {reason}")
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid; rows come back in lexicographic axis order.
 
     The grid is one broadcast call of the quantity's table function on
-    open-grid axis arrays.  Divergent values are flagged, not dropped; the
-    first point in row order where the quantity is undefined raises a
-    SweepError naming its grid coordinates.
+    open-grid axis arrays.  Divergent and undefined (nan) values are flagged,
+    not dropped; ``undefined`` in the metadata counts the latter and names the
+    first in row order.  Only a grid with no defined point raises, a SweepError.
     """
     if spec.quantity not in metrology.TABLE:
         raise ConfigError(f"unknown quantity {spec.quantity!r}")
     axes = spec.axes
     axis_values = [axis.values() for axis in axes]
-    inputs = _grid_inputs(spec.base, axes, axis_values)
-    try:
-        value = metrology.TABLE[spec.quantity](*inputs)
-    except (ValueError, ArithmeticError) as exc:
-        raise _failed_at(spec.quantity, axes, axis_values, exc.point, exc) from exc
+    value = metrology.TABLE[spec.quantity](*_table_inputs(spec.base, axes, np.ix_(*axis_values)))
     flags = _flags(value, spec.quantity)
+    rows = _grid_rows(axis_values, value, flags)
 
     metadata = {
         "quantity": spec.quantity,
         "config_sha256": hashlib.sha256(render_config(spec.base).encode()).hexdigest(),
         "axes": ";".join(f"{a.name}[{a.start:g}:{a.stop:g}:{a.count}]" for a in axes),
     }
+    undefined = np.flatnonzero(np.isnan(value))  # row indices: rows are in C order
+    if undefined.size:
+        error = _failed_at(spec, rows[undefined[0]][:-2])
+        if undefined.size == len(rows):
+            raise error
+        metadata["undefined"] = f"{undefined.size} of {len(rows)}; {error}"
     columns = tuple(a.name for a in axes) + ("value", "flag")
-    return SweepResult(columns=columns, rows=_grid_rows(axis_values, value, flags), metadata=metadata)
+    return SweepResult(columns=columns, rows=rows, metadata=metadata)
 
 
 def to_csv(result: SweepResult, timestamp: bool = True) -> str:
@@ -570,10 +582,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     print("note: theta and phi are interpreted as radians", file=sys.stderr)
     try:
         return args.func(args)
-    except (ConfigError, SweepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

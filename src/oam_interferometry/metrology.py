@@ -6,10 +6,12 @@ The eight sweep quantities (``signal``, ``sensitivity``,
 ``sensitivity_lossy``, ``qcrb``, ``snl``, ``hl``, ``visibility``,
 ``max_loss``) are each defined once, as a closed form that broadcasts over
 numpy arrays of ``(g, ell, alpha_mag, theta, phi, transmissivity)``; ``TABLE``
-maps each name to its function.  The scalar functions of an
-``ExperimentConfig`` and ``max_allowable_loss`` call the same definitions, so
-a sweep row and a direct call agree bit for bit.  The maximum allowable loss
-is the exact root of a quadratic in the transmissivity, not a search.
+maps each name to its function.  Where a formula fails (zero photon number or
+amplitude, a hyperbolic that overflows), scalar inputs raise its error and
+array inputs give nan.  The scalar functions of an ``ExperimentConfig`` and
+``max_allowable_loss`` call the same definitions, so a sweep row and a direct
+call agree bit for bit.  The maximum allowable loss is the exact root of a
+quadratic in the transmissivity, not a search.
 
 Every closed form here is also reproduced independently by the phase-space
 engine (and, at small parameters, by the truncated-Fock validator); the test
@@ -18,7 +20,6 @@ suite keeps the two routes in agreement.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -73,76 +74,57 @@ _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
 class _Steps:
-    """Shape and failing steps of one table evaluation.
+    """How one table evaluation treats a step where the formula fails.
 
-    Where the scalar formula would raise, a table function records the failure
-    and goes on; ``result`` then raises at the first failing point in C order
-    (the lexicographic order of an open grid) the error the scalar formula
-    raises there, with that point's index into the broadcast shape as the
-    exception's ``point`` attribute.  Steps are recorded in the order the
-    formula takes them, so a point failing in two steps reports the first.
+    With scalar inputs a failing step raises at once, in formula order, the
+    error the scalar formula raises there.  With any array input nothing
+    raises: a failing step makes its points nan, which the rest of the
+    formula carries through to the result.
     """
 
     def __init__(self, *args) -> None:
         shapes = [a.shape for a in args if isinstance(a, np.ndarray)]
+        self.scalar = not shapes
         self.shape = np.broadcast_shapes(*shapes) if shapes else ()
-        self._checks: list = []
 
-    def libm(self, fn, x, where=True) -> np.ndarray:
+    def libm(self, fn, x, where=True):
         """``fn`` applied to each element of ``x`` as a Python float.
 
         One-variable factors (hyperbolics, squares) go through ``math``:
         numpy's cosh and sinh differ from libm in the last place on about a
         quarter of inputs, and numpy's ``x**2`` is ``x*x``, not ``pow``.  On an
         open grid ``x`` is one axis, so this costs one call per axis value.  An
-        element where ``fn`` raises fails the points it reaches where ``where``
-        holds.
+        element where ``fn`` raises is nan; with scalar inputs the error is
+        raised if ``where`` holds.
         """
-        if not isinstance(x, np.ndarray):
+        if self.scalar:
             try:
                 return np.float64(fn(x))
-            except (ArithmeticError, ValueError) as exc:
-                self._checks.append((where, exc))
+            except (ArithmeticError, ValueError):
+                if where:
+                    raise
                 return np.float64(math.nan)
-        flat = x.ravel().tolist()
+        flat = np.ravel(x).tolist()
         values = np.empty(len(flat))
-        errors = None
         for i, v in enumerate(flat):
             try:
                 values[i] = fn(v)
-            except (ArithmeticError, ValueError) as exc:
+            except (ArithmeticError, ValueError):
                 values[i] = math.nan
-                if errors is None:
-                    errors = np.full(len(flat), None, dtype=object)
-                errors[i] = exc
-        if errors is not None:
-            errors = errors.reshape(x.shape)
-            self._checks.append((errors.astype(bool) & where, errors))
-        return values.reshape(x.shape)
+        return values.reshape(np.shape(x))
 
-    def fail(self, where, error: Exception) -> None:
-        """The formula raises ``error`` at the points where ``where`` holds."""
-        self._checks.append((where, error))
+    def fail(self, where, error: Exception, value):
+        """``value`` with nan where ``where`` holds; with scalar inputs the
+        formula raises ``error`` there instead."""
+        if self.scalar:
+            if where:
+                raise error
+            return value
+        return np.where(where, math.nan, value)
 
-    def result(self, value) -> np.ndarray:
-        """``value`` broadcast to the full shape, or the first failure raised."""
-        if self.shape:
-            masks = [np.broadcast_to(where, self.shape) for where, _ in self._checks]
-            failed = functools.reduce(np.logical_or, masks, np.zeros(self.shape, bool))
-            if not failed.any():
-                return np.broadcast_to(value, self.shape)
-            point = tuple(int(i) for i in np.unravel_index(int(np.argmax(failed)), self.shape))
-            error = next(error for mask, (_, error) in zip(masks, self._checks) if mask[point])
-        else:
-            error = next((error for where, error in self._checks if where), None)
-            if error is None:
-                return value
-            point = ()
-        if isinstance(error, np.ndarray):
-            error = np.broadcast_to(error, self.shape)[point]
-        exc = type(error)(*error.args)
-        exc.point = point
-        raise exc
+    def result(self, value):
+        """``value`` broadcast to the shape of the inputs."""
+        return value if self.scalar else np.broadcast_to(value, self.shape)
 
 
 def _square(x: float) -> float:
@@ -226,7 +208,8 @@ def qcrb_table(g, ell, alpha_mag, theta, phi, transmissivity):
         + 2.0 * steps.libm(lambda x: math.cosh(2.0 * x), g)
         + steps.libm(lambda x: math.cosh(4.0 * x), g)
     )
-    steps.fail(s <= 0.0, ValueError("bound undefined for the degenerate g = alpha = 0 input"))
+    degenerate = ValueError("bound undefined for the degenerate g = alpha = 0 input")
+    s = steps.fail(s <= 0.0, degenerate, s)
     return steps.result(1.0 / (2.0 * ell * np.sqrt(s)))
 
 
@@ -235,7 +218,7 @@ def snl_table(g, ell, alpha_mag, theta, phi, transmissivity):
     """Shot-noise limit ``1 / (2 l sqrt(N))``, N the lossless photon number."""
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
     n = _photon_number(steps, g, alpha_mag)
-    steps.fail(n <= 0.0, ValueError("shot-noise limit undefined for zero photon number"))
+    n = steps.fail(n <= 0.0, ValueError("shot-noise limit undefined for zero photon number"), n)
     return steps.result(1.0 / (2.0 * ell * np.sqrt(n)))
 
 
@@ -244,7 +227,7 @@ def hl_table(g, ell, alpha_mag, theta, phi, transmissivity):
     """Heisenberg limit ``1 / (2 l N)``, N the lossless photon number."""
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
     n = _photon_number(steps, g, alpha_mag)
-    steps.fail(n <= 0.0, ValueError("Heisenberg limit undefined for zero photon number"))
+    n = steps.fail(n <= 0.0, ValueError("Heisenberg limit undefined for zero photon number"), n)
     return steps.result(1.0 / (2.0 * ell * n))
 
 
@@ -258,13 +241,15 @@ def visibility_table(g, ell, alpha_mag, theta, phi, transmissivity):
     exactly 1 wherever it is defined.
     """
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
-    steps.fail(alpha_mag <= 0.0, ValueError("visibility undefined for zero input amplitude"))
+    no_input = ValueError("visibility undefined for zero input amplitude")
+    alpha_mag = steps.fail(alpha_mag <= 0.0, no_input, alpha_mag)
     scale = np.sqrt(transmissivity) * _SQRT2 * alpha_mag
     cosh_g = steps.libm(math.cosh, g)
     offset = np.cos(theta) * steps.libm(math.sinh, g)
     hi, lo = scale * (cosh_g + offset), scale * (offset - cosh_g)
     denom = np.abs(hi) + np.abs(lo)
-    steps.fail(denom == 0.0, ValueError("visibility undefined: signal is identically zero"))
+    no_signal = ValueError("visibility undefined: signal is identically zero")
+    denom = steps.fail(denom == 0.0, no_signal, denom)
     return steps.result((hi - lo) / denom)
 
 
@@ -282,7 +267,7 @@ def max_loss_table(g, ell, alpha_mag, theta, phi, transmissivity):
     phi and T.
     """
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
-    steps.fail(alpha_mag <= 0.0, ValueError("alpha_mag must be > 0"))
+    alpha_mag = steps.fail(alpha_mag <= 0.0, ValueError("alpha_mag must be > 0"), alpha_mag)
     # N / |alpha|^2 before c^2 / N, so an overflowing g fails at cosh 2g first;
     # squaring sinh g / |alpha|, not |alpha|, leaves no |alpha|^2 to underflow
     n_scaled = (

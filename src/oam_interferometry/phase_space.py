@@ -24,7 +24,7 @@ that scale with the entries, because rounding in ``S Omega S^T`` grows like
   max(1, max|cov|)``.
 
 ``symplectic_defect`` itself stays absolute.  Both comparisons fail on NaN,
-and a covariance with an infinite or NaN entry is rejected as not finite.
+and a mean or covariance with an infinite or NaN entry is rejected as not finite.
 The amplifier accepts ``|g| <= MAX_GAIN`` and raises a ``ValueError`` naming
 ``g`` beyond it; near ``g = 355.2`` ``cosh 2g`` leaves the double range.
 """
@@ -117,6 +117,8 @@ class GaussianState:
             raise ValueError("mean must be a vector of length 2 * mode_count")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("cov must be square and match the mean vector")
+        if not np.abs(mean).max() < math.inf:
+            raise ValueError("mean must be finite")
         peak = float(np.abs(cov).max())
         if not peak < math.inf:
             raise ValueError("cov must be finite")
@@ -313,12 +315,12 @@ def photon_number(state: GaussianState) -> float:
     Per mode: ``(<x>^2 + <p>^2)/4 + (Var x + Var p - 2)/4`` in the
     vacuum-variance-1 convention.
     """
+    # Python floats: a square that overflows raises OverflowError, as in
+    # interferometer.mean_photon_number, where numpy's would turn inf
+    mean, var = state.mean.tolist(), state.cov.diagonal().tolist()
     total = 0.0
-    for m in range(state.mode_count):
-        i = 2 * m
-        mean_sq = state.mean[i] ** 2 + state.mean[i + 1] ** 2
-        var_tr = state.cov[i, i] + state.cov[i + 1, i + 1]
-        total += 0.25 * (mean_sq + var_tr - 2.0)
+    for i in range(0, len(mean), 2):
+        total += 0.25 * (mean[i] ** 2 + mean[i + 1] ** 2 + (var[i] + var[i + 1]) - 2.0)
     return total
 
 

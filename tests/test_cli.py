@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import oam_interferometry
 from oam_interferometry import ExperimentConfig, fock_oracle
-from oam_interferometry import homodyne_mean, quantum_cramer_rao_bound, shot_noise_limit
+from oam_interferometry import homodyne_mean, quantum_cramer_rao_bound, sensitivity, shot_noise_limit
 from oam_interferometry.cli import (
     ConfigError,
     SweepError,
@@ -339,6 +340,77 @@ class TestMainEntry:
         assert main(["reproduce", "fig7", "--out", str(out)]) == 0
         capsys.readouterr()
         assert "max_loss" in out.read_text()
+
+
+class TestUndefinedPointsThroughMain:
+    """A sweep with undefined points exits 0 with every defined row kept; the
+    header counts the undefined rows and names the first in row order."""
+
+    def _sweep(self, tmp_path, capsys, text):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["sweep", "--config", str(path)])
+        captured = capsys.readouterr()
+        header = [l for l in captured.out.splitlines() if l.startswith("#")]
+        rows = [l.split(",") for l in captured.out.splitlines() if not l.startswith("#")][1:]
+        return code, header, rows, captured.err
+
+    def _undefined_line(self, header):
+        after_axes = header[[l.startswith("# axes=") for l in header].index(True) + 1]
+        assert sum(l.startswith("# undefined=") for l in header) == 1
+        return after_axes
+
+    def test_qcrb_past_the_overflow_keeps_the_defined_rows(self, tmp_path, capsys):
+        code, header, rows, _ = self._sweep(
+            tmp_path, capsys, "alpha_sq = 1\nquantity = qcrb\nsweep = g 0 700 8\n"
+        )
+        assert code == 0
+        assert [flag for _, _, flag in rows] == ["", ""] + ["non-finite"] * 6
+        for g, value, _ in rows[:2]:
+            cfg = ExperimentConfig(g=float(g), ell=1, alpha_mag=1.0, theta=0.0, phi=0.0)
+            assert value == repr(quantum_cramer_rao_bound(cfg))
+        assert all(value == "nan" for _, value, _ in rows[2:])
+        assert self._undefined_line(header) == (
+            "# undefined=6 of 8; qcrb failed at (g=200): (34, 'Numerical result out of range')"
+        )
+
+    def test_sensitivity_at_large_gain_names_the_first_overflow(self, tmp_path, capsys):
+        text = (
+            "alpha_sq = 1\ntheta = 1.5707963267948966\nphi = 0.4\n"
+            "quantity = sensitivity\nsweep = g 0 360 5\n"
+        )
+        code, header, rows, _ = self._sweep(tmp_path, capsys, text)
+        assert code == 0
+        assert [flag for _, _, flag in rows] == [""] * 4 + ["non-finite"]
+        for g, value, _ in rows[:4]:
+            cfg = ExperimentConfig(
+                g=float(g), ell=1, alpha_mag=1.0, theta=math.pi / 2.0, phi=0.4
+            )
+            assert value == repr(sensitivity(cfg))
+        assert self._undefined_line(header) == (
+            "# undefined=1 of 5; sensitivity failed at (g=360): math range error"
+        )
+
+    def test_max_loss_at_zero_amplitude_names_the_point(self, tmp_path, capsys):
+        code, header, rows, _ = self._sweep(
+            tmp_path, capsys, "quantity = max_loss\nsweep = alpha_sq 0 1 3\n"
+        )
+        assert code == 0
+        assert [flag for _, _, flag in rows] == ["non-finite", "", ""]
+        assert self._undefined_line(header) == (
+            "# undefined=1 of 3; max_loss failed at (alpha_sq=0): alpha_mag must be > 0"
+        )
+
+    def test_every_point_undefined_exits_1(self, tmp_path, capsys):
+        code, _, rows, err = self._sweep(
+            tmp_path, capsys, "alpha_sq = 0\nquantity = visibility\nsweep = phi 0 1 3\n"
+        )
+        assert code == 1 and rows == []
+        assert err.splitlines()[-1] == (
+            "error: visibility failed at (phi=0): visibility undefined for zero input amplitude"
+        )
 
 
 def test_one_version_everywhere():

@@ -131,6 +131,22 @@ class TestPhotonNumber:
             state = run_lossless(cfg)
             assert guarded_rel(photon_number(state), mean_photon_number(cfg)) < 1e-9
 
+    def test_bright_input_overflows_loudly_on_both_routes(self):
+        # |alpha| = 1e200: the mean entries are finite, their squares are not
+        cfg = _cfg(g=2.0, ell=1, alpha_mag=1e200, theta=0.1, phi=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            state = run_lossless(cfg)
+            with pytest.raises(OverflowError) as closed_form:
+                mean_photon_number(cfg)
+            with pytest.raises(OverflowError) as engine:
+                photon_number(state)
+        assert str(engine.value) == str(closed_form.value)
+
+    def test_displacement_past_the_float_range_names_the_mean(self):
+        with pytest.raises(ValueError, match="^mean must be finite$"):
+            run_lossless(_cfg(g=2.0, ell=1, alpha_mag=1e308, theta=0.1, phi=0.2))
+
 
 class TestEngineAgainstClosedForms:
     GRID = list(

@@ -3,7 +3,6 @@ the numerical search it replaced, the brute-force optimum scan, and the sweep
 and figure paths that read it from the quantity table."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from oam_interferometry import (
     optimal_sensitivity,
     shot_noise_limit,
 )
-from oam_interferometry.cli import SweepError, parse_config, reproduce, run_sweep
+from oam_interferometry.cli import parse_config, reproduce, run_sweep
 
 # (g, |alpha|) points where the root was first checked against the bisection
 ROADMAP_POINTS = [(2.0, 10.0), (1.0, 3.16), (3.0, 31.6), (0.5, 10.0)]
@@ -155,16 +154,23 @@ class TestTablePaths:
 
 class TestErrors:
     def test_zero_amplitude_axis(self):
-        spec = parse_config("quantity = max_loss\nsweep = alpha_sq 0 1 3\n")
-        message = "max_loss failed at (alpha_sq=0): alpha_mag must be > 0"
-        with pytest.raises(SweepError, match=f"^{re.escape(message)}$"):
-            run_sweep(spec)
+        result = run_sweep(parse_config("quantity = max_loss\nsweep = alpha_sq 0 1 3\n"))
+        assert result.metadata["undefined"] == (
+            "1 of 3; max_loss failed at (alpha_sq=0): alpha_mag must be > 0"
+        )
+        assert math.isnan(result.rows[0][1]) and result.rows[0][2] == "non-finite"
+        for alpha_sq, value, flag in result.rows[1:]:
+            # at g = 0 the loss is 1 - 1/sqrt(2) for any |alpha| > 0
+            assert value == max_allowable_loss(0.0, 1, math.sqrt(alpha_sq)).loss
+            assert flag == ""
 
     def test_overflowing_gain(self):
-        spec = parse_config("alpha_sq = 4\nquantity = max_loss\nsweep = g 350 360 3\n")
-        message = "max_loss failed at (g=360): math range error"
-        with pytest.raises(SweepError, match=f"^{re.escape(message)}$"):
-            run_sweep(spec)
+        result = run_sweep(parse_config("alpha_sq = 4\nquantity = max_loss\nsweep = g 350 360 3\n"))
+        assert result.metadata["undefined"] == "1 of 3; max_loss failed at (g=360): math range error"
+        for g, value, flag in result.rows[:2]:
+            assert value == max_allowable_loss(g, 1, 2.0).loss
+            assert flag == ""
+        assert math.isnan(result.rows[2][1]) and result.rows[2][2] == "non-finite"
 
     def test_scalar_errors(self):
         with pytest.raises(ValueError, match="alpha_mag must be > 0"):

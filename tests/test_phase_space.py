@@ -357,6 +357,11 @@ class TestScaledChecks:
         with pytest.raises(ValueError, match="cov must be finite"):
             GaussianState(np.zeros(2), cov)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            GaussianState(np.array([0.0, bad]), np.eye(2))
+
     def test_symmetry_boundary_is_inclusive(self):
         # np.allclose(cov, cov.T, rtol=0, atol=1e-8) accepts exactly 1e-8
         cov = np.eye(2)

@@ -1,9 +1,10 @@
 """The quantity table: every sweep and figure row equals the scalar API's
-direct call bit for bit, undefined points fail where the point-by-point
-evaluation fails first, and sweep axes are checked at parse time."""
+direct call bit for bit, points where that call raises are nan rows named in
+the CSV header, and sweep axes are checked at parse time."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,7 +57,8 @@ AXES = {
 
 def per_point(spec):
     """The sweep evaluated point by point through the scalar API: the rows
-    ``(*coordinates, value)``, or the message of the first failing point."""
+    ``(*coordinates, value)``, with the sweep's error message for that point
+    in place of the value where the scalar call raises."""
     base = spec.base
     rows = []
     for point in itertools.product(*(axis.values() for axis in spec.axes)):
@@ -79,28 +81,42 @@ def per_point(spec):
             value = SCALAR[spec.quantity](ExperimentConfig(**fields))
         except (ValueError, ArithmeticError) as exc:
             coords = ", ".join(f"{a.name}={v:g}" for a, v in zip(spec.axes, point))
-            return f"{spec.quantity} failed at ({coords}): {exc}"
+            value = f"{spec.quantity} failed at ({coords}): {exc}"
         rows.append(tuple(float(v) for v in point) + (value,))
     return rows
 
 
 def assert_matches_per_point(text):
     """run_sweep agrees with the point-by-point evaluation: the same bits in
-    every row, or the same SweepError at the same first point."""
+    every row where the scalar call returns, nan flagged non-finite where it
+    raises, and the count and first message of those points in the header
+    line after ``# axes=``; a grid where every call raises is a SweepError
+    with the first message."""
     spec = parse_config(text)
     expected = per_point(spec)
-    if isinstance(expected, str):
+    failures = [row[-1] for row in expected if isinstance(row[-1], str)]
+    if len(failures) == len(expected):
         with pytest.raises(SweepError) as info:
             run_sweep(spec)
-        assert str(info.value) == expected
+        assert str(info.value) == failures[0]
         return None
     result = run_sweep(spec)
-    assert [tuple(map(repr, row[:-1])) for row in result.rows] == [
-        tuple(map(repr, row)) for row in expected
+    assert [tuple(map(repr, row[:-2])) for row in result.rows] == [
+        tuple(map(repr, row[:-1])) for row in expected
     ]
-    for row in result.rows:
+    for row, want in zip(result.rows, expected):
         value, flag = row[-2], row[-1]
+        if isinstance(want[-1], str):
+            assert math.isnan(value)
+        else:
+            assert repr(value) == repr(want[-1])
         assert flag == ("divergent" if math.isinf(value) else "non-finite" if math.isnan(value) else "")
+    header = [line for line in to_csv(result, timestamp=False).splitlines() if line.startswith("#")]
+    after_axes = header[header.index(f"# axes={result.metadata['axes']}") + 1 :]
+    if failures:
+        assert after_axes[0] == f"# undefined={len(failures)} of {len(expected)}; {failures[0]}"
+    else:
+        assert not any(line.startswith("# undefined=") for line in header)
     return result
 
 
@@ -155,10 +171,11 @@ def test_divergent_points_match(quantity):
 
 
 def test_qcrb_overflow_fails_at_the_overflowing_gain():
-    spec = parse_config("alpha_sq = 4\nquantity = qcrb\nsweep = g 100 200 3\n")
-    with pytest.raises(SweepError, match=r"^qcrb failed at \(g=200\): "):
-        run_sweep(spec)
-    assert_matches_per_point("alpha_sq = 4\nquantity = qcrb\nsweep = g 100 200 3\n")
+    result = assert_matches_per_point("alpha_sq = 4\nquantity = qcrb\nsweep = g 100 200 3\n")
+    assert [row[-1] for row in result.rows] == ["", "", "non-finite"]
+    assert result.metadata["undefined"] == (
+        "1 of 3; qcrb failed at (g=200): (34, 'Numerical result out of range')"
+    )
 
 
 def test_zero_slope_stays_divergent_where_the_noise_term_overflows():
@@ -187,9 +204,19 @@ def test_first_undefined_point_in_row_order_is_named(quantity, axes, where):
     text = f"ell = 1\nalpha_sq = 1\ntheta = 0.3\nquantity = {quantity}\n" + "".join(
         f"sweep = {axis}\n" for axis in axes
     )
-    with pytest.raises(SweepError, match=rf"^{quantity} failed at \({where}\): "):
-        run_sweep(parse_config(text))
-    assert_matches_per_point(text)
+    result = assert_matches_per_point(text)
+    assert re.match(rf"^\d+ of \d+; {quantity} failed at \({where}\): ", result.metadata["undefined"])
+
+
+def test_nan_where_no_step_fails_is_counted_and_named():
+    # zero amplitude times cosh g + sinh g: at g = 710 that sum overflows to
+    # inf and the product is nan, though every step is defined (the scalar
+    # call returns nan too); at g = 711 cosh g itself overflows
+    result = run_sweep(parse_config("alpha_sq = 0\nquantity = signal\nsweep = g 709 711 3\n"))
+    assert result.rows[0] == (709.0, 0.0, "")
+    assert [row[-1] for row in result.rows[1:]] == ["non-finite"] * 2
+    assert math.isnan(homodyne_mean(ExperimentConfig(g=710.0, ell=1, alpha_mag=0.0, theta=0.0, phi=0.0)))
+    assert result.metadata["undefined"] == "2 of 3; signal failed at (g=710): value is nan"
 
 
 def reference(quantity, cfg):
@@ -258,9 +285,13 @@ def test_table_broadcasts_and_names_the_failing_point():
     for a, value in zip(alpha, values[0]):
         cfg = ExperimentConfig(g=0.5, ell=1, alpha_mag=float(a), theta=0.0, phi=0.0)
         assert value == shot_noise_limit(cfg)
-    with pytest.raises(ValueError, match="zero photon number") as info:
-        metrology.snl_table(g, 1, alpha, 0.0, 0.0, 1.0)
-    assert info.value.point == (0, 0)
+    # arrays never raise: the undefined point is nan, and the scalar call
+    # there raises the closed form's error
+    values = metrology.snl_table(g, 1, alpha, 0.0, 0.0, 1.0)
+    assert values.shape == (2, 3)
+    assert [math.isnan(v) for v in values.ravel()] == [True] + [False] * 5
+    with pytest.raises(ValueError, match="zero photon number"):
+        metrology.snl_table(0.0, 1, 0.0, 0.0, 0.0, 1.0)
 
 
 def test_scalar_inputs_give_the_scalar_value():
