@@ -10,61 +10,47 @@ sweep CLI round it out.
 from .fock_oracle import (
     FockState,
     OracleReport,
-    TwoModeOperators,
     UnreliableStateError,
-    annihilation,
-    build_operators,
     evolve,
     moments,
 )
 from .interferometer import (
     ExperimentConfig,
-    Pipeline,
-    build_lossless,
-    build_lossy,
     mean_photon_number,
     quadrature_mean,
     quadrature_second_moment,
     run_lossless,
     run_lossy,
-    run_pipeline,
 )
 from .metrology import (
     MaxLossResult,
     SensitivityReport,
     evaluate,
-    grid_min_sensitivity,
     heisenberg_limit,
     homodyne_mean,
     homodyne_mean_lossy,
     homodyne_mean_slope,
     homodyne_second_moment,
     homodyne_second_moment_lossy,
-    hybrid_phase_sensitivity,
     max_allowable_loss,
     optimal_operating_point,
     optimal_sensitivity,
-    optimal_sensitivity_asymptotic,
     quadrature_fluctuation,
     quadrature_fluctuation_lossy,
     quantum_cramer_rao_bound,
     sensitivity,
     sensitivity_lossy,
     shot_noise_limit,
-    su11_phase_sensitivity,
     visibility,
 )
 from .phase_space import (
     GaussianState,
-    LossChannel,
     SymplecticOp,
     angular_displacement_matrix,
     apply,
-    apply_loss,
     bs_matrix,
     displace,
     extend_with_environment,
-    min_uncertainty_eigenvalue,
     omega,
     opa_matrix,
     photon_number,

@@ -13,8 +13,8 @@ The ``2 cutoff + 1`` blocks of an element, each at most ``cutoff + 1`` square,
 are zero-padded into one stack and exponentiated by a single batched call to
 scipy's scaling-and-squaring ``expm``; a padded slot exponentiates to the
 identity and carries no amplitude.  This is the same truncated operator as
-the dense ``(cutoff+1)^2``-square ``expm`` (kept in :func:`build_operators`
-as the test reference), not an approximation.  Homodyne moments are read
+the dense ``(cutoff+1)^2``-square ``expm`` (the test suite keeps that route
+as its reference), not an approximation.  Homodyne moments are read
 directly from ``psi``.  The oracle shares nothing with the phase-space
 engine it checks.
 
@@ -43,12 +43,9 @@ __all__ = [
     "DEFAULT_TAIL_TOLERANCE",
     "CUTOFF_SCHEDULE",
     "UnreliableStateError",
-    "TwoModeOperators",
     "BlockUnitary",
     "FockState",
     "OracleReport",
-    "annihilation",
-    "build_operators",
     "opa_unitary",
     "bs_unitary",
     "evolve",
@@ -73,36 +70,6 @@ def annihilation(cutoff: int) -> np.ndarray:
     idx = np.arange(1, dim)
     a[idx - 1, idx] = np.sqrt(idx)
     return a
-
-
-@dataclass(frozen=True)
-class TwoModeOperators:
-    """Dense two-mode ladder operators, modes embedded by tensor product.
-
-    Not used by :func:`evolve`; kept as the reference the blocked unitaries
-    are tested against.  ``a`` acts on the first tensor factor (mode A),
-    ``b`` on the second; both are real, so the creation operators are plain
-    transposes.
-    """
-
-    cutoff: int
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** 2
-
-    def total_number_diagonal(self) -> np.ndarray:
-        n = np.arange(self.cutoff + 1)
-        return np.add.outer(n, n).ravel().astype(float)
-
-
-def build_operators(cutoff: int) -> TwoModeOperators:
-    """Dense two-mode ladder operators at the given per-mode cutoff."""
-    a1 = annihilation(cutoff)
-    eye = np.eye(cutoff + 1)
-    return TwoModeOperators(cutoff=cutoff, a=np.kron(a1, eye), b=np.kron(eye, a1))
 
 
 @dataclass(frozen=True)
@@ -169,10 +136,10 @@ def opa_unitary(g: float, cutoff: int) -> BlockUnitary:
 
 
 @lru_cache(maxsize=4)
-def bs_unitary(cutoff: int, mixing_angle: float = math.pi / 4.0) -> BlockUnitary:
-    """exp(zeta (a^dag b - a b^dag)): at zeta = pi/4 the balanced coupler
+def bs_unitary(cutoff: int) -> BlockUnitary:
+    """exp(pi/4 (a^dag b - a b^dag)): the balanced coupler
     ``a -> (a + b)/sqrt2``, ``b -> (b - a)/sqrt2``."""
-    return _block_unitary(cutoff, conserve_total=True, strength=mixing_angle)
+    return _block_unitary(cutoff, conserve_total=True, strength=math.pi / 4.0)
 
 
 @lru_cache(maxsize=16)
@@ -215,7 +182,6 @@ class OracleReport:
     photon_number: float
     cutoff_used: int
     tail_mass: float
-    reliable: bool = True
 
 
 def _evolve_at(config: ExperimentConfig, cutoff: int, tail_tolerance: float) -> FockState:
@@ -262,9 +228,10 @@ def evolve(
     return state
 
 
-def moments(state: FockState, allow_unreliable: bool = False) -> OracleReport:
-    """<X_A>, <X_A^2>, and total photon number of the output state."""
-    if not state.reliable and not allow_unreliable:
+def moments(state: FockState) -> OracleReport:
+    """<X_A>, <X_A^2>, and total photon number of the output state; raises
+    UnreliableStateError when the state's tail mass exceeds its tolerance."""
+    if not state.reliable:
         raise UnreliableStateError(
             f"tail mass {state.tail_mass:.3e} exceeds tolerance {state.tail_tolerance:.1e}"
         )
@@ -285,5 +252,4 @@ def moments(state: FockState, allow_unreliable: bool = False) -> OracleReport:
         photon_number=n_total,
         cutoff_used=state.cutoff,
         tail_mass=state.tail_mass,
-        reliable=state.reliable,
     )

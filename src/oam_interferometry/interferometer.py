@@ -1,4 +1,4 @@
-"""Interferometer pipelines: parametric-amplifier entry, angular displacement,
+"""The interferometer chain: parametric-amplifier entry, angular displacement,
 balanced-beam-splitter exit, with an optional loss stage in both arms.
 
 The lossless chain lives in a 4-dimensional phase space (modes A, B).  The
@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 from .phase_space import (
     GaussianState,
-    SymplecticOp,
     angular_displacement_matrix,
     apply,
     bs_matrix,
@@ -29,10 +27,6 @@ from .phase_space import (
 
 __all__ = [
     "ExperimentConfig",
-    "Pipeline",
-    "build_lossless",
-    "build_lossy",
-    "run_pipeline",
     "run_lossless",
     "run_lossy",
     "mean_photon_number",
@@ -77,72 +71,54 @@ class ExperimentConfig:
             raise ValueError("transmissivity must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class Pipeline:
-    """Ordered element chain applied to a displaced vacuum.
-
-    ``displacement`` is ``(mode, magnitude, angle)``; ``trace_modes`` lists the
-    environment modes discarded at the end (empty for the lossless chain).
-    """
-
-    mode_count: int
-    displacement: Tuple[int, float, float]
-    ops: Tuple[SymplecticOp, ...]
-    trace_modes: Tuple[int, ...] = ()
+def _run(config: ExperimentConfig, modes: int, ops: tuple) -> GaussianState:
+    """The vacuum on ``modes`` modes with the coherent input displaced into
+    mode A, then each element of ``ops`` in order."""
+    state = displace(vacuum_state(modes), 0, config.alpha_mag, config.theta)
+    for op in ops:
+        state = apply(op, state)
+    return state
 
 
-def build_lossless(config: ExperimentConfig) -> Pipeline:
+def run_lossless(config: ExperimentConfig) -> GaussianState:
     """Two-mode chain: displace input A, amplify, rotate, recombine."""
     ops = (
         opa_matrix(config.g),
         angular_displacement_matrix(config.ell, config.phi),
         bs_matrix(),
     )
-    return Pipeline(2, (0, config.alpha_mag, config.theta), ops)
+    return _run(config, 2, ops)
 
 
-def build_lossy(config: ExperimentConfig) -> Pipeline:
-    """Four-mode chain with loss inserted between the rotation and the coupler."""
+def run_lossy(config: ExperimentConfig) -> GaussianState:
+    """Four-mode chain with loss inserted between the rotation and the
+    coupler; the environment modes are traced out at the end."""
     ops = (
         extend_with_environment(opa_matrix(config.g)),
         extend_with_environment(angular_displacement_matrix(config.ell, config.phi)),
         virtual_bs_matrix(config.transmissivity),
         extend_with_environment(bs_matrix()),
     )
-    return Pipeline(4, (0, config.alpha_mag, config.theta), ops, trace_modes=(2, 3))
-
-
-def run_pipeline(pipeline: Pipeline) -> GaussianState:
-    """Evaluate a pipeline starting from the vacuum."""
-    mode, magnitude, angle = pipeline.displacement
-    state = displace(vacuum_state(pipeline.mode_count), mode, magnitude, angle)
-    for op in pipeline.ops:
-        state = apply(op, state)
-    if pipeline.trace_modes:
-        state = trace_out(state, pipeline.trace_modes)
-    return state
-
-
-def run_lossless(config: ExperimentConfig) -> GaussianState:
-    return run_pipeline(build_lossless(config))
-
-
-def run_lossy(config: ExperimentConfig) -> GaussianState:
-    return run_pipeline(build_lossy(config))
+    return trace_out(_run(config, 4, ops), (2, 3))
 
 
 def mean_photon_number(config: ExperimentConfig) -> float:
     """Mean photon number inside the interferometer (before any loss):
-    ``cosh(2g) |alpha|^2 + 2 sinh^2 g``."""
-    return math.cosh(2.0 * config.g) * config.alpha_mag**2 + 2.0 * math.sinh(config.g) ** 2
+    ``cosh(2g) |alpha|^2 + 2 sinh^2 g``.
+
+    Raises OverflowError where that number leaves the double range.
+    """
+    n = math.cosh(2.0 * config.g) * config.alpha_mag**2 + 2.0 * math.sinh(config.g) ** 2
+    if n == math.inf:
+        raise OverflowError("photon number out of range")
+    return n
 
 
-def quadrature_mean(state: GaussianState, mode: int = 0) -> float:
-    """<X> of the given output mode."""
-    return float(state.mean[2 * mode])
+def quadrature_mean(state: GaussianState) -> float:
+    """<X> of output mode A."""
+    return float(state.mean[0])
 
 
-def quadrature_second_moment(state: GaussianState, mode: int = 0) -> float:
-    """<X^2> of the given output mode (variance plus squared mean)."""
-    i = 2 * mode
-    return float(state.cov[i, i] + state.mean[i] ** 2)
+def quadrature_second_moment(state: GaussianState) -> float:
+    """<X^2> of output mode A (variance plus squared mean)."""
+    return float(state.cov[0, 0] + state.mean[0] ** 2)

@@ -7,10 +7,10 @@ The eight sweep quantities (``signal``, ``sensitivity``,
 ``max_loss``) are each defined once, as a closed form that broadcasts over
 numpy arrays of ``(g, ell, alpha_mag, theta, phi, transmissivity)``; ``TABLE``
 maps each name to its function.  Where a formula fails (zero photon number or
-amplitude, a hyperbolic that overflows), scalar inputs raise its error and
-array inputs give nan.  The scalar functions of an ``ExperimentConfig`` and
-``max_allowable_loss`` call the same definitions, so a sweep row and a direct
-call agree bit for bit.  The maximum allowable loss is the exact root of a
+amplitude, a hyperbolic or a photon number that overflows), scalar inputs
+raise its error and array inputs give nan.  The scalar functions of an
+``ExperimentConfig`` and ``max_allowable_loss`` call the same definitions, so
+a sweep row and a direct call agree bit for bit.  The maximum allowable loss is the exact root of a
 quadratic in the transmissivity, not a search.
 
 Every closed form here is also reproduced independently by the phase-space
@@ -55,10 +55,6 @@ __all__ = [
     "quantum_cramer_rao_bound",
     "optimal_operating_point",
     "optimal_sensitivity",
-    "grid_min_sensitivity",
-    "optimal_sensitivity_asymptotic",
-    "su11_phase_sensitivity",
-    "hybrid_phase_sensitivity",
     "max_allowable_loss",
     "evaluate",
 ]
@@ -146,10 +142,11 @@ def _noise(steps: _Steps, g, ell, phi, where=True):
 
 def _photon_number(steps: _Steps, g, alpha_mag):
     """Mean photon number before any loss, ``cosh(2g) |alpha|^2 + 2 sinh^2 g``
-    (as ``interferometer.mean_photon_number``)."""
-    return steps.libm(lambda x: math.cosh(2.0 * x), g) * steps.libm(
+    (as ``interferometer.mean_photon_number``); fails where it overflows."""
+    n = steps.libm(lambda x: math.cosh(2.0 * x), g) * steps.libm(
         _square, alpha_mag
     ) + 2.0 * steps.libm(lambda x: math.sinh(x) ** 2, g)
+    return steps.fail(n == math.inf, OverflowError("photon number out of range"), n)
 
 
 @np.errstate(all="ignore")
@@ -210,6 +207,7 @@ def qcrb_table(g, ell, alpha_mag, theta, phi, transmissivity):
     )
     degenerate = ValueError("bound undefined for the degenerate g = alpha = 0 input")
     s = steps.fail(s <= 0.0, degenerate, s)
+    s = steps.fail(s == math.inf, OverflowError("Fisher information out of range"), s)
     return steps.result(1.0 / (2.0 * ell * np.sqrt(s)))
 
 
@@ -238,19 +236,13 @@ def visibility_table(g, ell, alpha_mag, theta, phi, transmissivity):
     ``hi, lo = sqrt(T) sqrt(2) |alpha| (+-cosh g + cos(theta) sinh g)``.
 
     Since ``cosh g >= |cos(theta) sinh g|``, hi >= 0 >= lo and the contrast is
-    exactly 1 wherever it is defined.
+    exactly 1 wherever it is defined: |alpha| > 0 and T > 0.
     """
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
     no_input = ValueError("visibility undefined for zero input amplitude")
-    alpha_mag = steps.fail(alpha_mag <= 0.0, no_input, alpha_mag)
-    scale = np.sqrt(transmissivity) * _SQRT2 * alpha_mag
-    cosh_g = steps.libm(math.cosh, g)
-    offset = np.cos(theta) * steps.libm(math.sinh, g)
-    hi, lo = scale * (cosh_g + offset), scale * (offset - cosh_g)
-    denom = np.abs(hi) + np.abs(lo)
+    contrast = steps.fail(alpha_mag <= 0.0, no_input, 1.0)
     no_signal = ValueError("visibility undefined: signal is identically zero")
-    denom = steps.fail(denom == 0.0, no_signal, denom)
-    return steps.result((hi - lo) / denom)
+    return steps.result(steps.fail(transmissivity <= 0.0, no_signal, contrast))
 
 
 @np.errstate(all="ignore")
@@ -421,14 +413,13 @@ def quantum_cramer_rao_bound(config: ExperimentConfig) -> float:
     return _at(qcrb_table, config)
 
 
-def optimal_operating_point(g: float, ell: int, alpha_mag: float) -> tuple[float, float]:
+def optimal_operating_point(ell: int) -> tuple[float, float]:
     """Working point minimising the error-propagation sensitivity.
 
     Returns ``(phi, theta) = (pi / (2 l), pi / 2)``: the rotation puts the
     noise term at its squeezed minimum (``cos 2 l phi = -1``) while the input
     phase keeps the slope maximal (``theta + 2 l phi = pi/2 mod pi``).  The
-    point does not depend on g or |alpha|; they are accepted so callers can
-    verify against a grid at the same signature.
+    point does not depend on g or |alpha|.
     """
     if int(ell) != ell or ell < 1:
         raise ValueError("ell must be a positive integer")
@@ -450,87 +441,6 @@ def optimal_sensitivity(
         raise ValueError("transmissivity must lie in (0, 1]")
     noise = t * (math.exp(-2.0 * g) - 1.0) + 1.0
     return math.sqrt(noise) / (_TWO_SQRT2 * t * ell * math.cosh(g) * alpha_mag)
-
-
-def grid_min_sensitivity(
-    g: float,
-    ell: int,
-    alpha_mag: float,
-    transmissivity: float = 1.0,
-    phi_points: int = 4096,
-    theta_points: int = 256,
-    refine: bool = True,
-) -> tuple[float, float, float]:
-    """Brute-force minimum of the sensitivity over a (phi, theta) grid.
-
-    Independent check on the analytic optimum, for the tests: scans one full
-    rotation period and one theta turn, optionally zooming once into the best
-    cell.  Returns ``(value, phi, theta)``.
-    """
-    if alpha_mag <= 0.0:
-        raise ValueError("alpha_mag must be > 0")
-    t = float(transmissivity)
-
-    def scan(phi_lo: float, phi_hi: float, th_lo: float, th_hi: float):
-        phis = np.linspace(phi_lo, phi_hi, phi_points)
-        thetas = np.linspace(th_lo, th_hi, theta_points)
-        noise = np.sqrt(
-            t * (math.cosh(2.0 * g) + math.sinh(2.0 * g) * np.cos(2.0 * ell * phis) - 1.0)
-            + 1.0
-        )
-        slope = np.abs(np.sin(thetas[None, :] + 2.0 * ell * phis[:, None]))
-        denom = t * _TWO_SQRT2 * ell * math.cosh(g) * alpha_mag * slope
-        with np.errstate(divide="ignore"):
-            vals = noise[:, None] / denom
-        i, j = np.unravel_index(np.argmin(vals), vals.shape)
-        value = float(vals[i, j])
-        return value, float(phis[i]), float(thetas[j]), phis[1] - phis[0], thetas[1] - thetas[0]
-
-    period = math.pi / ell
-    best, phi_best, th_best, dphi, dth = scan(0.0, period, 0.0, 2.0 * math.pi)
-    if refine:
-        zoomed = scan(
-            phi_best - 2 * dphi, phi_best + 2 * dphi, th_best - 2 * dth, th_best + 2 * dth
-        )
-        if zoomed[0] < best:
-            best, phi_best, th_best = zoomed[0], zoomed[1], zoomed[2]
-    return best, phi_best, th_best
-
-
-def optimal_sensitivity_asymptotic(g: float, ell: int, alpha_mag: float) -> float:
-    """Large-gain, bright-input approximation of the optimal sensitivity:
-    ``1 / (4 l cosh g sqrt(cosh 2g) |alpha|)``.
-
-    Intended for ``|alpha|^2 >> 1`` and ``sinh^2 g >> 1``; evaluated as given
-    for any input.
-    """
-    if alpha_mag <= 0.0:
-        raise ValueError("alpha_mag must be > 0")
-    return 1.0 / (4.0 * ell * math.cosh(g) * math.sqrt(math.cosh(2.0 * g)) * alpha_mag)
-
-
-def su11_phase_sensitivity(g: float, alpha_mag: float) -> float:
-    """Phase sensitivity of an SU(1,1) interferometer seeded with a coherent
-    state and vacuum: ``1 / (sqrt(N_opa (N_opa + 2)) |alpha|)`` with
-    ``N_opa = 2 sinh^2 g``."""
-    if alpha_mag <= 0.0:
-        raise ValueError("alpha_mag must be > 0")
-    n_opa = 2.0 * math.sinh(g) ** 2
-    return 1.0 / (math.sqrt(n_opa * (n_opa + 2.0)) * alpha_mag)
-
-
-def hybrid_phase_sensitivity(g: float, alpha_mag: float) -> float:
-    """Asymptotic optimal sensitivity of this hybrid interferometer when the
-    estimated phase enters once (no OAM lever arm doubling it):
-    ``1 / (2 cosh g sqrt(cosh 2g) |alpha|)``.
-
-    The ratio of the SU(1,1) value to this one tends to sqrt(2) at large gain,
-    which is the gain-for-gain advantage of swapping the second amplifier for
-    a balanced coupler.
-    """
-    if alpha_mag <= 0.0:
-        raise ValueError("alpha_mag must be > 0")
-    return 1.0 / (2.0 * math.cosh(g) * math.sqrt(math.cosh(2.0 * g)) * alpha_mag)
 
 
 @dataclass(frozen=True)

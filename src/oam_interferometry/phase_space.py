@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "MAX_GAIN",
     "GaussianState",
     "SymplecticOp",
-    "LossChannel",
     "omega",
     "symplectic_defect",
     "vacuum_state",
@@ -55,10 +54,8 @@ __all__ = [
     "extend_with_environment",
     "virtual_bs_matrix",
     "apply",
-    "apply_loss",
     "trace_out",
     "photon_number",
-    "min_uncertainty_eigenvalue",
 ]
 
 # an order above double-precision accumulation for 8x8 products, relative to
@@ -153,19 +150,6 @@ class SymplecticOp:
     @property
     def mode_count(self) -> int:
         return self.matrix.shape[0] // 2
-
-
-@dataclass(frozen=True)
-class LossChannel:
-    """Pure-loss channel with one transmissivity shared by the lossy modes."""
-
-    transmissivity: float
-
-    def __post_init__(self) -> None:
-        t = float(self.transmissivity)
-        if not math.isfinite(t) or not 0.0 <= t <= 1.0:
-            raise ValueError("transmissivity must lie in [0, 1]")
-        object.__setattr__(self, "transmissivity", t)
 
 
 def vacuum_state(modes: int) -> GaussianState:
@@ -276,27 +260,6 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
     return GaussianState(s @ state.mean, s @ state.cov @ s.T)
 
 
-def apply_loss(channel: LossChannel, state: GaussianState, modes: Sequence[int]) -> GaussianState:
-    """Attenuate the given modes directly: means scale by sqrt(T), variances
-    relax toward vacuum as ``T cov + (1 - T)``.
-
-    Closed-form equivalent of a virtual beam splitter against vacuum followed
-    by tracing the environment out; kept separate so the two routes can be
-    cross-checked.
-    """
-    modes = tuple(int(m) for m in modes)
-    if any(m < 0 or m >= state.mode_count for m in modes):
-        raise ValueError("loss mode out of range")
-    t = channel.transmissivity
-    scale = np.ones(2 * state.mode_count)
-    add = np.zeros(2 * state.mode_count)
-    for m in set(modes):
-        scale[2 * m : 2 * m + 2] = math.sqrt(t)
-        add[2 * m : 2 * m + 2] = 1.0 - t
-    cov = np.outer(scale, scale) * state.cov + np.diag(add)
-    return GaussianState(scale * state.mean, cov)
-
-
 def trace_out(state: GaussianState, modes: Iterable[int]) -> GaussianState:
     """Discard the given modes (Gaussian partial trace by row/column deletion)."""
     drop = sorted({int(m) for m in modes})
@@ -313,18 +276,15 @@ def photon_number(state: GaussianState) -> float:
     """Total mean photon number, summed over modes.
 
     Per mode: ``(<x>^2 + <p>^2)/4 + (Var x + Var p - 2)/4`` in the
-    vacuum-variance-1 convention.
+    vacuum-variance-1 convention.  Raises OverflowError where the number
+    leaves the double range, as ``interferometer.mean_photon_number`` does.
     """
-    # Python floats: a square that overflows raises OverflowError, as in
-    # interferometer.mean_photon_number, where numpy's would turn inf
+    # Python floats: a square that overflows raises, where numpy's would turn inf
     mean, var = state.mean.tolist(), state.cov.diagonal().tolist()
     total = 0.0
     for i in range(0, len(mean), 2):
         total += 0.25 * (mean[i] ** 2 + mean[i + 1] ** 2 + (var[i] + var[i + 1]) - 2.0)
+    if total == math.inf:
+        raise OverflowError("photon number out of range")
     return total
 
-
-def min_uncertainty_eigenvalue(state: GaussianState) -> float:
-    """Smallest eigenvalue of ``cov + i Omega``; >= 0 for a physical state."""
-    h = state.cov + 1j * omega(state.mode_count)
-    return float(np.min(np.linalg.eigvalsh(h)))

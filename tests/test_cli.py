@@ -20,6 +20,7 @@ from oam_interferometry.cli import (
     to_csv,
 )
 from oam_interferometry.validation import run_validation
+from reference import repeated
 
 FIG3_TEXT = "g=2\nell=1\nalpha_sq=100"
 
@@ -246,12 +247,9 @@ class TestValidateHarness:
         assert all(" cutoff=40 tail=" in line for line in oracle_lines)
 
     def test_corrupted_coupler_sign_is_caught_at_zero_gain(self, monkeypatch):
+        # the coupler three times over: exp(3 pi/4 (a^dag b - a b^dag))
         real = fock_oracle.bs_unitary
-        monkeypatch.setattr(
-            fock_oracle,
-            "bs_unitary",
-            lambda cutoff: real(cutoff, mixing_angle=3.0 * math.pi / 4.0),
-        )
+        monkeypatch.setattr(fock_oracle, "bs_unitary", lambda cutoff: repeated(real(cutoff), 3))
         cfg = ExperimentConfig(g=0.0, ell=1, alpha_mag=1.0, theta=0.4, phi=0.7)
         report = fock_oracle.moments(fock_oracle.evolve(cfg, cutoff=20))
         assert abs(report.x_mean - homodyne_mean(cfg)) > 1e-3

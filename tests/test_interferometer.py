@@ -8,12 +8,9 @@ import pytest
 
 from oam_interferometry import (
     ExperimentConfig,
-    LossChannel,
+    angular_displacement_matrix,
     apply,
-    apply_loss,
     bs_matrix,
-    build_lossless,
-    build_lossy,
     displace,
     homodyne_mean,
     homodyne_second_moment,
@@ -25,12 +22,12 @@ from oam_interferometry import (
     quadrature_second_moment,
     run_lossless,
     run_lossy,
-    run_pipeline,
     vacuum_state,
 )
 from oam_interferometry.phase_space import MAX_GAIN
 from oam_interferometry.validation import ENGINE_TOL, LOSS_LAW_TOL
 from helpers import guarded_rel, random_config
+from reference import LossChannel, apply_loss
 
 
 def _cfg(**kw):
@@ -64,21 +61,6 @@ class TestConfigValidation:
 
 
 class TestPipelines:
-    def test_lossless_structure(self):
-        p = build_lossless(_cfg(g=0.7, ell=2, phi=0.4))
-        assert p.mode_count == 2
-        assert [op.label for op in p.ops] == ["OPA", "AD", "BS"]
-        assert p.trace_modes == ()
-        assert run_pipeline(p).mode_count == 2
-
-    def test_lossy_structure(self):
-        p = build_lossy(_cfg(transmissivity=0.8))
-        assert p.mode_count == 4
-        assert [op.label for op in p.ops] == ["OPA", "AD", "VBS", "BS"]
-        assert all(op.matrix.shape == (8, 8) for op in p.ops)
-        assert p.trace_modes == (2, 3)
-        assert run_pipeline(p).mode_count == 2
-
     def test_zero_gain_zero_rotation_is_a_bare_coupler(self):
         cfg = _cfg(g=0.0, phi=0.0, alpha_mag=1.4, theta=0.6)
         manual = apply(bs_matrix(), displace(vacuum_state(2), 0, 1.4, 0.6))
@@ -102,9 +84,9 @@ class TestPipelines:
     def test_loss_placement_matches_direct_channel_after_rotation(self):
         # loss acts between the rotation and the output coupler
         cfg = _cfg(g=0.9, ell=3, alpha_mag=2.0, theta=1.1, phi=0.5, transmissivity=0.63)
-        lossless_before_bs = run_pipeline(
-            dataclasses.replace(build_lossless(cfg), ops=build_lossless(cfg).ops[:2])
-        )
+        lossless_before_bs = displace(vacuum_state(2), 0, cfg.alpha_mag, cfg.theta)
+        for op in (opa_matrix(cfg.g), angular_displacement_matrix(cfg.ell, cfg.phi)):
+            lossless_before_bs = apply(op, lossless_before_bs)
         attenuated = apply_loss(LossChannel(0.63), lossless_before_bs, (0, 1))
         expected = apply(bs_matrix(), attenuated)
         actual = run_lossy(cfg)
@@ -142,6 +124,16 @@ class TestPhotonNumber:
             with pytest.raises(OverflowError) as engine:
                 photon_number(state)
         assert str(engine.value) == str(closed_form.value)
+
+    def test_photon_number_past_the_double_range_raises(self):
+        # cosh(2g) |alpha|^2 is about 5e315 at g = 350, |alpha|^2 = 1e12
+        cfg = _cfg(g=350.0, ell=1, alpha_mag=1e6, theta=0.1, phi=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError, match="^photon number out of range$"):
+                mean_photon_number(cfg)
+            with pytest.raises(OverflowError):
+                photon_number(run_lossless(cfg))
 
     def test_displacement_past_the_float_range_names_the_mean(self):
         with pytest.raises(ValueError, match="^mean must be finite$"):

@@ -9,13 +9,13 @@ import pytest
 
 from oam_interferometry import (
     ExperimentConfig,
-    grid_min_sensitivity,
     max_allowable_loss,
     metrology,
     optimal_sensitivity,
     shot_noise_limit,
 )
 from oam_interferometry.cli import parse_config, reproduce, run_sweep
+from reference import grid_min_sensitivity
 
 # (g, |alpha|) points where the root was first checked against the bisection
 ROADMAP_POINTS = [(2.0, 10.0), (1.0, 3.16), (3.0, 31.6), (0.5, 10.0)]

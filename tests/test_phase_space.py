@@ -8,15 +8,12 @@ from scipy.linalg import block_diag
 
 from oam_interferometry import (
     GaussianState,
-    LossChannel,
     SymplecticOp,
     angular_displacement_matrix,
     apply,
-    apply_loss,
     bs_matrix,
     displace,
     extend_with_environment,
-    min_uncertainty_eigenvalue,
     omega,
     opa_matrix,
     photon_number,
@@ -27,6 +24,7 @@ from oam_interferometry import (
 )
 from oam_interferometry.phase_space import MAX_GAIN
 from helpers import random_two_mode_state
+from reference import LossChannel, apply_loss, min_uncertainty_eigenvalue
 
 TOL = 1e-10
 
@@ -239,6 +237,12 @@ class TestStateValidation:
         state = vacuum_state(1)
         with pytest.raises(ValueError):
             state.mean[0] = 1.0
+
+    def test_photon_number_whose_sum_overflows_raises(self):
+        # each square is finite (1.44e308), their sum is not
+        state = GaussianState(np.array([1.2e154, 1.2e154]), np.eye(2))
+        with pytest.raises(OverflowError, match="^photon number out of range$"):
+            photon_number(state)
 
     def test_photon_number_of_displaced_vacuum(self):
         state = displace(vacuum_state(2), 0, 2.0, 0.4)

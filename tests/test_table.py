@@ -277,6 +277,62 @@ def test_table_carries_the_libm_closed_forms(quantity):
         assert repr(float(values[i])) == repr(reference(quantity, cfg)), (i, cfg)
 
 
+class TestBrightInputs:
+    """At |alpha|^2 = 1e12 the photon number cosh(2g) |alpha|^2 and the qcrb
+    radicand |alpha|^2 cosh 4g leave the double range before any hyperbolic
+    does: the quantity fails there instead of reading 0.0."""
+
+    @pytest.mark.parametrize(
+        "fn, g, reason",
+        [
+            (shot_noise_limit, 350.0, "photon number"),
+            (heisenberg_limit, 350.0, "photon number"),
+            (quantum_cramer_rao_bound, 175.0, "Fisher information"),
+        ],
+    )
+    def test_scalar_call_raises(self, fn, g, reason):
+        cfg = ExperimentConfig(g=g, ell=1, alpha_mag=1e6, theta=0.0, phi=0.0)
+        with pytest.raises(OverflowError, match=f"^{reason} out of range$"):
+            fn(cfg)
+
+    @pytest.mark.parametrize(
+        "quantity, stop, reason",
+        [("snl", 350, "photon number"), ("hl", 350, "photon number"), ("qcrb", 175, "Fisher information")],
+    )
+    def test_sweep_flags_and_names_the_overflowing_row(self, quantity, stop, reason):
+        text = f"alpha_sq = 1e12\nquantity = {quantity}\nsweep = g 0 {stop} 8\n"
+        result = assert_matches_per_point(text)
+        assert [row[-1] for row in result.rows] == [""] * 7 + ["non-finite"]
+        assert result.metadata["undefined"] == (
+            f"1 of 8; {quantity} failed at (g={stop}): {reason} out of range"
+        )
+        # every row below the overflow keeps the libm closed form's bits
+        for g, value, _ in result.rows[:-1]:
+            cfg = ExperimentConfig(g=g, ell=1, alpha_mag=1e6, theta=0.0, phi=0.0)
+            assert repr(value) == repr(reference(quantity, cfg))
+
+
+class TestVisibilityIsExact:
+    """The contrast is exactly 1 wherever |alpha| > 0 and T > 0, also where
+    the extrema it is the ratio of overflow."""
+
+    @pytest.mark.parametrize("g", [707.0, 711.0, 800.0])
+    def test_one_where_the_extrema_overflow(self, g):
+        cfg = ExperimentConfig(g=g, ell=1, alpha_mag=math.sqrt(2.4e10), theta=0.0, phi=0.0)
+        assert visibility(cfg) == 1.0
+
+    def test_sweep_past_the_overflow_has_no_undefined_row(self):
+        text = "alpha_sq = 2.4e10\ntheta = 0\nquantity = visibility\nsweep = g 700 800 6\n"
+        result = assert_matches_per_point(text)
+        assert [row[-2:] for row in result.rows] == [(1.0, "")] * 6
+        assert "undefined" not in result.metadata
+
+    def test_total_loss_is_undefined_at_any_gain(self):
+        cfg = ExperimentConfig(g=800.0, ell=1, alpha_mag=2.0, theta=0.0, phi=0.0, transmissivity=0.0)
+        with pytest.raises(ValueError, match="^visibility undefined: signal is identically zero$"):
+            visibility(cfg)
+
+
 def test_table_broadcasts_and_names_the_failing_point():
     g = np.array([[0.0], [0.5]])
     alpha = np.array([0.0, 1.0, 2.0])
