@@ -417,9 +417,8 @@ def reproduce(figure_id: str) -> SweepResult:
         )
 
     if figure_id == "fig7":
-        result = metrology.max_allowable_loss(2.0, 1, 10.0)
-        flag = "" if result.sub_snl_exists else "no-sub-snl-region"
-        rows = ((2.0, 1.0, 100.0, result.loss, flag),)
+        loss = metrology.max_allowable_loss(2.0, 1, 10.0).loss
+        rows = ((2.0, 1.0, 100.0, loss, _flags([loss], "max_loss")[0]),)
         return SweepResult(
             ("g", "ell", "alpha_sq", "value", "flag"),
             rows,
@@ -469,12 +468,15 @@ def _cmd_eval(args) -> int:
         "g", "ell", "alpha_sq", "theta", "phi", "transmissivity",
         "signal", "fluctuation", "sensitivity", "snl", "hl", "qcrb", "visibility", "flag",
     )
-    row = (
-        config.g, float(config.ell), config.alpha_mag**2, config.theta, config.phi,
-        config.transmissivity,
+    values = (
         report.signal_mean, report.fluctuation, report.sensitivity,
         report.snl, report.hl, report.qcrb, report.visibility,
-        _flags(report.sensitivity)[0],
+    )
+    # a divergent sensitivity names the row; any other undefined value flags it
+    flag = _flags(report.sensitivity)[0] or ("non-finite" if any(map(math.isnan, values)) else "")
+    row = (
+        config.g, float(config.ell), config.alpha_mag**2, config.theta, config.phi,
+        config.transmissivity, *values, flag,
     )
     result = SweepResult(
         columns,
@@ -507,11 +509,10 @@ def _cmd_max_loss(args) -> int:
     config = _read_config(args.config)
     if not isinstance(config, ExperimentConfig):
         raise ConfigError("max-loss expects a plain configuration, not sweep axes")
-    result = metrology.max_allowable_loss(config.g, config.ell, config.alpha_mag)
-    flag = "" if result.sub_snl_exists else "no-sub-snl-region"
+    loss = metrology.max_allowable_loss(config.g, config.ell, config.alpha_mag).loss
     out = SweepResult(
         ("g", "ell", "alpha_sq", "value", "flag"),
-        ((config.g, float(config.ell), config.alpha_mag**2, result.loss, flag),),
+        ((config.g, float(config.ell), config.alpha_mag**2, loss, _flags([loss], "max_loss")[0]),),
         {
             "quantity": "max_loss",
             "config_sha256": hashlib.sha256(render_config(config).encode()).hexdigest(),

@@ -10,13 +10,16 @@ after truncation, so its unitary is exactly a direct sum of small blocks:
 * the Dove-prism rotation is a phase on each row.
 
 The ``2 cutoff + 1`` blocks of an element, each at most ``cutoff + 1`` square,
-are zero-padded into one stack and exponentiated by a single batched call to
-scipy's scaling-and-squaring ``expm``; a padded slot exponentiates to the
-identity and carries no amplitude.  This is the same truncated operator as
-the dense ``(cutoff+1)^2``-square ``expm`` (the test suite keeps that route
-as its reference), not an approximation.  Homodyne moments are read
-directly from ``psi``.  The oracle shares nothing with the phase-space
-engine it checks.
+are zero-padded into one stack; a padded slot exponentiates to the identity
+and carries no amplitude.  Every block generator, and the single-mode
+displacement ``|alpha| (a^dag - a)``, is a real antisymmetric tridiagonal
+ladder matrix, which is ``-i J`` for a real symmetric tridiagonal J up to a
+diagonal phase change.  So one batched ``numpy.linalg.eigh`` of the J stack
+exponentiates them all in real arithmetic (``_ladder_exp``).  This is the same
+truncated operator as the dense ``(cutoff+1)^2``-square ``expm`` (the test
+suite keeps that route as its reference), not an approximation.  Homodyne
+moments are read directly from ``psi``.  The oracle shares nothing with the
+phase-space engine it checks.
 
 Reliability gauge: the probability sitting on the top two Fock layers of
 either mode ("tail mass").  A state whose tail mass exceeds the tolerance is
@@ -24,7 +27,7 @@ flagged unreliable and refuses to report moments.
 
 Cost: an element's block stack holds ``(2 cutoff + 1)(cutoff + 1)^2`` reals.
 Measured on one core (one BLAS thread), building one element takes about
-14 / 50 / 130 ms at cutoff 40 / 60 / 80, and the cutoff-80 stack is 8.5 MB;
+14 / 45 / 120 ms at cutoff 40 / 60 / 80, and the cutoff-80 stack is 8.5 MB;
 the dense route took 3.9 / 30 / 164 s and about 0.4 GB per operator at 80.
 """
 
@@ -35,7 +38,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .interferometer import ExperimentConfig
 
@@ -61,15 +63,29 @@ class UnreliableStateError(RuntimeError):
     """Raised when moments are requested from a state with too much tail mass."""
 
 
-def annihilation(cutoff: int) -> np.ndarray:
-    """Single-mode annihilation operator: ``a[n-1, n] = sqrt(n)``."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    dim = cutoff + 1
-    a = np.zeros((dim, dim))
-    idx = np.arange(1, dim)
-    a[idx - 1, idx] = np.sqrt(idx)
-    return a
+def _ladder_exp(weights: np.ndarray) -> np.ndarray:
+    """exp(G) for the real antisymmetric tridiagonal ``G[k+1, k] = w_k =
+    -G[k, k+1]``, ``w = weights[..., k]``, batched over the leading axes.
+
+    ``G = D (-i J) D^-1`` with ``D = diag(i^k)`` and J the real symmetric
+    tridiagonal matrix with the same weights, so with ``J = V diag(lam) V^T``,
+    ``exp(G)[k, l] = i^(k-l) (V cos(lam) V^T - i V sin(lam) V^T)[k, l]``.  J has
+    a zero diagonal, so its even functions vanish where ``k - l`` is odd and its
+    odd functions where it is even: ``exp(G)`` is ``V cos(lam) V^T`` where
+    ``k - l`` is even and ``V sin(lam) V^T`` where it is odd, signed +, +, -, -
+    for ``(k - l) mod 4 = 0, 1, 2, 3``.  Returns a C-contiguous real array.
+    """
+    dim = weights.shape[-1] + 1
+    j = np.zeros(weights.shape[:-1] + (dim, dim))
+    k = np.arange(dim - 1)
+    j[..., k + 1, k] = weights
+    j[..., k, k + 1] = weights
+    lam, v = np.linalg.eigh(j)
+    vt = np.swapaxes(v, -1, -2)
+    cos = (v * np.cos(lam)[..., None, :]) @ vt
+    sin = (v * np.sin(lam)[..., None, :]) @ vt
+    offset = np.subtract.outer(np.arange(dim), np.arange(dim)) % 4
+    return np.where(offset % 2 == 0, cos, sin) * np.where(offset < 2, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -118,11 +134,7 @@ def _block_unitary(cutoff: int, conserve_total: bool, strength: float) -> BlockU
     index = np.where(valid, n_a * dim + n_b, dim * dim)
     linked = valid[:, :-1] & valid[:, 1:]
     weight = np.sqrt(np.where(linked, (n_a[:, :-1] + 1) * raised[:, :-1], 0))
-    gen = np.zeros((2 * cutoff + 1, dim, dim))
-    rows = np.arange(cutoff)
-    gen[:, rows + 1, rows] = strength * weight
-    gen[:, rows, rows + 1] = -strength * weight
-    blocks = expm(gen)
+    blocks = _ladder_exp(strength * weight)
     blocks.flags.writeable = False
     index.flags.writeable = False
     return BlockUnitary(blocks=blocks, index=index)
@@ -146,8 +158,8 @@ def bs_unitary(cutoff: int) -> BlockUnitary:
 def _displacement_column(magnitude: float, cutoff: int) -> np.ndarray:
     """D(|alpha|)|0> for a single mode (first column of the displacement
     unitary); the phase of alpha is the rotation ``e^{i theta n}`` applied to it."""
-    a1 = annihilation(cutoff)
-    col = expm(magnitude * (a1.T - a1))[:, 0].copy()
+    # a^dag - a steps n -> n + 1 with sqrt(n + 1)
+    col = _ladder_exp(magnitude * np.sqrt(np.arange(1.0, cutoff + 1)))[:, 0].copy()
     col.flags.writeable = False
     return col
 
@@ -211,18 +223,22 @@ def evolve(
 
     With ``cutoff=None`` the schedule is walked until the tail-mass criterion
     passes; if the ceiling still fails, the last state is returned carrying
-    ``reliable == False``.  An explicit cutoff is used as given.  Only the
-    lossless chain is covered (loss validation goes through the exact scaling
-    laws against the phase-space engine instead).
+    ``reliable == False``.  An explicit cutoff is used as given; a cutoff
+    below 2 raises ValueError.  Only the lossless chain is covered (loss
+    validation goes through the exact scaling laws against the phase-space
+    engine instead).
     """
     if config.transmissivity != 1.0:
         raise ValueError("the Fock validator covers the lossless chain only")
     schedule = (cutoff,) if cutoff is not None else tuple(cutoff_schedule)
     if not schedule:
         raise ValueError("cutoff schedule is empty")
+    schedule = tuple(int(c) for c in schedule)
+    if min(schedule) < 2:
+        raise ValueError("cutoff must be >= 2")
     state = None
     for c in schedule:
-        state = _evolve_at(config, int(c), tail_tolerance)
+        state = _evolve_at(config, c, tail_tolerance)
         if state.reliable:
             return state
     return state

@@ -152,13 +152,19 @@ def _photon_number(steps: _Steps, g, alpha_mag):
 @np.errstate(all="ignore")
 def signal_table(g, ell, alpha_mag, theta, phi, transmissivity):
     """<X_A> with arm transmissivity T:
-    ``sqrt(T) sqrt(2) |alpha| [cos(theta + 2 l phi) cosh g + cos(theta) sinh g]``."""
+    ``sqrt(T) sqrt(2) |alpha| [cos(theta + 2 l phi) cosh g + cos(theta) sinh g]``.
+
+    Exactly 0 with no input amplitude or at T = 0 wherever cosh g is finite,
+    also where the bracket overflows (from g = 710 at theta = phi = 0).
+    """
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
     delta = theta + 2.0 * ell * phi
-    mean = _SQRT2 * alpha_mag * (
-        np.cos(delta) * steps.libm(math.cosh, g) + np.cos(theta) * steps.libm(math.sinh, g)
-    )
-    return steps.result(np.sqrt(transmissivity) * mean)
+    cosh_g = steps.libm(math.cosh, g)
+    mean = _SQRT2 * alpha_mag * (np.cos(delta) * cosh_g + np.cos(theta) * steps.libm(math.sinh, g))
+    value = np.sqrt(transmissivity) * mean
+    # 0 * inf is nan: no signal stays exactly 0, and every other value is unchanged
+    no_signal = ((alpha_mag == 0.0) | (transmissivity == 0.0)) & np.isfinite(cosh_g)
+    return steps.result(np.where(no_signal & np.isnan(value), 0.0, value))
 
 
 @np.errstate(all="ignore")
@@ -484,24 +490,30 @@ class SensitivityReport:
     visibility: float
 
 
+def _or_nan(quantity, config: ExperimentConfig) -> float:
+    try:
+        return quantity(config)
+    except (ValueError, ArithmeticError):
+        return math.nan
+
+
 def evaluate(config: ExperimentConfig) -> SensitivityReport:
     """Assemble the full report for one configuration.
 
     Signal, fluctuation, and sensitivity honour the config's transmissivity
     (reducing to the lossless forms at T = 1); the benchmarks are the lossless
-    references.  Visibility is ``nan`` where the signal vanishes (zero
-    amplitude or T = 0) and ``visibility`` raises.
+    references.  A benchmark or the visibility is ``nan`` where its scalar
+    function raises: the visibility where the signal vanishes (zero amplitude
+    or T = 0), the benchmarks at zero photon number or where the photon number
+    or the Fisher information overflows.
     """
-    try:
-        contrast = visibility(config)
-    except ValueError:
-        contrast = math.nan
     return SensitivityReport(
         signal_mean=homodyne_mean_lossy(config),
         fluctuation=quadrature_fluctuation_lossy(config),
         sensitivity=sensitivity_lossy(config),
-        snl=shot_noise_limit(config),
-        hl=heisenberg_limit(config),
-        qcrb=quantum_cramer_rao_bound(config),
-        visibility=contrast,
+        snl=_or_nan(shot_noise_limit, config),
+        hl=_or_nan(heisenberg_limit, config),
+        qcrb=_or_nan(quantum_cramer_rao_bound, config),
+        visibility=_or_nan(visibility, config),
     )
+

@@ -13,9 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads numpy.random lazily: import it here, not in the first loss draw
+from numpy.random import default_rng
 
 from . import fock_oracle, metrology
 from .interferometer import (
@@ -128,7 +130,7 @@ def grid_configs(preset: str) -> list[ExperimentConfig]:
 
 
 def random_lossy_configs(count: int, seed: int = _LOSS_SEED) -> list[ExperimentConfig]:
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     out = []
     for _ in range(count):
         out.append(

@@ -10,12 +10,23 @@ from typing import Sequence
 import numpy as np
 
 from oam_interferometry import GaussianState, omega
-from oam_interferometry.fock_oracle import BlockUnitary, annihilation
+from oam_interferometry.fock_oracle import BlockUnitary
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
 # --- dense Fock operators ------------------------------------------------------
+
+
+def annihilation(cutoff: int) -> np.ndarray:
+    """Single-mode annihilation operator: ``a[n-1, n] = sqrt(n)``."""
+    if cutoff < 2:
+        raise ValueError("cutoff must be >= 2")
+    dim = cutoff + 1
+    a = np.zeros((dim, dim))
+    idx = np.arange(1, dim)
+    a[idx - 1, idx] = np.sqrt(idx)
+    return a
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@ names and parameters that left it for the test references or were deleted."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,9 +67,8 @@ ROOT_NAMES = {
     "run_validation",
 }
 
-# name -> the module that exported it.  Each left the root and that module's
-# __all__; annihilation stays in fock_oracle, where it builds the displacement
-# column, the Pipeline layer is deleted and the rest moved to tests/reference.py
+# name -> the module that exported it.  Each left the root and that module:
+# the Pipeline layer is deleted and the rest moved to tests/reference.py
 REMOVED = {
     "TwoModeOperators": fock_oracle,
     "build_operators": fock_oracle,
@@ -83,8 +85,6 @@ REMOVED = {
     "build_lossy": interferometer,
     "run_pipeline": interferometer,
 }
-
-KEPT_IN_MODULE = {"annihilation"}
 
 REMOVED_PARAMETERS = [
     (validation.run_validation, "tail_tolerance"),
@@ -115,7 +115,7 @@ def test_removed_name_is_gone(name):
     module = REMOVED[name]
     assert not hasattr(oam_interferometry, name)
     assert name not in module.__all__
-    assert hasattr(module, name) == (name in KEPT_IN_MODULE)
+    assert not hasattr(module, name)
 
 
 def test_module_exports_are_defined():
@@ -152,3 +152,18 @@ def test_package_does_not_import_the_tests():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
         assert not imported & {"tests", "reference", "helpers", "conftest"}, path.name
+
+
+def test_package_runs_without_scipy():
+    # scipy is a test dependency only: with every scipy import failing, the
+    # package imports and its heaviest command, the oracle's, still passes
+    src = str(Path(oam_interferometry.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from oam_interferometry.cli import main\n"
+        "sys.exit(main(['validate', '--preset', 'quick']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "overall: PASS"

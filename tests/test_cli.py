@@ -294,6 +294,28 @@ class TestMainEntry:
         assert row["flag"] == "divergent"
         assert math.isfinite(float(row["snl"])) and math.isfinite(float(row["qcrb"]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "text, flag",
+        [
+            # a bright input: the photon number and the Fisher information
+            # overflow, the signal, noise and sensitivity do not
+            ("g = 350\nalpha_sq = 1e12\ntheta = 1.5707963267948966", "non-finite"),
+            # no photons: the benchmarks are undefined and the slope is 0
+            ("g = 0\nalpha_sq = 0", "divergent"),
+        ],
+    )
+    def test_eval_reports_undefined_benchmarks_as_nan(self, tmp_path, capsys, text, flag):
+        path = self._write(tmp_path, text)
+        assert main(["eval", "--config", path]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert (row["snl"], row["hl"], row["qcrb"]) == ("nan", "nan", "nan")
+        assert row["flag"] == flag
+        cfg = parse_config(text)
+        assert row["signal"] == repr(homodyne_mean(cfg))
+        assert row["sensitivity"] == repr(sensitivity(cfg))
+
     def test_eval_rejects_sweep_config(self, tmp_path):
         path = self._write(tmp_path, "alpha_sq=1\nquantity = snl\nsweep = g 0 1 3")
         assert main(["eval", "--config", path]) == 1

@@ -14,9 +14,9 @@ from oam_interferometry import (
     mean_photon_number,
     moments,
 )
-from oam_interferometry.fock_oracle import annihilation, bs_unitary, opa_unitary
+from oam_interferometry.fock_oracle import _displacement_column, bs_unitary, opa_unitary
 from oam_interferometry.validation import ORACLE_TOL
-from reference import build_operators, repeated
+from reference import annihilation, build_operators, repeated
 
 
 def _cfg(**kw):
@@ -92,6 +92,28 @@ class TestBlockedUnitaries:
         times = round(mixing_angle / (math.pi / 4.0))
         blocked = repeated(bs_unitary(self.CUTOFF), times).apply(psi)
         assert np.max(np.abs(blocked.ravel() - dense @ psi.ravel())) <= 1e-12
+
+
+class TestLadderExponential:
+    """The blocks and the displacement column at the schedule's cutoffs:
+    orthogonal to rounding, and the column equal to dense expm."""
+
+    @pytest.mark.parametrize("cutoff", [40, 60, 80])
+    @pytest.mark.parametrize(
+        "unitary", [lambda c: opa_unitary(0.5, c), bs_unitary], ids=["squeezer", "coupler"]
+    )
+    def test_blocks_are_orthogonal(self, unitary, cutoff):
+        blocks = unitary(cutoff).blocks
+        defect = blocks @ np.swapaxes(blocks, -1, -2) - np.eye(cutoff + 1)
+        assert np.max(np.abs(defect)) <= 1e-14
+
+    @pytest.mark.parametrize("cutoff", [40, 60, 80])
+    @pytest.mark.parametrize("alpha_sq", [1.0, 2.5, 4.0])
+    def test_displacement_column_matches_dense_expm(self, alpha_sq, cutoff):
+        a = annihilation(cutoff)
+        dense = expm(math.sqrt(alpha_sq) * (a.T - a))[:, 0]
+        column = _displacement_column(math.sqrt(alpha_sq), cutoff)
+        assert np.max(np.abs(column - dense)) <= 1e-14
 
 
 class TestDirectExpectations:
@@ -188,6 +210,11 @@ class TestTruncationControl:
         state = evolve(_cfg(g=0.4, alpha_mag=1.2, theta=0.5, phi=0.7), cutoff=25)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
         assert state.tail_mass >= 0.0
+
+    @pytest.mark.parametrize("kw", [dict(cutoff=1), dict(cutoff_schedule=(40, 1))])
+    def test_cutoff_below_two_is_rejected(self, kw):
+        with pytest.raises(ValueError, match="^cutoff must be >= 2$"):
+            evolve(_cfg(alpha_mag=1.0), **kw)
 
     def test_lossy_configs_are_rejected(self):
         cfg = dataclasses.replace(_cfg(alpha_mag=1.0), transmissivity=0.5)

@@ -209,14 +209,37 @@ def test_first_undefined_point_in_row_order_is_named(quantity, axes, where):
 
 
 def test_nan_where_no_step_fails_is_counted_and_named():
-    # zero amplitude times cosh g + sinh g: at g = 710 that sum overflows to
-    # inf and the product is nan, though every step is defined (the scalar
-    # call returns nan too); at g = 711 cosh g itself overflows
-    result = run_sweep(parse_config("alpha_sq = 0\nquantity = signal\nsweep = g 709 711 3\n"))
-    assert result.rows[0] == (709.0, 0.0, "")
-    assert [row[-1] for row in result.rows[1:]] == ["non-finite"] * 2
-    assert math.isnan(homodyne_mean(ExperimentConfig(g=710.0, ell=1, alpha_mag=0.0, theta=0.0, phi=0.0)))
-    assert result.metadata["undefined"] == "2 of 3; signal failed at (g=710): value is nan"
+    # at |alpha|^2 = 1e308 the slope and the noise term both overflow to inf
+    # from g = 355, so their ratio is nan, though every step is defined (the
+    # scalar call returns nan too); at g = 356 cosh 2g itself overflows
+    text = "alpha_sq = 1e308\ntheta = 1.5707963267948966\nquantity = sensitivity\nsweep = g 354 356 3\n"
+    result = run_sweep(parse_config(text))
+    assert [row[-1] for row in result.rows] == ["", "non-finite", "non-finite"]
+    cfg = ExperimentConfig(g=355.0, ell=1, alpha_mag=math.sqrt(1e308), theta=math.pi / 2, phi=0.0)
+    assert math.isnan(sensitivity(cfg))
+    assert result.metadata["undefined"] == "2 of 3; sensitivity failed at (g=355): value is nan"
+
+
+class TestSignalWithoutInput:
+    """No input amplitude, or no transmission, gives no signal: exactly 0
+    wherever cosh g is finite, also where cosh g + sinh g overflows (from
+    g = 710 at theta = phi = 0), and not the nan of 0 * inf."""
+
+    @pytest.mark.parametrize("alpha_mag, t", [(0.0, 1.0), (2.0, 0.0), (0.0, 0.0)])
+    def test_scalar_is_zero_where_the_bracket_overflows(self, alpha_mag, t):
+        cfg = ExperimentConfig(
+            g=710.0, ell=1, alpha_mag=alpha_mag, theta=0.0, phi=0.0, transmissivity=t
+        )
+        assert homodyne_mean_lossy(cfg) == 0.0
+        if t == 1.0:
+            assert homodyne_mean(cfg) == 0.0
+
+    @pytest.mark.parametrize("point", ["alpha_sq = 0\n", "alpha_sq = 4\ntransmissivity = 0\n"])
+    def test_sweep_row_is_zero_and_unflagged(self, point):
+        result = assert_matches_per_point(point + "quantity = signal\nsweep = g 709 711 3\n")
+        assert result.rows[:2] == ((709.0, 0.0, ""), (710.0, 0.0, ""))
+        assert math.isnan(result.rows[2][1]) and result.rows[2][2] == "non-finite"
+        assert result.metadata["undefined"] == "1 of 3; signal failed at (g=711): math range error"
 
 
 def reference(quantity, cfg):
