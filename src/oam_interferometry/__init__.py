@@ -24,8 +24,6 @@ from .interferometer import (
 )
 from .metrology import (
     MaxLossResult,
-    SensitivityReport,
-    evaluate,
     heisenberg_limit,
     homodyne_mean,
     homodyne_mean_lossy,
@@ -35,8 +33,6 @@ from .metrology import (
     max_allowable_loss,
     optimal_operating_point,
     optimal_sensitivity,
-    quadrature_fluctuation,
-    quadrature_fluctuation_lossy,
     quantum_cramer_rao_bound,
     sensitivity,
     sensitivity_lossy,

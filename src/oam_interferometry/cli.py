@@ -459,27 +459,37 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+# eval's columns after the working point, each a closed form at that point:
+# signal, fluctuation and sensitivity honour its transmissivity, and the
+# benchmarks are the lossless references
+EVAL_COLUMNS = (
+    ("signal", metrology.signal_table),
+    ("fluctuation", metrology.fluctuation_table),
+    ("sensitivity", metrology.sensitivity_lossy_table),
+    ("snl", metrology.snl_table),
+    ("hl", metrology.hl_table),
+    ("qcrb", metrology.qcrb_table),
+    ("visibility", metrology.visibility_table),
+)
+
+
 def _cmd_eval(args) -> int:
     config = _read_config(args.config)
     if not isinstance(config, ExperimentConfig):
         raise ConfigError("eval expects a plain configuration, not sweep axes")
-    report = metrology.evaluate(config)
-    columns = (
-        "g", "ell", "alpha_sq", "theta", "phi", "transmissivity",
-        "signal", "fluctuation", "sensitivity", "snl", "hl", "qcrb", "visibility", "flag",
-    )
-    values = (
-        report.signal_mean, report.fluctuation, report.sensitivity,
-        report.snl, report.hl, report.qcrb, report.visibility,
-    )
+    # 0-d array inputs: a form is nan where it is undefined instead of raising
+    inputs = [np.asarray(v) for v in _table_inputs(config, (), ())]
+    values = {name: float(form(*inputs)) for name, form in EVAL_COLUMNS}
     # a divergent sensitivity names the row; any other undefined value flags it
-    flag = _flags(report.sensitivity)[0] or ("non-finite" if any(map(math.isnan, values)) else "")
+    flag = _flags(values["sensitivity"])[0] or (
+        "non-finite" if any(map(math.isnan, values.values())) else ""
+    )
     row = (
         config.g, float(config.ell), config.alpha_mag**2, config.theta, config.phi,
-        config.transmissivity, *values, flag,
+        config.transmissivity, *values.values(), flag,
     )
     result = SweepResult(
-        columns,
+        ("g", "ell", "alpha_sq", "theta", "phi", "transmissivity", *values, "flag"),
         (row,),
         {
             "quantity": "report",

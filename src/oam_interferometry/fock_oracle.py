@@ -22,8 +22,8 @@ moments are read directly from ``psi``.  The oracle shares nothing with the
 phase-space engine it checks.
 
 Reliability gauge: the probability sitting on the top two Fock layers of
-either mode ("tail mass").  A state whose tail mass exceeds the tolerance is
-flagged unreliable and refuses to report moments.
+either mode ("tail mass").  A state whose tail mass reaches
+``DEFAULT_TAIL_TOLERANCE`` is flagged unreliable and refuses to report moments.
 
 Cost: an element's block stack holds ``(2 cutoff + 1)(cutoff + 1)^2`` reals.
 Measured on one core (one BLAS thread), building one element takes about
@@ -171,7 +171,6 @@ class FockState:
     cutoff: int
     amplitudes: np.ndarray
     tail_mass: float
-    tail_tolerance: float
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex)
@@ -182,7 +181,7 @@ class FockState:
 
     @property
     def reliable(self) -> bool:
-        return self.tail_mass < self.tail_tolerance
+        return self.tail_mass < DEFAULT_TAIL_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,7 @@ class OracleReport:
     tail_mass: float
 
 
-def _evolve_at(config: ExperimentConfig, cutoff: int, tail_tolerance: float) -> FockState:
+def _evolve_at(config: ExperimentConfig, cutoff: int) -> FockState:
     dim = cutoff + 1
     # psi[n_a, n_b]: displaced vacuum in mode A, vacuum in mode B
     psi = np.zeros((dim, dim), dtype=complex)
@@ -208,15 +207,12 @@ def _evolve_at(config: ExperimentConfig, cutoff: int, tail_tolerance: float) -> 
     psi /= np.linalg.norm(psi)
     probs = np.abs(psi) ** 2
     tail = float(max(1.0 - probs[: cutoff - 1, : cutoff - 1].sum(), 0.0))
-    return FockState(
-        cutoff=cutoff, amplitudes=psi.ravel(), tail_mass=tail, tail_tolerance=tail_tolerance
-    )
+    return FockState(cutoff=cutoff, amplitudes=psi.ravel(), tail_mass=tail)
 
 
 def evolve(
     config: ExperimentConfig,
     cutoff: int | None = None,
-    tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
     cutoff_schedule: tuple[int, ...] = CUTOFF_SCHEDULE,
 ) -> FockState:
     """Propagate the input through displacement, squeezer, rotation, coupler.
@@ -238,7 +234,7 @@ def evolve(
         raise ValueError("cutoff must be >= 2")
     state = None
     for c in schedule:
-        state = _evolve_at(config, c, tail_tolerance)
+        state = _evolve_at(config, c)
         if state.reliable:
             return state
     return state
@@ -246,10 +242,10 @@ def evolve(
 
 def moments(state: FockState) -> OracleReport:
     """<X_A>, <X_A^2>, and total photon number of the output state; raises
-    UnreliableStateError when the state's tail mass exceeds its tolerance."""
+    UnreliableStateError when the state's tail mass reaches DEFAULT_TAIL_TOLERANCE."""
     if not state.reliable:
         raise UnreliableStateError(
-            f"tail mass {state.tail_mass:.3e} exceeds tolerance {state.tail_tolerance:.1e}"
+            f"tail mass {state.tail_mass:.3e} exceeds tolerance {DEFAULT_TAIL_TOLERANCE:.1e}"
         )
     dim = state.cutoff + 1
     psi = state.amplitudes.reshape(dim, dim)

@@ -6,12 +6,14 @@ The eight sweep quantities (``signal``, ``sensitivity``,
 ``sensitivity_lossy``, ``qcrb``, ``snl``, ``hl``, ``visibility``,
 ``max_loss``) are each defined once, as a closed form that broadcasts over
 numpy arrays of ``(g, ell, alpha_mag, theta, phi, transmissivity)``; ``TABLE``
-maps each name to its function.  Where a formula fails (zero photon number or
-amplitude, a hyperbolic or a photon number that overflows), scalar inputs
-raise its error and array inputs give nan.  The scalar functions of an
-``ExperimentConfig`` and ``max_allowable_loss`` call the same definitions, so
-a sweep row and a direct call agree bit for bit.  The maximum allowable loss is the exact root of a
-quadratic in the transmissivity, not a search.
+maps each name to its function.  ``fluctuation_table``, the quadrature noise
+that ``eval`` reports beside them, is one more such form.  Where a formula
+fails (zero photon number or amplitude, a hyperbolic or a photon number that
+overflows), scalar inputs raise its error and array inputs give nan.  The
+scalar functions of an ``ExperimentConfig`` and ``max_allowable_loss`` call
+the same definitions, so a sweep row and a direct call agree bit for bit.
+The maximum allowable loss is the exact root of a quadratic in the
+transmissivity, not a search.
 
 Every closed form here is also reproduced independently by the phase-space
 engine (and, at small parameters, by the truncated-Fock validator); the test
@@ -30,11 +32,11 @@ from .interferometer import ExperimentConfig
 __all__ = [
     "DERIVATIVE_FLOOR",
     "TABLE",
-    "SensitivityReport",
     "MaxLossResult",
     "signal_table",
     "sensitivity_table",
     "sensitivity_lossy_table",
+    "fluctuation_table",
     "qcrb_table",
     "snl_table",
     "hl_table",
@@ -45,8 +47,6 @@ __all__ = [
     "homodyne_mean_lossy",
     "homodyne_second_moment",
     "homodyne_second_moment_lossy",
-    "quadrature_fluctuation",
-    "quadrature_fluctuation_lossy",
     "sensitivity",
     "sensitivity_lossy",
     "visibility",
@@ -56,7 +56,6 @@ __all__ = [
     "optimal_operating_point",
     "optimal_sensitivity",
     "max_allowable_loss",
-    "evaluate",
 ]
 
 # below this slope magnitude the error-propagation ratio is reported as inf
@@ -140,6 +139,12 @@ def _noise(steps: _Steps, g, ell, phi, where=True):
     ) * np.cos(2.0 * ell * phi)
 
 
+def _fluctuation(steps: _Steps, g, ell, phi, transmissivity, where=True):
+    """Delta X_A with arm transmissivity T: the variance relaxes toward the
+    vacuum unit as ``T (Var X_A - 1) + 1``."""
+    return np.sqrt(transmissivity * (_noise(steps, g, ell, phi, where) - 1.0) + 1.0)
+
+
 def _photon_number(steps: _Steps, g, alpha_mag):
     """Mean photon number before any loss, ``cosh(2g) |alpha|^2 + 2 sinh^2 g``
     (as ``interferometer.mean_photon_number``); fails where it overflows."""
@@ -196,9 +201,22 @@ def sensitivity_lossy_table(g, ell, alpha_mag, theta, phi, transmissivity):
         * np.abs(np.sin(delta))
     )
     live = ~(np.abs(denom) < DERIVATIVE_FLOOR)
-    noise = _noise(steps, g, ell, phi, where=live)
-    value = np.sqrt(transmissivity * (noise - 1.0) + 1.0) / denom
+    value = _fluctuation(steps, g, ell, phi, transmissivity, where=live) / denom
     return steps.result(np.where(live, value, np.inf))
+
+
+@np.errstate(all="ignore")
+def fluctuation_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    """Quadrature fluctuation Delta X_A with arm transmissivity T:
+    ``sqrt(T [cosh 2g + sinh 2g cos(2 l phi) - 1] + 1)``, independent of
+    theta and |alpha|.
+
+    Evaluated from that closed form, not as ``sqrt(<X^2> - <X>^2)``: the
+    subtraction of the two moments cancels catastrophically for bright inputs.
+    Fails where cosh 2g overflows (g above about 355.2).
+    """
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    return steps.result(_fluctuation(steps, g, ell, phi, transmissivity))
 
 
 @np.errstate(all="ignore")
@@ -284,12 +302,6 @@ def _slope_table(g, ell, alpha_mag, theta, phi, transmissivity):
     return steps.result(_slope(steps, g, ell, alpha_mag, theta, phi))
 
 
-@np.errstate(all="ignore")
-def _noise_table(g, ell, alpha_mag, theta, phi, transmissivity):
-    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
-    return steps.result(_noise(steps, g, ell, phi))
-
-
 # quantity name -> closed form over broadcast (g, ell, alpha_mag, theta, phi,
 # transmissivity); the inputs must lie in ExperimentConfig's domain
 TABLE = {
@@ -351,32 +363,13 @@ def homodyne_second_moment_lossy(config: ExperimentConfig) -> float:
     return t * homodyne_second_moment(config) + (1.0 - t)
 
 
-def _noise_term(config: ExperimentConfig) -> float:
-    return _at(_noise_table, config)
-
-
-def quadrature_fluctuation(config: ExperimentConfig) -> float:
-    """Delta X_A = sqrt(<X^2> - <X>^2); independent of theta and |alpha|,
-    equal to ``sqrt(cosh 2g + sinh 2g cos(2 l phi))``.
-
-    Evaluated from that closed form: the subtraction of the two moments
-    cancels catastrophically for bright inputs.
-    """
-    return math.sqrt(_noise_term(config))
-
-
-def quadrature_fluctuation_lossy(config: ExperimentConfig) -> float:
-    """Delta X_A with loss: variance relaxes as ``T Var + (1 - T)``."""
-    t = config.transmissivity
-    return math.sqrt(t * (_noise_term(config) - 1.0) + 1.0)
-
-
 def sensitivity(config: ExperimentConfig) -> float:
     """Error-propagation estimate Delta phi = Delta X_A / |d<X_A>/dphi|.
 
     Returns ``inf`` when the slope magnitude is below DERIVATIVE_FLOOR (the
-    working point carries no first-order signal), never raises, so sweeps can
-    flag divergent points instead of aborting.
+    working point carries no first-order signal).  Raises OverflowError where
+    cosh 2g overflows (g above about 355.2) unless the slope is below the
+    floor, and where cosh g overflows (above about 710.5) at any point.
     """
     return _at(sensitivity_table, config)
 
@@ -475,45 +468,3 @@ def max_allowable_loss(g: float, ell: int, alpha_mag: float) -> MaxLossResult:
     config = ExperimentConfig(g=g, ell=ell, alpha_mag=alpha_mag, theta=0.0, phi=0.0)
     loss = _at(max_loss_table, config)
     return MaxLossResult(loss=loss, transmissivity=1.0 - loss, sub_snl_exists=loss != 0.0)
-
-
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Homodyne signal, noise, sensitivity, and benchmarks at one working point."""
-
-    signal_mean: float
-    fluctuation: float
-    sensitivity: float
-    snl: float
-    hl: float
-    qcrb: float
-    visibility: float
-
-
-def _or_nan(quantity, config: ExperimentConfig) -> float:
-    try:
-        return quantity(config)
-    except (ValueError, ArithmeticError):
-        return math.nan
-
-
-def evaluate(config: ExperimentConfig) -> SensitivityReport:
-    """Assemble the full report for one configuration.
-
-    Signal, fluctuation, and sensitivity honour the config's transmissivity
-    (reducing to the lossless forms at T = 1); the benchmarks are the lossless
-    references.  A benchmark or the visibility is ``nan`` where its scalar
-    function raises: the visibility where the signal vanishes (zero amplitude
-    or T = 0), the benchmarks at zero photon number or where the photon number
-    or the Fisher information overflows.
-    """
-    return SensitivityReport(
-        signal_mean=homodyne_mean_lossy(config),
-        fluctuation=quadrature_fluctuation_lossy(config),
-        sensitivity=sensitivity_lossy(config),
-        snl=_or_nan(shot_noise_limit, config),
-        hl=_or_nan(heisenberg_limit, config),
-        qcrb=_or_nan(quantum_cramer_rao_bound, config),
-        visibility=_or_nan(visibility, config),
-    )
-

@@ -9,6 +9,7 @@ import oam_interferometry
 from oam_interferometry import ExperimentConfig, fock_oracle
 from oam_interferometry import homodyne_mean, quantum_cramer_rao_bound, sensitivity, shot_noise_limit
 from oam_interferometry.cli import (
+    EVAL_COLUMNS,
     ConfigError,
     SweepError,
     SweepSpec,
@@ -315,6 +316,31 @@ class TestMainEntry:
         cfg = parse_config(text)
         assert row["signal"] == repr(homodyne_mean(cfg))
         assert row["sensitivity"] == repr(sensitivity(cfg))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "text, undefined",
+        [
+            # cosh 2g overflows: the noise and with it the sensitivity, the
+            # photon number and the Fisher information; the signal is defined
+            (
+                "g = 360\nalpha_sq = 1\ntheta = 1.5707963267948966",
+                {"fluctuation", "sensitivity", "snl", "hl", "qcrb"},
+            ),
+            # cosh g overflows too, and with no input nothing is defined
+            ("g = 800\nalpha_sq = 0", {name for name, _ in EVAL_COLUMNS}),
+        ],
+    )
+    def test_eval_flags_the_row_where_a_hyperbolic_overflows(
+        self, tmp_path, capsys, text, undefined
+    ):
+        path = self._write(tmp_path, text)
+        assert main(["eval", "--config", path]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        for name, _ in EVAL_COLUMNS:
+            assert (row[name] == "nan") == (name in undefined), name
+        assert row["flag"] == "non-finite"
 
     def test_eval_rejects_sweep_config(self, tmp_path):
         path = self._write(tmp_path, "alpha_sq=1\nquantity = snl\nsweep = g 0 1 3")

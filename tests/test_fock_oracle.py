@@ -14,7 +14,12 @@ from oam_interferometry import (
     mean_photon_number,
     moments,
 )
-from oam_interferometry.fock_oracle import _displacement_column, bs_unitary, opa_unitary
+from oam_interferometry.fock_oracle import (
+    DEFAULT_TAIL_TOLERANCE,
+    _displacement_column,
+    bs_unitary,
+    opa_unitary,
+)
 from oam_interferometry.validation import ORACLE_TOL
 from reference import annihilation, build_operators, repeated
 
@@ -202,7 +207,7 @@ class TestTruncationControl:
         cfg = _cfg(g=0.8, ell=1, alpha_mag=3.0, theta=0.0, phi=0.1)
         state = evolve(cfg, cutoff_schedule=(8, 10))
         assert not state.reliable
-        assert state.tail_mass > state.tail_tolerance
+        assert state.tail_mass > DEFAULT_TAIL_TOLERANCE
         with pytest.raises(UnreliableStateError):
             moments(state)
 

@@ -15,9 +15,9 @@ from oam_interferometry import (
     homodyne_mean,
     homodyne_second_moment,
     mean_photon_number,
+    metrology,
     opa_matrix,
     photon_number,
-    quadrature_fluctuation,
     quadrature_mean,
     quadrature_second_moment,
     run_lossless,
@@ -172,7 +172,10 @@ class TestEngineAgainstClosedForms:
             cfg = random_config(rng)
             state = run_lossless(cfg)
             engine = math.sqrt(state.cov[0, 0])
-            assert guarded_rel(engine, quadrature_fluctuation(cfg)) < 1e-9
+            fluctuation = metrology.fluctuation_table(
+                cfg.g, cfg.ell, cfg.alpha_mag, cfg.theta, cfg.phi, cfg.transmissivity
+            )
+            assert guarded_rel(engine, float(fluctuation)) < 1e-9
 
     def test_lossy_second_moment_with_opa_off(self):
         # with the amplifier off the lossy variance interpolates to vacuum

@@ -6,7 +6,6 @@ import pytest
 
 from oam_interferometry import (
     ExperimentConfig,
-    evaluate,
     heisenberg_limit,
     homodyne_mean,
     homodyne_mean_lossy,
@@ -15,10 +14,9 @@ from oam_interferometry import (
     homodyne_second_moment_lossy,
     max_allowable_loss,
     mean_photon_number,
+    metrology,
     optimal_operating_point,
     optimal_sensitivity,
-    quadrature_fluctuation,
-    quadrature_fluctuation_lossy,
     quantum_cramer_rao_bound,
     run_lossy,
     sensitivity,
@@ -26,6 +24,7 @@ from oam_interferometry import (
     shot_noise_limit,
     visibility,
 )
+from oam_interferometry.cli import EVAL_COLUMNS
 from helpers import guarded_rel, random_config
 from reference import (
     grid_min_sensitivity,
@@ -39,6 +38,21 @@ def _cfg(**kw):
     base = dict(g=1.0, ell=1, alpha_mag=1.0, theta=0.0, phi=0.0)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def _fields(cfg):
+    return (cfg.g, cfg.ell, cfg.alpha_mag, cfg.theta, cfg.phi, cfg.transmissivity)
+
+
+def fluctuation(cfg):
+    """Delta X_A at the config's working point, with its transmissivity."""
+    return float(metrology.fluctuation_table(*_fields(cfg)))
+
+
+def report(cfg):
+    """The columns of the eval row: each form on the point's 0-d inputs."""
+    inputs = [np.asarray(v) for v in _fields(cfg)]
+    return {name: float(form(*inputs)) for name, form in EVAL_COLUMNS}
 
 
 class TestSignalMean:
@@ -92,20 +106,20 @@ class TestSecondMomentAndFluctuation:
 
     def test_fluctuation_is_unity_without_gain(self):
         for phi in np.linspace(0.0, 2.0 * math.pi, 7):
-            assert quadrature_fluctuation(_cfg(g=0.0, phi=float(phi))) == pytest.approx(1.0)
+            assert fluctuation(_cfg(g=0.0, phi=float(phi))) == pytest.approx(1.0)
 
     def test_fluctuation_extremes(self):
         g = 0.9
         squeezed = _cfg(g=g, ell=1, phi=math.pi / 2.0)  # cos(2 l phi) = -1
         antisqueezed = _cfg(g=g, ell=1, phi=math.pi)  # cos(2 l phi) = +1
-        assert quadrature_fluctuation(squeezed) == pytest.approx(math.exp(-g), rel=1e-12)
-        assert quadrature_fluctuation(antisqueezed) == pytest.approx(math.exp(g), rel=1e-12)
+        assert fluctuation(squeezed) == pytest.approx(math.exp(-g), rel=1e-12)
+        assert fluctuation(antisqueezed) == pytest.approx(math.exp(g), rel=1e-12)
 
     def test_fluctuation_ignores_theta_and_amplitude(self):
-        ref = quadrature_fluctuation(_cfg(g=0.7, ell=2, phi=0.33))
+        ref = fluctuation(_cfg(g=0.7, ell=2, phi=0.33))
         for theta, amag in [(0.5, 0.0), (2.2, 3.0), (4.0, 9.0)]:
             cfg = _cfg(g=0.7, ell=2, phi=0.33, theta=theta, alpha_mag=amag)
-            assert quadrature_fluctuation(cfg) == pytest.approx(ref, rel=1e-9)
+            assert fluctuation(cfg) == pytest.approx(ref, rel=1e-9)
 
     def test_matches_noise_closed_form(self):
         rng = np.random.default_rng(3)
@@ -114,7 +128,7 @@ class TestSecondMomentAndFluctuation:
             expected = math.sqrt(
                 math.cosh(2 * cfg.g) + math.sinh(2 * cfg.g) * math.cos(2 * cfg.ell * cfg.phi)
             )
-            assert guarded_rel(quadrature_fluctuation(cfg), expected) < 1e-9
+            assert guarded_rel(fluctuation(cfg), expected) < 1e-9
 
     def test_matches_moment_subtraction_at_moderate_amplitude(self):
         # the defining sqrt(<X^2> - <X>^2) is accurate while |alpha| is modest
@@ -126,20 +140,20 @@ class TestSecondMomentAndFluctuation:
             direct_lossy = math.sqrt(
                 homodyne_second_moment_lossy(cfg) - homodyne_mean_lossy(cfg) ** 2
             )
-            assert guarded_rel(quadrature_fluctuation(lossless), direct) < 1e-9
-            assert guarded_rel(quadrature_fluctuation_lossy(cfg), direct_lossy) < 1e-9
+            assert guarded_rel(fluctuation(lossless), direct) < 1e-9
+            assert guarded_rel(fluctuation(cfg), direct_lossy) < 1e-9
 
     @pytest.mark.parametrize("alpha_mag", [1e6, 1e9])
     def test_bright_input_keeps_the_squeezed_noise(self, alpha_mag):
         # g=3 at cos(2 l phi) = -1: exactly e^-3; subtracting the two moments
         # instead leaves 0.23 at |alpha| = 1e6 and 239 at 1e9
         cfg = _cfg(g=3.0, ell=1, alpha_mag=alpha_mag, theta=0.3, phi=math.pi / 2.0)
-        assert quadrature_fluctuation(cfg) == pytest.approx(math.exp(-3.0), rel=1e-9)
-        assert evaluate(cfg).fluctuation == pytest.approx(math.exp(-3.0), rel=1e-9)
+        assert fluctuation(cfg) == pytest.approx(math.exp(-3.0), rel=1e-9)
+        assert report(cfg)["fluctuation"] == pytest.approx(math.exp(-3.0), rel=1e-9)
         lossy = dataclasses.replace(cfg, transmissivity=0.4)
         expected = math.sqrt(0.4 * math.exp(-6.0) + 0.6)
-        assert quadrature_fluctuation_lossy(lossy) == pytest.approx(expected, rel=1e-9)
-        assert evaluate(lossy).fluctuation == pytest.approx(expected, rel=1e-9)
+        assert fluctuation(lossy) == pytest.approx(expected, rel=1e-9)
+        assert report(lossy)["fluctuation"] == pytest.approx(expected, rel=1e-9)
 
 
 class TestSensitivity:
@@ -229,7 +243,7 @@ class TestLossySensitivity:
         expected = math.sqrt(
             0.5 * (math.cosh(2.0) + math.sinh(2.0) * math.cos(0.4)) + 0.5
         )
-        assert quadrature_fluctuation_lossy(cfg) == pytest.approx(expected, rel=1e-12)
+        assert fluctuation(cfg) == pytest.approx(expected, rel=1e-12)
 
 
 class TestVisibility:
@@ -391,18 +405,18 @@ class TestReportAssembly:
     def test_lossless_report(self):
         phi, theta = optimal_operating_point(1)
         cfg = _cfg(g=2.0, alpha_mag=10.0, theta=theta, phi=phi)
-        report = evaluate(cfg)
-        assert report.sensitivity == pytest.approx(optimal_sensitivity(2.0, 1, 10.0), rel=1e-12)
-        assert report.fluctuation == pytest.approx(math.exp(-2.0), rel=1e-12)
-        assert report.visibility == pytest.approx(1.0, abs=1e-9)
-        assert report.hl < report.qcrb < report.snl
-        assert report.signal_mean == pytest.approx(homodyne_mean(cfg), rel=1e-12)
+        row = report(cfg)
+        assert row["sensitivity"] == pytest.approx(optimal_sensitivity(2.0, 1, 10.0), rel=1e-12)
+        assert row["fluctuation"] == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert row["visibility"] == pytest.approx(1.0, abs=1e-9)
+        assert row["hl"] < row["qcrb"] < row["snl"]
+        assert row["signal"] == pytest.approx(homodyne_mean(cfg), rel=1e-12)
 
     def test_lossy_report_uses_transmissivity(self):
         cfg = dataclasses.replace(
             _cfg(g=1.0, alpha_mag=2.0, theta=0.7, phi=0.4), transmissivity=0.6
         )
-        report = evaluate(cfg)
-        assert report.signal_mean == pytest.approx(homodyne_mean_lossy(cfg), rel=1e-12)
-        assert report.sensitivity == pytest.approx(sensitivity_lossy(cfg), rel=1e-12)
-        assert report.snl == pytest.approx(shot_noise_limit(cfg), rel=1e-12)
+        row = report(cfg)
+        assert row["signal"] == pytest.approx(homodyne_mean_lossy(cfg), rel=1e-12)
+        assert row["sensitivity"] == pytest.approx(sensitivity_lossy(cfg), rel=1e-12)
+        assert row["snl"] == pytest.approx(shot_noise_limit(cfg), rel=1e-12)

@@ -26,6 +26,7 @@ from oam_interferometry.cli import (
     ConfigError,
     SweepAxis,
     SweepError,
+    main,
     parse_config,
     reproduce,
     run_sweep,
@@ -261,6 +262,8 @@ def reference(quantity, cfg):
     if quantity == "sensitivity_lossy":
         denom = t * 2.0 * math.sqrt(2.0) * ell * math.cosh(g) * a * abs(math.sin(delta))
         return math.inf if abs(denom) < 1e-12 else math.sqrt(t * (noise - 1.0) + 1.0) / denom
+    if quantity == "fluctuation":
+        return math.sqrt(t * (noise - 1.0) + 1.0)
     if quantity == "qcrb":
         s = math.sinh(2.0 * g) ** 2 + a**2 * (1.0 + 2.0 * math.cosh(2.0 * g) + math.cosh(4.0 * g))
         return 1.0 / (2.0 * ell * math.sqrt(s))
@@ -298,6 +301,80 @@ def test_table_carries_the_libm_closed_forms(quantity):
             transmissivity=t[i],
         )
         assert repr(float(values[i])) == repr(reference(quantity, cfg)), (i, cfg)
+
+
+@pytest.mark.parametrize("t", [1.0, 0.37, 0.0])
+def test_fluctuation_table_carries_the_libm_closed_form(t):
+    # a g-by-phi grid past the overflow of cosh 2g (g = 355.24) and through
+    # the squeezed noise at cos(2 l phi) = -1; at g = 355.2 cosh 2g is finite
+    # but the noise term overflows to inf
+    rng = np.random.default_rng(19)
+    g = np.concatenate([rng.uniform(0.0, 4.0, 20), [354.0, 355.2, 356.0, 700.0]])
+    phi = np.concatenate([rng.uniform(-7.0, 7.0, 15), [0.0, math.pi / 4.0]])
+    ell, alpha_mag, theta = 2, 3.5, 0.6
+    g_grid, phi_grid = np.ix_(g, phi)
+    grid = metrology.fluctuation_table(g_grid, ell, alpha_mag, theta, phi_grid, t)
+    assert grid.shape == (len(g), len(phi))
+    for i, j in itertools.product(range(len(g)), range(len(phi))):
+        point = (float(g[i]), ell, alpha_mag, theta, float(phi[j]), t)
+        cfg = ExperimentConfig(*point[:5], transmissivity=t)
+        try:
+            want = reference("fluctuation", cfg)
+        except OverflowError:
+            assert math.isnan(grid[i, j])
+            with pytest.raises(OverflowError):
+                metrology.fluctuation_table(*point)
+            continue
+        assert repr(float(grid[i, j])) == repr(want), point
+        assert repr(float(metrology.fluctuation_table(*point))) == repr(want), point
+
+
+# eval's columns through the scalar API: the lossy signal and sensitivity,
+# the lossless benchmarks, and the libm transcription of the fluctuation
+EVAL_SCALAR = {
+    "signal": homodyne_mean_lossy,
+    "fluctuation": lambda cfg: reference("fluctuation", cfg),
+    "sensitivity": sensitivity_lossy,
+    "snl": shot_noise_limit,
+    "hl": heisenberg_limit,
+    "qcrb": quantum_cramer_rao_bound,
+    "visibility": visibility,
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "text",
+    [
+        "g = 2\nalpha_sq = 100\ntheta = 1.5707963267948966\nphi = 0.8",
+        "g = 1\nell = 2\nalpha_sq = 4\ntheta = 0.7\nphi = 0.4\ntransmissivity = 0.6",
+        "g = 1.2\nalpha_sq = 0\ntheta = 0.5\nphi = 0.3",
+        "g = 1.5\nalpha_sq = 9\ntheta = 0.2\nphi = 1.1\ntransmissivity = 0",
+        "g = 350\nalpha_sq = 1e12\ntheta = 1.5707963267948966",
+    ],
+    ids=["lossless", "lossy", "zero-amplitude", "total-loss", "bright"],
+)
+def test_eval_row_equals_direct_calls(tmp_path, capsys, text):
+    """Each eval column is the repr of its scalar call, or nan where that
+    call raises; the flag follows the sweep rule."""
+    path = tmp_path / "point.cfg"
+    path.write_text(text)
+    assert main(["eval", "--config", str(path)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    cfg = parse_config(text)
+    assert lines[0].split(",")[6:-1] == list(EVAL_SCALAR)
+    for name, fn in EVAL_SCALAR.items():
+        try:
+            want = repr(fn(cfg))
+        except (ValueError, ArithmeticError):
+            want = "nan"
+        assert row[name] == want, name
+    values = [float(row[name]) for name in EVAL_SCALAR]
+    nan = any(map(math.isnan, values))
+    assert row["flag"] == (
+        "divergent" if row["sensitivity"] == "inf" else "non-finite" if nan else ""
+    )
 
 
 class TestBrightInputs:
