@@ -5,12 +5,19 @@ The lossless chain lives in a 4-dimensional phase space (modes A, B).  The
 lossy chain attaches two vacuum environment modes, mixes each arm with its
 environment on a virtual beam splitter right after the angular displacement,
 and traces the environments out after the output coupler.
+
+``lossless_chain`` and ``lossy_chain`` run a whole grid of working points at
+once: the parameters are broadcast arrays, each element is one stacked
+product over them, and every element and state is checked per point.
+``run_lossless`` and ``run_lossy`` are the same chains at one point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .phase_space import (
     GaussianState,
@@ -27,6 +34,8 @@ from .phase_space import (
 
 __all__ = [
     "ExperimentConfig",
+    "lossless_chain",
+    "lossy_chain",
     "run_lossless",
     "run_lossy",
     "mean_photon_number",
@@ -71,35 +80,48 @@ class ExperimentConfig:
             raise ValueError("transmissivity must lie in [0, 1]")
 
 
-def _run(config: ExperimentConfig, modes: int, ops: tuple) -> GaussianState:
+def _run(alpha_mag, theta, modes: int, ops: tuple) -> GaussianState:
     """The vacuum on ``modes`` modes with the coherent input displaced into
     mode A, then each element of ``ops`` in order."""
-    state = displace(vacuum_state(modes), 0, config.alpha_mag, config.theta)
+    state = displace(vacuum_state(modes), 0, alpha_mag, theta)
     for op in ops:
         state = apply(op, state)
     return state
 
 
-def run_lossless(config: ExperimentConfig) -> GaussianState:
-    """Two-mode chain: displace input A, amplify, rotate, recombine."""
+def lossless_chain(g, ell, alpha_mag, theta, phi) -> GaussianState:
+    """Two-mode chain over broadcast parameter arrays: displace input A,
+    amplify, rotate, recombine.  The inputs must lie in ExperimentConfig's
+    domain; the result is a stack of states over their broadcast shape."""
+    ops = (opa_matrix(g), angular_displacement_matrix(ell, phi), bs_matrix())
+    return _run(alpha_mag, theta, 2, ops)
+
+
+def lossy_chain(g, ell, alpha_mag, theta, phi, transmissivity) -> GaussianState:
+    """Four-mode chain over broadcast parameter arrays, with loss inserted
+    between the rotation and the coupler; the environment modes are traced
+    out at the end."""
     ops = (
-        opa_matrix(config.g),
-        angular_displacement_matrix(config.ell, config.phi),
-        bs_matrix(),
+        extend_with_environment(opa_matrix(g)),
+        extend_with_environment(angular_displacement_matrix(ell, phi)),
+        virtual_bs_matrix(transmissivity),
+        extend_with_environment(bs_matrix()),
     )
-    return _run(config, 2, ops)
+    return trace_out(_run(alpha_mag, theta, 4, ops), (2, 3))
+
+
+def run_lossless(config: ExperimentConfig) -> GaussianState:
+    """Two-mode chain at one working point: displace input A, amplify,
+    rotate, recombine."""
+    return lossless_chain(config.g, config.ell, config.alpha_mag, config.theta, config.phi)
 
 
 def run_lossy(config: ExperimentConfig) -> GaussianState:
-    """Four-mode chain with loss inserted between the rotation and the
-    coupler; the environment modes are traced out at the end."""
-    ops = (
-        extend_with_environment(opa_matrix(config.g)),
-        extend_with_environment(angular_displacement_matrix(config.ell, config.phi)),
-        virtual_bs_matrix(config.transmissivity),
-        extend_with_environment(bs_matrix()),
+    """Four-mode chain at one working point, with loss inserted between the
+    rotation and the coupler."""
+    return lossy_chain(
+        config.g, config.ell, config.alpha_mag, config.theta, config.phi, config.transmissivity
     )
-    return trace_out(_run(config, 4, ops), (2, 3))
 
 
 def mean_photon_number(config: ExperimentConfig) -> float:
@@ -114,11 +136,14 @@ def mean_photon_number(config: ExperimentConfig) -> float:
     return n
 
 
-def quadrature_mean(state: GaussianState) -> float:
-    """<X> of output mode A."""
-    return float(state.mean[0])
+def quadrature_mean(state: GaussianState):
+    """<X> of output mode A; an array over a stack of states."""
+    mean = state.mean[..., 0]
+    return mean if mean.ndim else float(mean)
 
 
-def quadrature_second_moment(state: GaussianState) -> float:
-    """<X^2> of output mode A (variance plus squared mean)."""
-    return float(state.cov[0, 0] + state.mean[0] ** 2)
+def quadrature_second_moment(state: GaussianState):
+    """<X^2> of output mode A (variance plus squared mean); an array over a
+    stack of states.  The square is ``pow``, as for one state."""
+    moment = state.cov[..., 0, 0] + np.float_power(state.mean[..., 0], 2.0)
+    return moment if moment.ndim else float(moment)

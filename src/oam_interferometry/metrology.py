@@ -7,7 +7,9 @@ The eight sweep quantities (``signal``, ``sensitivity``,
 ``max_loss``) are each defined once, as a closed form that broadcasts over
 numpy arrays of ``(g, ell, alpha_mag, theta, phi, transmissivity)``; ``TABLE``
 maps each name to its function.  ``fluctuation_table``, the quadrature noise
-that ``eval`` reports beside them, is one more such form.  Where a formula
+that ``eval`` reports beside them, and ``second_moment_table`` and
+``photon_number_table``, the moments ``validate`` compares with the
+phase-space engine, are more such forms.  Where a formula
 fails (zero photon number or amplitude, a hyperbolic or a photon number that
 overflows), scalar inputs raise its error and array inputs give nan.  The
 scalar functions of an ``ExperimentConfig`` and ``max_allowable_loss`` call
@@ -37,6 +39,8 @@ __all__ = [
     "sensitivity_table",
     "sensitivity_lossy_table",
     "fluctuation_table",
+    "second_moment_table",
+    "photon_number_table",
     "qcrb_table",
     "snl_table",
     "hl_table",
@@ -220,6 +224,37 @@ def fluctuation_table(g, ell, alpha_mag, theta, phi, transmissivity):
 
 
 @np.errstate(all="ignore")
+def second_moment_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    """<X_A^2> with arm transmissivity T: ``T <X_A^2> + 1 - T`` over the
+    lossless four-term closed form
+    ``cos(2 theta + 4 l phi) cosh^2 g |alpha|^2 + cos(2 theta) sinh^2 g |alpha|^2
+    + (cosh 2g + cos(2 l phi) sinh 2g) (|alpha|^2 + 1)
+    + cos(2 theta + 2 l phi) sinh 2g |alpha|^2``.
+
+    Fails where |alpha|^2 or a hyperbolic overflows, in that order.
+    """
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    a2 = steps.libm(_square, alpha_mag)
+    ch2 = steps.libm(lambda x: math.cosh(2.0 * x), g)
+    sh2 = steps.libm(lambda x: math.sinh(2.0 * x), g)
+    moment = (
+        np.cos(2.0 * theta + 4.0 * ell * phi) * steps.libm(lambda x: math.cosh(x) ** 2, g) * a2
+        + np.cos(2.0 * theta) * steps.libm(lambda x: math.sinh(x) ** 2, g) * a2
+        + (ch2 + np.cos(2.0 * ell * phi) * sh2) * (a2 + 1.0)
+        + np.cos(2.0 * theta + 2.0 * ell * phi) * sh2 * a2
+    )
+    return steps.result(transmissivity * moment + (1.0 - transmissivity))
+
+
+@np.errstate(all="ignore")
+def photon_number_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    """Mean photon number inside the interferometer, before any loss:
+    ``cosh(2g) |alpha|^2 + 2 sinh^2 g``; fails where it overflows."""
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    return steps.result(_photon_number(steps, g, alpha_mag))
+
+
+@np.errstate(all="ignore")
 def qcrb_table(g, ell, alpha_mag, theta, phi, transmissivity):
     """Quantum Cramer-Rao bound of the probe state:
     ``1 / (2 l sqrt(sinh^2 2g + |alpha|^2 [1 + 2 cosh 2g + cosh 4g]))``."""
@@ -346,21 +381,12 @@ def homodyne_mean_lossy(config: ExperimentConfig) -> float:
 
 def homodyne_second_moment(config: ExperimentConfig) -> float:
     """<X_A^2> of the lossless chain (four-term closed form)."""
-    g, ell, theta, phi = config.g, config.ell, config.theta, config.phi
-    a2 = config.alpha_mag**2
-    ch2, sh2 = math.cosh(2.0 * g), math.sinh(2.0 * g)
-    return (
-        math.cos(2.0 * theta + 4.0 * ell * phi) * math.cosh(g) ** 2 * a2
-        + math.cos(2.0 * theta) * math.sinh(g) ** 2 * a2
-        + (ch2 + math.cos(2.0 * ell * phi) * sh2) * (a2 + 1.0)
-        + math.cos(2.0 * theta + 2.0 * ell * phi) * sh2 * a2
-    )
+    return _at(second_moment_table, config, transmissivity=1.0)
 
 
 def homodyne_second_moment_lossy(config: ExperimentConfig) -> float:
     """<X_A^2> with loss: ``T <X_A^2> + (1 - T)``."""
-    t = config.transmissivity
-    return t * homodyne_second_moment(config) + (1.0 - t)
+    return _at(second_moment_table, config)
 
 
 def sensitivity(config: ExperimentConfig) -> float:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import oam_interferometry
-from oam_interferometry import ExperimentConfig, fock_oracle
+from oam_interferometry import ExperimentConfig, SymplecticOp, fock_oracle, interferometer
 from oam_interferometry import homodyne_mean, quantum_cramer_rao_bound, sensitivity, shot_noise_limit
+from oam_interferometry import quadrature_mean, run_lossless
 from oam_interferometry.cli import (
     EVAL_COLUMNS,
     ConfigError,
@@ -20,7 +21,7 @@ from oam_interferometry.cli import (
     run_sweep,
     to_csv,
 )
-from oam_interferometry.validation import run_validation
+from oam_interferometry.validation import CheckResult, run_validation
 from reference import repeated
 
 FIG3_TEXT = "g=2\nell=1\nalpha_sq=100"
@@ -259,6 +260,31 @@ class TestValidateHarness:
         assert not validation.passed
         failed = {c.name for c in validation.checks if not c.passed}
         assert "signal mean: oracle vs closed form" in failed
+
+    def test_corrupted_engine_coupler_sign_is_caught(self, monkeypatch):
+        # the engine's coupler with the sign of b flipped, a -> (a - b)/sqrt2:
+        # still symplectic, so only the comparison with the closed form sees it
+        coupler = interferometer.bs_matrix()
+        corrupted = SymplecticOp(coupler.matrix.T, "BS")
+        monkeypatch.setattr(interferometer, "bs_matrix", lambda: corrupted)
+        cfg = ExperimentConfig(g=0.3, ell=1, alpha_mag=1.0, theta=0.4, phi=0.7)
+        assert abs(quadrature_mean(run_lossless(cfg)) - homodyne_mean(cfg)) > 1e-3
+
+        validation = run_validation("quick")
+        assert not validation.passed
+        failed = {c.name for c in validation.checks if not c.passed}
+        assert "signal mean: engine vs closed form" in failed
+        assert not any("oracle" in name for name in failed)
+
+    def test_nan_deviation_is_the_worst_and_fails(self):
+        check = CheckResult("x", 1e-9)
+        check.update(1e-12, "first")
+        check.update(math.nan, "here")
+        check.update(1.0, "later")
+        check.update(math.nan, "second nan")
+        assert math.isnan(check.worst)
+        assert check.worst_at == "here"
+        assert not check.passed
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

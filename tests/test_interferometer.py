@@ -8,6 +8,8 @@ import pytest
 
 from oam_interferometry import (
     ExperimentConfig,
+    GaussianState,
+    SymplecticOp,
     angular_displacement_matrix,
     apply,
     bs_matrix,
@@ -24,8 +26,15 @@ from oam_interferometry import (
     run_lossy,
     vacuum_state,
 )
+from oam_interferometry.interferometer import lossless_chain, lossy_chain
 from oam_interferometry.phase_space import MAX_GAIN
-from oam_interferometry.validation import ENGINE_TOL, LOSS_LAW_TOL
+from oam_interferometry.validation import (
+    ENGINE_TOL,
+    LOSS_LAW_TOL,
+    _columns,
+    grid_configs,
+    random_lossy_configs,
+)
 from helpers import guarded_rel, random_config
 from reference import LossChannel, apply_loss
 
@@ -203,3 +212,82 @@ class TestLargeGain:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=r"^g = 400\.0 is outside the engine's range"):
                 run(cfg)
+
+
+def _large_gain_configs():
+    return [
+        _cfg(g=g, ell=ell, alpha_mag=3.0, theta=theta, phi=0.2, transmissivity=0.7)
+        for g in (8.0, 50.0, 200.0, 300.0, MAX_GAIN)
+        for ell in (1, 3)
+        for theta in (0.3, 2.0)
+    ]
+
+
+def _error(call):
+    with pytest.raises(ValueError) as raised:
+        call()
+    return str(raised.value)
+
+
+class TestBatchedChains:
+    """The stacked chains that validate runs against the per-point reference."""
+
+    @pytest.mark.parametrize(
+        "configs",
+        [
+            lambda: grid_configs("quick"),
+            lambda: grid_configs("full"),
+            lambda: random_lossy_configs(1000),
+            _large_gain_configs,
+        ],
+        ids=["quick", "full", "random-lossy", "large-gain"],
+    )
+    def test_stacks_equal_the_per_point_states(self, configs):
+        configs = configs()
+        columns = _columns(configs)
+        for batched, run in (
+            (lossless_chain(*columns[:5]), run_lossless),
+            (lossy_chain(*columns), run_lossy),
+        ):
+            assert batched.mean.shape == (len(configs), 4)
+            reference = [run(cfg) for cfg in configs]
+            for name in ("mean", "cov"):
+                want = np.array([getattr(state, name) for state in reference])
+                got = getattr(batched, name)
+                assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want))), name
+
+    def test_non_symplectic_element_of_a_stack_is_rejected(self):
+        stack = opa_matrix(np.array([0.5, 10.0, 2.0])).matrix.copy()
+        stack[1, 0, 0] *= 1.0 + 1e-6
+        alone = _error(lambda: SymplecticOp(stack[1], "OPA"))
+        assert alone.startswith("OPA: not symplectic (defect ")
+        assert _error(lambda: SymplecticOp(stack, "OPA")) == alone
+
+    @pytest.mark.parametrize(
+        "field,index,value,text",
+        [
+            ("mean", (1, 2), math.nan, "mean must be finite"),
+            ("mean", (2, 0), -math.inf, "mean must be finite"),
+            ("cov", (1, 3, 3), math.inf, "cov must be finite"),
+            ("cov", (2, 0, 1), 0.5, "cov must be symmetric"),
+        ],
+    )
+    def test_one_bad_state_of_a_stack_is_rejected(self, field, index, value, text):
+        state = lossless_chain(np.array([0.2, 0.7, 1.5]), 2, 1.3, 0.4, 1.1)
+        arrays = {"mean": state.mean.copy(), "cov": state.cov.copy()}
+        arrays[field][index] = value
+        point = index[0]
+        alone = _error(lambda: GaussianState(arrays["mean"][point], arrays["cov"][point]))
+        assert alone == text
+        assert _error(lambda: GaussianState(arrays["mean"], arrays["cov"])) == text
+
+    @pytest.mark.parametrize(
+        "chain,run,loss",
+        [(lossless_chain, run_lossless, ()), (lossy_chain, run_lossy, (0.7,))],
+        ids=["lossless", "lossy"],
+    )
+    def test_gain_past_the_range_names_g(self, chain, run, loss):
+        g = np.array([1.0, 400.0, 2.0])
+        alone = _error(lambda: run(_cfg(g=400.0, alpha_mag=3.0, transmissivity=0.7)))
+        assert alone.startswith("g = 400.0 is outside the engine's range")
+        assert _error(lambda: chain(g, 1, 3.0, 0.0, 0.0, *loss)) == alone

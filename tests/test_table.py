@@ -264,6 +264,16 @@ def reference(quantity, cfg):
         return math.inf if abs(denom) < 1e-12 else math.sqrt(t * (noise - 1.0) + 1.0) / denom
     if quantity == "fluctuation":
         return math.sqrt(t * (noise - 1.0) + 1.0)
+    if quantity == "second_moment":
+        a2 = a**2
+        ch2, sh2 = math.cosh(2.0 * g), math.sinh(2.0 * g)
+        moment = (
+            math.cos(2.0 * theta + 4.0 * ell * phi) * math.cosh(g) ** 2 * a2
+            + math.cos(2.0 * theta) * math.sinh(g) ** 2 * a2
+            + (ch2 + math.cos(2.0 * ell * phi) * sh2) * (a2 + 1.0)
+            + math.cos(2.0 * theta + 2.0 * ell * phi) * sh2 * a2
+        )
+        return t * moment + (1.0 - t)
     if quantity == "qcrb":
         s = math.sinh(2.0 * g) ** 2 + a**2 * (1.0 + 2.0 * math.cosh(2.0 * g) + math.cosh(4.0 * g))
         return 1.0 / (2.0 * ell * math.sqrt(s))
@@ -327,6 +337,54 @@ def test_fluctuation_table_carries_the_libm_closed_form(t):
             continue
         assert repr(float(grid[i, j])) == repr(want), point
         assert repr(float(metrology.fluctuation_table(*point))) == repr(want), point
+
+
+@pytest.mark.parametrize("t", [1.0, 0.37, 0.0])
+def test_second_moment_table_carries_the_libm_closed_form(t):
+    # random points, then a g-by-phi grid past the overflow of the squares and
+    # of cosh 2g; homodyne_second_moment[_lossy] are the same form at a point
+    rng = np.random.default_rng(23)
+    n = 400
+    g, theta, phi = rng.uniform(0.0, 4.0, n), *rng.uniform(-7.0, 7.0, (2, n))
+    ell = rng.integers(1, 6, n)
+    alpha_sq = rng.uniform(0.01, 1000.0, n)
+    # a point where pow(|alpha|, 2) and x*x differ
+    alpha_sq[0] = 380.42426988653233
+    values = metrology.second_moment_table(g, ell, np.sqrt(alpha_sq), theta, phi, t)
+    for i in range(n):
+        cfg = ExperimentConfig(
+            g=g[i],
+            ell=int(ell[i]),
+            alpha_mag=math.sqrt(alpha_sq[i]),
+            theta=theta[i],
+            phi=phi[i],
+            transmissivity=t,
+        )
+        want = repr(reference("second_moment", cfg))
+        assert repr(float(values[i])) == want, (i, cfg)
+        assert repr(metrology.homodyne_second_moment_lossy(cfg)) == want, (i, cfg)
+        if t == 1.0:
+            assert repr(metrology.homodyne_second_moment(cfg)) == want, (i, cfg)
+
+    g = np.concatenate([rng.uniform(0.0, 4.0, 10), [354.0, 355.2, 356.0, 700.0]])
+    phi = np.concatenate([rng.uniform(-7.0, 7.0, 8), [0.0, math.pi / 4.0]])
+    ell, alpha_mag, theta = 2, 3.5, 0.6
+    g_grid, phi_grid = np.ix_(g, phi)
+    grid = metrology.second_moment_table(g_grid, ell, alpha_mag, theta, phi_grid, t)
+    assert grid.shape == (len(g), len(phi))
+    for i, j in itertools.product(range(len(g)), range(len(phi))):
+        point = (float(g[i]), ell, alpha_mag, theta, float(phi[j]), t)
+        cfg = ExperimentConfig(*point[:5], transmissivity=t)
+        try:
+            want = reference("second_moment", cfg)
+        except OverflowError as exc:
+            assert math.isnan(grid[i, j])
+            with pytest.raises(OverflowError) as raised:
+                metrology.second_moment_table(*point)
+            assert str(raised.value) == str(exc)
+            continue
+        assert repr(float(grid[i, j])) == repr(want), point
+        assert repr(float(metrology.second_moment_table(*point))) == repr(want), point
 
 
 # eval's columns through the scalar API: the lossy signal and sensitivity,
