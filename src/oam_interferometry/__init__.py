@@ -1,8 +1,8 @@
 """Angular-displacement metrology in an OAM-fed SU(1,1)-SU(2) hybrid
 interferometer.
 
-A Gaussian phase-space engine evolves the interferometer's two (or, with
-loss, four) modes; closed-form homodyne statistics, sensitivity, and the
+A Gaussian phase-space engine evolves the interferometer's two modes, with a
+loss stage in both arms; closed-form homodyne statistics, sensitivity, and the
 metrology benchmarks sit on top; a truncated-Fock brute-force validator and a
 sweep CLI round it out.
 """
@@ -46,7 +46,6 @@ from .phase_space import (
     apply,
     bs_matrix,
     displace,
-    extend_with_environment,
     omega,
     opa_matrix,
     photon_number,

@@ -590,7 +590,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 2 on usage errors; the contract reserves 2 for
         # validation failures, so usage problems map to 1
         return 0 if exc.code in (0, None) else 1
-    print("note: theta and phi are interpreted as radians", file=sys.stderr)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, SweepError) as exc:

@@ -1,10 +1,11 @@
 """The interferometer chain: parametric-amplifier entry, angular displacement,
 balanced-beam-splitter exit, with an optional loss stage in both arms.
 
-The lossless chain lives in a 4-dimensional phase space (modes A, B).  The
-lossy chain attaches two vacuum environment modes, mixes each arm with its
-environment on a virtual beam splitter right after the angular displacement,
-and traces the environments out after the output coupler.
+Both chains live in the 4-dimensional phase space of modes A and B.  The
+lossy chain is the lossless one with a loss stage (``phase_space.attenuate``)
+between the angular displacement and the output coupler: each arm mixes with
+a vacuum environment on a virtual beam splitter, and the environments are
+traced out at once.
 
 ``lossless_chain`` and ``lossy_chain`` run a whole grid of working points at
 once: the parameters are broadcast arrays, each element is one stacked
@@ -23,13 +24,11 @@ from .phase_space import (
     GaussianState,
     angular_displacement_matrix,
     apply,
+    attenuate,
     bs_matrix,
     displace,
-    extend_with_environment,
     opa_matrix,
-    trace_out,
     vacuum_state,
-    virtual_bs_matrix,
 )
 
 __all__ = [
@@ -80,34 +79,24 @@ class ExperimentConfig:
             raise ValueError("transmissivity must lie in [0, 1]")
 
 
-def _run(alpha_mag, theta, modes: int, ops: tuple) -> GaussianState:
-    """The vacuum on ``modes`` modes with the coherent input displaced into
-    mode A, then each element of ``ops`` in order."""
-    state = displace(vacuum_state(modes), 0, alpha_mag, theta)
-    for op in ops:
-        state = apply(op, state)
-    return state
+def _rotated(g, ell, alpha_mag, theta, phi) -> GaussianState:
+    """The coherent input displaced into mode A, amplified and rotated: the
+    two-mode state ahead of the loss stage and the coupler."""
+    amplifier, rotation = opa_matrix(g), angular_displacement_matrix(ell, phi)
+    return apply(rotation, apply(amplifier, displace(vacuum_state(2), 0, alpha_mag, theta)))
 
 
 def lossless_chain(g, ell, alpha_mag, theta, phi) -> GaussianState:
     """Two-mode chain over broadcast parameter arrays: displace input A,
     amplify, rotate, recombine.  The inputs must lie in ExperimentConfig's
     domain; the result is a stack of states over their broadcast shape."""
-    ops = (opa_matrix(g), angular_displacement_matrix(ell, phi), bs_matrix())
-    return _run(alpha_mag, theta, 2, ops)
+    return apply(bs_matrix(), _rotated(g, ell, alpha_mag, theta, phi))
 
 
 def lossy_chain(g, ell, alpha_mag, theta, phi, transmissivity) -> GaussianState:
-    """Four-mode chain over broadcast parameter arrays, with loss inserted
-    between the rotation and the coupler; the environment modes are traced
-    out at the end."""
-    ops = (
-        extend_with_environment(opa_matrix(g)),
-        extend_with_environment(angular_displacement_matrix(ell, phi)),
-        virtual_bs_matrix(transmissivity),
-        extend_with_environment(bs_matrix()),
-    )
-    return trace_out(_run(alpha_mag, theta, 4, ops), (2, 3))
+    """The lossless chain over broadcast parameter arrays, with loss of
+    transmissivity T in both arms between the rotation and the coupler."""
+    return apply(bs_matrix(), attenuate(_rotated(g, ell, alpha_mag, theta, phi), transmissivity))
 
 
 def run_lossless(config: ExperimentConfig) -> GaussianState:
@@ -117,7 +106,7 @@ def run_lossless(config: ExperimentConfig) -> GaussianState:
 
 
 def run_lossy(config: ExperimentConfig) -> GaussianState:
-    """Four-mode chain at one working point, with loss inserted between the
+    """The lossy chain at one working point: loss in both arms between the
     rotation and the coupler."""
     return lossy_chain(
         config.g, config.ell, config.alpha_mag, config.theta, config.phi, config.transmissivity
@@ -125,15 +114,19 @@ def run_lossy(config: ExperimentConfig) -> GaussianState:
 
 
 def mean_photon_number(config: ExperimentConfig) -> float:
-    """Mean photon number inside the interferometer (before any loss):
-    ``cosh(2g) |alpha|^2 + 2 sinh^2 g``.
+    """Mean photon number inside the interferometer (before any loss), as
+    ``metrology.photon_number_table`` at ``config``.
 
     Raises OverflowError where that number leaves the double range.
     """
-    n = math.cosh(2.0 * config.g) * config.alpha_mag**2 + 2.0 * math.sinh(config.g) ** 2
-    if n == math.inf:
-        raise OverflowError("photon number out of range")
-    return n
+    # metrology imports this module at load time
+    from .metrology import photon_number_table
+
+    return float(
+        photon_number_table(
+            config.g, config.ell, config.alpha_mag, config.theta, config.phi, config.transmissivity
+        )
+    )
 
 
 def quadrature_mean(state: GaussianState):

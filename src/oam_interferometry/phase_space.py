@@ -9,9 +9,10 @@ Conventions (fixed once, everything else is calibrated against them):
   by ``(2 r cos(theta), 2 r sin(theta))``.
 
 Lossless elements are symplectic matrices ``S`` (``S @ Omega @ S.T == Omega``)
-applied as ``mean -> S mean``, ``cov -> S cov S^T``.  Photon loss is a virtual
-beam splitter against vacuum environment modes followed by a partial trace,
-which for Gaussian states is plain row/column deletion.
+applied as ``mean -> S mean``, ``cov -> S cov S^T``.  Photon loss
+(``attenuate``) is a virtual beam splitter against vacuum environment modes
+followed by a partial trace, which for Gaussian states is plain row/column
+deletion.
 
 Everything here broadcasts over leading axes.  An element built from arrays
 of parameters is a stack of matrices, shape ``(..., 2m, 2m)``, and a state
@@ -63,10 +64,10 @@ __all__ = [
     "opa_matrix",
     "angular_displacement_matrix",
     "bs_matrix",
-    "extend_with_environment",
     "virtual_bs_matrix",
     "apply",
     "trace_out",
+    "attenuate",
     "photon_number",
 ]
 
@@ -293,16 +294,6 @@ def bs_matrix() -> SymplecticOp:
     return SymplecticOp(m, "BS")
 
 
-def extend_with_environment(op: SymplecticOp) -> SymplecticOp:
-    """Direct sum of a two-mode element with the identity on two environment modes."""
-    if op.matrix.shape[-2:] != (4, 4):
-        raise ValueError("dimension mismatch: expected a 4x4 system operator")
-    m = np.empty(op.matrix.shape[:-2] + (8, 8))
-    m[...] = np.eye(8)
-    m[..., :4, :4] = op.matrix
-    return SymplecticOp(m, op.label)
-
-
 def virtual_bs_matrix(transmissivity) -> SymplecticOp:
     """Virtual beam splitters coupling both system modes to vacuum environments.
 
@@ -345,13 +336,26 @@ def trace_out(state: GaussianState, modes: Iterable[int]) -> GaussianState:
     return GaussianState(state.mean[..., idx], state.cov[..., idx[:, None], idx])
 
 
+def attenuate(state: GaussianState, transmissivity) -> GaussianState:
+    """Photon loss of transmissivity T in both modes of a two-mode state, or
+    of a stack of them: the state beside two vacuum environment modes, through
+    ``virtual_bs_matrix``, with the environments traced out."""
+    if state.mode_count != 2:
+        raise ValueError(f"attenuate acts on two-mode states, not {state.mode_count}")
+    stack = state.mean.shape[:-1]
+    mean = np.zeros(stack + (8,))
+    cov = np.zeros(stack + (8, 8))
+    mean[..., :4], cov[..., :4, :4], cov[..., 4:, 4:] = state.mean, state.cov, np.eye(4)
+    return trace_out(apply(virtual_bs_matrix(transmissivity), GaussianState(mean, cov)), (2, 3))
+
+
 @np.errstate(over="ignore")
 def photon_number(state: GaussianState):
     """Total mean photon number, summed over modes; an array over a stack.
 
     Per mode: ``(<x>^2 + <p>^2)/4 + (Var x + Var p - 2)/4`` in the
     vacuum-variance-1 convention.  Raises OverflowError where the number
-    leaves the double range, as ``interferometer.mean_photon_number`` does.
+    leaves the double range, as ``metrology.photon_number_table`` does.
     """
     # Python floats: a square that overflows raises, where numpy's would turn inf
     square = _libm(_square, state.mean)

@@ -21,7 +21,7 @@ from oam_interferometry.cli import (
     run_sweep,
     to_csv,
 )
-from oam_interferometry.validation import CheckResult, run_validation
+from oam_interferometry.validation import _describe, _record, run_validation
 from reference import repeated
 
 FIG3_TEXT = "g=2\nell=1\nalpha_sq=100"
@@ -276,15 +276,23 @@ class TestValidateHarness:
         assert "signal mean: engine vs closed form" in failed
         assert not any("oracle" in name for name in failed)
 
+    def _configs(self, count):
+        return [
+            ExperimentConfig(g=g, ell=1, alpha_mag=1.0, theta=0.0, phi=0.0) for g in range(count)
+        ]
+
     def test_nan_deviation_is_the_worst_and_fails(self):
-        check = CheckResult("x", 1e-9)
-        check.update(1e-12, "first")
-        check.update(math.nan, "here")
-        check.update(1.0, "later")
-        check.update(math.nan, "second nan")
+        configs = self._configs(4)
+        check = _record("x", 1e-9, np.array([1e-12, math.nan, 1.0, math.nan]), configs)
         assert math.isnan(check.worst)
-        assert check.worst_at == "here"
+        assert check.worst_at == _describe(configs[1])
         assert not check.passed
+
+    def test_all_zero_deviations_report_zero_at_no_point(self):
+        configs = self._configs(3)
+        check = _record("x", 1e-9, np.zeros(3), configs, np.full(3, 40.0), np.zeros(3))
+        assert (check.worst, check.worst_at, check.cutoff, check.tail_mass) == (0.0, "", None, None)
+        assert check.passed
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
@@ -301,7 +309,7 @@ class TestMainEntry:
         path = self._write(tmp_path, FIG3_TEXT + "\ntheta = 1.5707963267948966\nphi = 1.5707963267948966")
         assert main(["eval", "--config", path]) == 0
         captured = capsys.readouterr()
-        assert "note: theta and phi are interpreted as radians" in captured.err
+        assert captured.err == ""
         lines = [l for l in captured.out.splitlines() if not l.startswith("#")]
         assert lines[0].startswith("g,ell,alpha_sq")
         row = lines[1].split(",")

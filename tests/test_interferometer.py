@@ -144,6 +144,31 @@ class TestPhotonNumber:
             with pytest.raises(OverflowError):
                 photon_number(run_lossless(cfg))
 
+    def test_is_the_table_form_bit_for_bit(self):
+        configs = random_lossy_configs(200, seed=3) + grid_configs("quick")
+        g, ell, alpha_mag, theta, phi, t = _columns(configs)
+        table = metrology.photon_number_table(g, ell, alpha_mag, theta, phi, t)
+        assert [mean_photon_number(cfg) for cfg in configs] == table.tolist()
+
+    @pytest.mark.parametrize(
+        "g, alpha_mag, text",
+        [
+            (350.0, 1e6, "photon number out of range"),
+            (356.0, 1.0, "math range error"),
+            (2.0, 1e200, "(34, 'Numerical result out of range')"),
+            (700.0, 0.0, "math range error"),
+        ],
+    )
+    def test_overflow_raises_the_table_forms_error(self, g, alpha_mag, text):
+        cfg = _cfg(g=g, alpha_mag=alpha_mag, theta=0.1, phi=0.2)
+        for call in (
+            lambda: mean_photon_number(cfg),
+            lambda: metrology.photon_number_table(g, 1, alpha_mag, 0.1, 0.2, 1.0),
+        ):
+            with pytest.raises(OverflowError) as raised:
+                call()
+            assert str(raised.value) == text
+
     def test_displacement_past_the_float_range_names_the_mean(self):
         with pytest.raises(ValueError, match="^mean must be finite$"):
             run_lossless(_cfg(g=2.0, ell=1, alpha_mag=1e308, theta=0.1, phi=0.2))

@@ -13,7 +13,6 @@ from oam_interferometry import (
     apply,
     bs_matrix,
     displace,
-    extend_with_environment,
     omega,
     opa_matrix,
     photon_number,
@@ -22,7 +21,7 @@ from oam_interferometry import (
     vacuum_state,
     virtual_bs_matrix,
 )
-from oam_interferometry.phase_space import MAX_GAIN
+from oam_interferometry.phase_space import MAX_GAIN, attenuate
 from helpers import random_two_mode_state
 from reference import LossChannel, apply_loss, min_uncertainty_eigenvalue
 
@@ -106,21 +105,6 @@ class TestElementMatrices:
         )
         assert np.allclose(m @ m, expected, atol=1e-15)
 
-    def test_extend_identity(self):
-        op = SymplecticOp(np.eye(4), "BS")
-        assert np.array_equal(extend_with_environment(op).matrix, np.eye(8))
-
-    def test_extend_keeps_system_block(self):
-        op = opa_matrix(1.0)
-        big = extend_with_environment(op).matrix
-        assert np.array_equal(big[:4, :4], op.matrix)
-        assert np.array_equal(big[4:, 4:], np.eye(4))
-        assert np.max(np.abs(big[:4, 4:])) == 0.0
-
-    def test_extend_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError, match="dimension"):
-            extend_with_environment(virtual_bs_matrix(0.5))
-
     def test_virtual_bs_full_transmission(self):
         m = virtual_bs_matrix(1.0).matrix
         assert np.allclose(m[:4, :4], np.eye(4), atol=1e-15)
@@ -158,11 +142,6 @@ class TestSymplecticProperties:
     def test_virtual_bs_is_symplectic(self, t):
         assert symplectic_defect(virtual_bs_matrix(t).matrix) < TOL
 
-    @given(g=st.floats(-3.0, 3.0, allow_nan=False))
-    def test_extended_forms_are_symplectic(self, g):
-        for op in (opa_matrix(g), angular_displacement_matrix(2, g), bs_matrix()):
-            assert symplectic_defect(extend_with_environment(op).matrix) < TOL
-
 
 class TestApplyAndTrace:
     def test_identity_apply_is_noop(self):
@@ -199,12 +178,10 @@ class TestApplyAndTrace:
         assert np.array_equal(out.cov, state.cov)
 
     def test_trace_after_lossless_virtual_bs_keeps_system(self):
-        state = displace(vacuum_state(4), 0, 1.1, 0.7)
-        state = apply(extend_with_environment(opa_matrix(0.6)), state)
-        out = trace_out(apply(virtual_bs_matrix(1.0), state), (2, 3))
-        ref = trace_out(state, (2, 3))
-        assert np.allclose(out.mean, ref.mean, atol=1e-12)
-        assert np.allclose(out.cov, ref.cov, atol=1e-12)
+        state = apply(opa_matrix(0.6), displace(vacuum_state(2), 0, 1.1, 0.7))
+        out = attenuate(state, 1.0)
+        assert np.allclose(out.mean, state.mean, atol=1e-12)
+        assert np.allclose(out.cov, state.cov, atol=1e-12)
 
     def test_reduced_two_mode_squeezed_vacuum_is_thermal(self):
         g = 0.45
@@ -263,13 +240,7 @@ class TestLossChannel:
         rng = np.random.default_rng(seed)
         sys_state = random_two_mode_state(rng)
         direct = apply_loss(LossChannel(t), sys_state, (0, 1))
-
-        mean = np.concatenate([sys_state.mean, np.zeros(4)])
-        cov = np.eye(8)
-        cov[:4, :4] = sys_state.cov
-        extended = GaussianState(mean, cov)
-        routed = trace_out(apply(virtual_bs_matrix(t), extended), (2, 3))
-
+        routed = attenuate(sys_state, t)
         assert np.allclose(direct.mean, routed.mean, atol=1e-12)
         assert np.allclose(direct.cov, routed.cov, atol=1e-12)
 
@@ -283,6 +254,37 @@ class TestLossChannel:
         assert np.array_equal(w[:2, :2], np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+class TestAttenuate:
+    def test_full_transmission_returns_the_input_bytes(self):
+        state = random_two_mode_state(np.random.default_rng(3))
+        out = attenuate(state, 1.0)
+        assert out.mean.tobytes() == state.mean.tobytes()
+        assert out.cov.tobytes() == state.cov.tobytes()
+
+    def test_zero_transmission_returns_the_two_mode_vacuum(self):
+        out = attenuate(random_two_mode_state(np.random.default_rng(4)), 0.0)
+        assert np.array_equal(out.mean, vacuum_state(2).mean)
+        assert np.array_equal(out.cov, vacuum_state(2).cov)
+
+    def test_stack_equals_its_points_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        states = [random_two_mode_state(rng) for _ in range(6)]
+        t = rng.uniform(0.0, 1.0, 6)
+        stack = GaussianState(np.array([s.mean for s in states]), np.array([s.cov for s in states]))
+        # a stack of states, and one state over a stack of transmissivities
+        cases = ((attenuate(stack, t), states), (attenuate(states[0], t), states[:1] * 6))
+        for stacked, points in cases:
+            for i, state in enumerate(points):
+                point = attenuate(state, t[i])
+                assert stacked.mean[i].tobytes() == point.mean.tobytes()
+                assert stacked.cov[i].tobytes() == point.cov.tobytes()
+
+    @pytest.mark.parametrize("modes", [1, 3, 4])
+    def test_rejects_a_state_that_is_not_two_mode(self, modes):
+        with pytest.raises(ValueError, match="two-mode"):
+            attenuate(vacuum_state(modes), 0.5)
+
+
 class TestFastPathsMatchReferences:
     @pytest.mark.parametrize("modes", [1, 2, 3, 4])
     def test_omega_equals_block_diag(self, modes):
@@ -292,22 +294,6 @@ class TestFastPathsMatchReferences:
     def test_omega_is_read_only(self):
         with pytest.raises(ValueError):
             omega(2)[0, 0] = 1.0
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: opa_matrix(1.3),
-            lambda: opa_matrix(300.0),
-            lambda: angular_displacement_matrix(3, 0.7),
-            bs_matrix,
-        ],
-        ids=["opa", "opa-300", "ad", "bs"],
-    )
-    def test_extend_equals_block_diag_bit_for_bit(self, make):
-        op = make()
-        ext = extend_with_environment(op).matrix
-        ref = block_diag(op.matrix, np.eye(4))
-        assert ext.dtype == ref.dtype and ext.tobytes() == ref.tobytes()
 
     @given(
         modes=st.integers(1, 3),
