@@ -31,8 +31,6 @@ from .validation import run_validation
 
 QUANTITIES = tuple(metrology.TABLE)
 
-_SCALAR_KEYS = ("g", "ell", "alpha_sq", "theta", "phi", "transmissivity")
-_AXIS_NAMES = _SCALAR_KEYS
 # max_loss optimises phi/theta internally and solves for T itself
 _MAX_LOSS_AXES = ("g", "ell", "alpha_sq")
 
@@ -42,6 +40,7 @@ _MAX_LOSS_AXES = ("g", "ell", "alpha_sq")
 # to_csv, so the cap keeps a sweep under about 1 GB.
 MAX_SWEEP_POINTS = 2_000_000
 
+# the config-file fields, in metrology.TABLE's argument order, and their defaults
 _DEFAULTS = {
     "g": 0.0,
     "ell": 1,
@@ -50,6 +49,7 @@ _DEFAULTS = {
     "phi": 0.0,
     "transmissivity": 1.0,
 }
+_FIELDS = tuple(_DEFAULTS)
 
 
 class ConfigError(ValueError):
@@ -69,7 +69,8 @@ class SweepAxis:
 
     def __post_init__(self) -> None:
         # every value the axis produces must be a valid working-point field:
-        # a sweep evaluates its grid at once and builds no per-point config
+        # a sweep evaluates its grid at once and builds no per-point config,
+        # so ExperimentConfig's rules are checked here on the whole axis
         if self.count < 1:
             raise ValueError("sweep count must be >= 1")
         if not math.isfinite(self.stop - self.start):
@@ -121,26 +122,23 @@ def _parse_int(key: str, text: str, line_no: int) -> int:
 
 
 def _config_from_scalars(scalars: dict, line_of: dict) -> ExperimentConfig:
-    values = dict(_DEFAULTS)
-    values.update(scalars)
-    if values["ell"] < 1:
-        raise ConfigError(f"line {line_of.get('ell', '?')}: ell must be >= 1")
-    if values["g"] < 0:
-        raise ConfigError(f"line {line_of.get('g', '?')}: g must be >= 0")
+    """The working point of a file's scalars; an error names its field's line."""
+    values = {**_DEFAULTS, **scalars}
+    # alpha_sq is a file key, not a config field: its sign goes before its root
     if values["alpha_sq"] < 0:
         raise ConfigError(f"line {line_of.get('alpha_sq', '?')}: alpha_sq must be >= 0")
-    if not 0.0 <= values["transmissivity"] <= 1.0:
-        raise ConfigError(
-            f"line {line_of.get('transmissivity', '?')}: transmissivity must lie in [0, 1]"
+    try:
+        return ExperimentConfig(
+            g=values["g"],
+            ell=values["ell"],
+            alpha_mag=math.sqrt(values["alpha_sq"]),
+            theta=values["theta"],
+            phi=values["phi"],
+            transmissivity=values["transmissivity"],
         )
-    return ExperimentConfig(
-        g=values["g"],
-        ell=int(values["ell"]),
-        alpha_mag=math.sqrt(values["alpha_sq"]),
-        theta=values["theta"],
-        phi=values["phi"],
-        transmissivity=values["transmissivity"],
-    )
+    except ValueError as exc:
+        field = str(exc).split(maxsplit=1)[0]
+        raise ConfigError(f"line {line_of.get(field, '?')}: {exc}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig | SweepSpec:
@@ -162,7 +160,7 @@ def parse_config(text: str) -> ExperimentConfig | SweepSpec:
             raise ConfigError(f"line {line_no}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _SCALAR_KEYS:
+        if key in _FIELDS:
             if key in scalars:
                 raise ConfigError(f"line {line_no}: duplicate key {key}")
             if key == "ell":
@@ -186,7 +184,7 @@ def parse_config(text: str) -> ExperimentConfig | SweepSpec:
                     f"line {line_no}: sweep needs '<param> <start> <stop> <count>'"
                 )
             name = parts[0]
-            if name not in _AXIS_NAMES:
+            if name not in _FIELDS:
                 raise ConfigError(f"line {line_no}: unknown sweep parameter {name!r}")
             if any(axis.name == name for axis in axes):
                 raise ConfigError(f"line {line_no}: duplicate sweep axis {name!r}")
@@ -225,22 +223,14 @@ def parse_config(text: str) -> ExperimentConfig | SweepSpec:
     return SweepSpec(base=base, axes=tuple(axes), quantity=quantity)
 
 
-def _alpha_sq_text(alpha_mag: float) -> str:
-    # pick a representation whose sqrt round-trips to alpha_mag exactly
-    v = alpha_mag * alpha_mag
-    for cand in (v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)):
-        if math.sqrt(cand) == alpha_mag:
-            return repr(cand)
-    return repr(v)
-
-
 def render_config(config: ExperimentConfig) -> str:
-    """Canonical config text; parse_config(render_config(c)) == c."""
+    """Canonical config text; parse_config(render_config(c)) == c wherever
+    |alpha|^2 is a normal double, since then sqrt(x * x) == x exactly."""
     return "\n".join(
         [
             f"g = {config.g!r}",
             f"ell = {config.ell}",
-            f"alpha_sq = {_alpha_sq_text(config.alpha_mag)}",
+            f"alpha_sq = {config.alpha_mag * config.alpha_mag!r}",
             f"theta = {config.theta!r}",
             f"phi = {config.phi!r}",
             f"transmissivity = {config.transmissivity!r}",
@@ -268,21 +258,16 @@ def _grid_rows(axis_values: Sequence[np.ndarray], value, flags: Sequence[str]) -
 def _table_inputs(base: ExperimentConfig, axes: Sequence[SweepAxis], values) -> list:
     """The six table inputs: each swept field from ``values`` (open-grid
     arrays, or one point's floats), every other field the base config's."""
-    inputs = {  # keyed by axis name, in table order; "alpha_sq" carries |alpha|
-        "g": base.g,
-        "ell": base.ell,
-        "alpha_sq": base.alpha_mag,
-        "theta": base.theta,
-        "phi": base.phi,
-        "transmissivity": base.transmissivity,
-    }
+    # keyed by field, in table order; "alpha_sq" carries |alpha|
+    base_values = (base.g, base.ell, base.alpha_mag, base.theta, base.phi, base.transmissivity)
+    inputs = dict(zip(_FIELDS, base_values))
     for axis, value in zip(axes, values):
         if axis.name == "alpha_sq":
             value = np.sqrt(value)
         elif axis.name == "ell":
             value = np.round(value)
         inputs[axis.name] = value
-    return [inputs[name] for name in _AXIS_NAMES]
+    return list(inputs.values())
 
 
 def _failed_at(spec: SweepSpec, point: Sequence[float]) -> SweepError:
@@ -295,6 +280,11 @@ def _failed_at(spec: SweepSpec, point: Sequence[float]) -> SweepError:
         reason = str(exc)
     coords = ", ".join(f"{a.name}={v:g}" for a, v in zip(spec.axes, point))
     return SweepError(f"{spec.quantity} failed at ({coords}): {reason}")
+
+
+def _metadata(quantity: str, params: str) -> dict:
+    """The header's quantity and the hash of the parameters' text."""
+    return {"quantity": quantity, "config_sha256": hashlib.sha256(params.encode()).hexdigest()}
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -314,8 +304,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows = _grid_rows(axis_values, value, flags)
 
     metadata = {
-        "quantity": spec.quantity,
-        "config_sha256": hashlib.sha256(render_config(spec.base).encode()).hexdigest(),
+        **_metadata(spec.quantity, render_config(spec.base)),
         "axes": ";".join(f"{a.name}[{a.start:g}:{a.stop:g}:{a.count}]" for a in axes),
     }
     undefined = np.flatnonzero(np.isnan(value))  # row indices: rows are in C order
@@ -328,7 +317,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(columns=columns, rows=rows, metadata=metadata)
 
 
-def to_csv(result: SweepResult, timestamp: bool = True) -> str:
+def to_csv(result: SweepResult) -> str:
     """Render a result as CSV with a '#'-prefixed metadata header.
 
     The generated-at line is the only non-deterministic one; everything else
@@ -338,8 +327,7 @@ def to_csv(result: SweepResult, timestamp: bool = True) -> str:
     for key, value in result.metadata.items():
         lines.append(f"# {key}={value}")
     lines.append("# angles=radians")
-    if timestamp:
-        lines.append(f"# generated={datetime.now(timezone.utc).isoformat()}")
+    lines.append(f"# generated={datetime.now(timezone.utc).isoformat()}")
     lines.append(",".join(result.columns))
     # rows hold Python floats and strings, and str(float) is the shortest
     # round-tripping repr
@@ -350,8 +338,6 @@ def to_csv(result: SweepResult, timestamp: bool = True) -> str:
 
 # --- figure datasets -------------------------------------------------------
 
-FIGURE_IDS = ("fig2", "fig3", "fig4", "fig6", "fig7", "fig8")
-
 FIGURE_HELP = {
     "fig2": "homodyne signal vs rotation angle and input phase (g=1, ell=3, alpha_sq=10)",
     "fig3": "sensitivity vs rotation angle with the shot-noise line (g=2, ell=1, alpha_sq=100)",
@@ -361,13 +347,21 @@ FIGURE_HELP = {
     "fig8": "maximum allowable loss vs squeezing (ell=1; alpha_sq 10/100/1000)",
 }
 
+FIGURE_IDS = tuple(FIGURE_HELP)
+
 
 def _figure_metadata(figure_id: str, quantity: str, params: str) -> dict:
-    return {
-        "figure": figure_id,
-        "quantity": quantity,
-        "config_sha256": hashlib.sha256(params.encode()).hexdigest(),
-    }
+    return {"figure": figure_id, **_metadata(quantity, params)}
+
+
+def _max_loss_result(g: float, ell: int, alpha_mag: float, metadata: dict) -> SweepResult:
+    """The one-row maximum allowable loss at a working point."""
+    loss = metrology.max_allowable_loss(g, ell, alpha_mag).loss
+    return SweepResult(
+        ("g", "ell", "alpha_sq", "value", "flag"),
+        ((g, float(ell), alpha_mag**2, loss, _flags([loss], "max_loss")[0]),),
+        metadata,
+    )
 
 
 def reproduce(figure_id: str) -> SweepResult:
@@ -417,13 +411,8 @@ def reproduce(figure_id: str) -> SweepResult:
         )
 
     if figure_id == "fig7":
-        loss = metrology.max_allowable_loss(2.0, 1, 10.0).loss
-        rows = ((2.0, 1.0, 100.0, loss, _flags([loss], "max_loss")[0]),)
-        return SweepResult(
-            ("g", "ell", "alpha_sq", "value", "flag"),
-            rows,
-            _figure_metadata("fig7", "max_loss", "g=2,ell=1,alpha_sq=100"),
-        )
+        metadata = _figure_metadata("fig7", "max_loss", "g=2,ell=1,alpha_sq=100")
+        return _max_loss_result(2.0, 1, 10.0, metadata)
 
     if figure_id == "fig8":
         alpha_sqs = np.array([10.0, 100.0, 1000.0])
@@ -454,9 +443,12 @@ def _read_config(path: str):
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out!r}: {exc}") from exc
 
 
 # eval's columns after the working point, each a closed form at that point:
@@ -491,10 +483,7 @@ def _cmd_eval(args) -> int:
     result = SweepResult(
         ("g", "ell", "alpha_sq", "theta", "phi", "transmissivity", *values, "flag"),
         (row,),
-        {
-            "quantity": "report",
-            "config_sha256": hashlib.sha256(render_config(config).encode()).hexdigest(),
-        },
+        _metadata("report", render_config(config)),
     )
     _emit(to_csv(result), args.out)
     return 0
@@ -519,16 +508,10 @@ def _cmd_max_loss(args) -> int:
     config = _read_config(args.config)
     if not isinstance(config, ExperimentConfig):
         raise ConfigError("max-loss expects a plain configuration, not sweep axes")
-    loss = metrology.max_allowable_loss(config.g, config.ell, config.alpha_mag).loss
-    out = SweepResult(
-        ("g", "ell", "alpha_sq", "value", "flag"),
-        ((config.g, float(config.ell), config.alpha_mag**2, loss, _flags([loss], "max_loss")[0]),),
-        {
-            "quantity": "max_loss",
-            "config_sha256": hashlib.sha256(render_config(config).encode()).hexdigest(),
-        },
+    result = _max_loss_result(
+        config.g, config.ell, config.alpha_mag, _metadata("max_loss", render_config(config))
     )
-    _emit(to_csv(out), args.out)
+    _emit(to_csv(result), args.out)
     return 0
 
 
@@ -548,17 +531,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="path to a key=value config file")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-
     p_eval = sub.add_parser("eval", help="full report for one working point")
-    add_common(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a quantity over 1 or 2 axes")
-    add_common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_rep = sub.add_parser("reproduce", help="emit a named figure dataset")
@@ -567,17 +543,19 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=FIGURE_IDS,
         help="; ".join(f"{k}: {v}" for k, v in FIGURE_HELP.items()),
     )
-    add_common(p_rep, config_required=False)
     p_rep.set_defaults(func=_cmd_reproduce)
 
     p_val = sub.add_parser("validate", help="cross-check closed forms, engine, and Fock force")
     p_val.add_argument("--preset", choices=("quick", "full"), default="quick")
-    p_val.add_argument("--out", default=None, help="output path (default: stdout)")
     p_val.set_defaults(func=_cmd_validate)
 
     p_ml = sub.add_parser("max-loss", help="maximum allowable loss for a working point")
-    add_common(p_ml)
     p_ml.set_defaults(func=_cmd_max_loss)
+
+    for p in (p_eval, p_sweep, p_ml):
+        p.add_argument("--config", required=True, help="path to a key=value config file")
+    for p in (p_eval, p_sweep, p_rep, p_val, p_ml):
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     return parser
 

@@ -45,7 +45,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One interferometer working point.
+    """One interferometer working point, and the one statement of its domain:
+    each ValueError's message starts with the name of the field it rejects.
 
     g: squeezing factor of the parametric amplifier (>= 0)
     ell: OAM quantum number (positive integer)

@@ -444,10 +444,10 @@ def optimal_operating_point(ell: int) -> tuple[float, float]:
     Returns ``(phi, theta) = (pi / (2 l), pi / 2)``: the rotation puts the
     noise term at its squeezed minimum (``cos 2 l phi = -1``) while the input
     phase keeps the slope maximal (``theta + 2 l phi = pi/2 mod pi``).  The
-    point does not depend on g or |alpha|.
+    point does not depend on g or |alpha|.  ``ell`` is validated as an
+    ``ExperimentConfig`` field.
     """
-    if int(ell) != ell or ell < 1:
-        raise ValueError("ell must be a positive integer")
+    ExperimentConfig(g=0.0, ell=ell, alpha_mag=0.0, theta=0.0, phi=0.0)
     return math.pi / (2.0 * ell), math.pi / 2.0
 
 
@@ -458,12 +458,16 @@ def optimal_sensitivity(
 
     Lossless this is ``e^-g / (2 sqrt2 l cosh g |alpha|)``; with loss the
     squeezed noise term ``e^-2g`` relaxes toward the vacuum unit.
+
+    Domain: ``ExperimentConfig``'s (finite g >= 0, ell a positive integer),
+    after two stricter rules checked first: alpha_mag > 0 and T in (0, 1].
     """
     if alpha_mag <= 0.0:
         raise ValueError("alpha_mag must be > 0")
     t = float(transmissivity)
     if not 0.0 < t <= 1.0:
         raise ValueError("transmissivity must lie in (0, 1]")
+    ExperimentConfig(g=g, ell=ell, alpha_mag=alpha_mag, theta=0.0, phi=0.0, transmissivity=t)
     noise = t * (math.exp(-2.0 * g) - 1.0) + 1.0
     return math.sqrt(noise) / (_TWO_SQRT2 * t * ell * math.cosh(g) * alpha_mag)
 

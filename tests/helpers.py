@@ -41,5 +41,12 @@ def random_two_mode_state(rng):
     return state
 
 
+def without_timestamp(csv_text):
+    """A CSV render with its one volatile line, ``# generated=``, dropped."""
+    return "".join(
+        line for line in csv_text.splitlines(keepends=True) if not line.startswith("# generated=")
+    )
+
+
 def guarded_rel(actual, expected):
     return abs(actual - expected) / max(1.0, abs(expected))

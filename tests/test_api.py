@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oam_interferometry
-from oam_interferometry import fock_oracle, interferometer, metrology, phase_space, validation
+from oam_interferometry import cli, fock_oracle, interferometer, metrology, phase_space, validation
 
 ROOT_NAMES = {
     # fock_oracle
@@ -98,6 +98,7 @@ REMOVED_PARAMETERS = [
     (interferometer.quadrature_second_moment, "mode"),
     (metrology.optimal_operating_point, "g"),
     (metrology.optimal_operating_point, "alpha_mag"),
+    (cli.to_csv, "timestamp"),
 ]
 
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oam_interferometry
 from oam_interferometry import ExperimentConfig, SymplecticOp, fock_oracle, interferometer
@@ -22,6 +24,7 @@ from oam_interferometry.cli import (
     to_csv,
 )
 from oam_interferometry.validation import _describe, _record, run_validation
+from helpers import without_timestamp
 from reference import repeated
 
 FIG3_TEXT = "g=2\nell=1\nalpha_sq=100"
@@ -43,6 +46,7 @@ class TestParseConfig:
         "text,fragment",
         [
             ("ell=0", "ell"),
+            ("ell = 0", "^line 1: ell must be a positive integer$"),
             ("transmissivity=1.5", "transmissivity"),
             ("g=-1", "g"),
             ("alpha_sq=-4", "alpha_sq"),
@@ -94,6 +98,23 @@ class TestParseConfig:
             )
             assert parse_config(render_config(cfg)) == cfg
 
+    @given(
+        g=st.floats(0.0, 1e300),
+        ell=st.integers(1, 2**53),
+        # |alpha|^2 is a normal double over this range
+        alpha_mag=st.floats(1.5e-154, 1.3e154),
+        theta=st.floats(-1e300, 1e300),
+        phi=st.floats(-1e300, 1e300),
+        transmissivity=st.floats(0.0, 1.0),
+    )
+    def test_round_trip_over_the_normal_squares(self, g, ell, alpha_mag, theta, phi, transmissivity):
+        cfg = ExperimentConfig(g, ell, alpha_mag, theta, phi, transmissivity)
+        assert parse_config(render_config(cfg)) == cfg
+
+    def test_render_survives_a_square_that_underflows(self):
+        cfg = ExperimentConfig(g=0.0, ell=1, alpha_mag=1e-200, theta=0.0, phi=0.0)
+        assert "alpha_sq = 0.0" in render_config(cfg).splitlines()
+
 
 class TestRunSweep:
     def test_single_point_equals_direct_evaluation(self):
@@ -137,8 +158,8 @@ class TestRunSweep:
 
     def test_parallel_path_is_deterministic(self):
         text = "g=1\nell=2\nalpha_sq=9\nquantity = signal\nsweep = phi 0 6.28 40\nsweep = theta 0 6.28 3"
-        a = to_csv(run_sweep(parse_config(text)), timestamp=False)
-        b = to_csv(run_sweep(parse_config(text)), timestamp=False)
+        a = without_timestamp(to_csv(run_sweep(parse_config(text))))
+        b = without_timestamp(to_csv(run_sweep(parse_config(text))))
         assert a == b
         assert len(parse_config(text).axes) == 2
 
@@ -162,9 +183,9 @@ class TestCsv:
 
     def test_timestamp_is_the_only_unstable_line(self):
         spec = parse_config("alpha_sq=1\nquantity = snl\nsweep = g 0 1 3")
-        with_ts = to_csv(run_sweep(spec)).splitlines()
-        without_ts = to_csv(run_sweep(spec), timestamp=False).splitlines()
-        assert [l for l in with_ts if not l.startswith("# generated=")] == without_ts
+        first, second = (to_csv(run_sweep(spec)) for _ in range(2))
+        assert sum(l.startswith("# generated=") for l in first.splitlines()) == 1
+        assert without_timestamp(first) == without_timestamp(second)
 
 
 class TestReproduce:
@@ -415,6 +436,13 @@ class TestMainEntry:
         assert main(["max-loss", "--config", path, "--grid", "0"]) == 1
         capsys.readouterr()
 
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "fig7.csv"
+        assert main(["reproduce", "fig7", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write output {str(out)!r}: ")
+
     def test_reproduce_to_file(self, tmp_path, capsys):
         out = tmp_path / "fig7.csv"
         assert main(["reproduce", "fig7", "--out", str(out)]) == 0
@@ -497,6 +525,6 @@ def test_one_version_everywhere():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"]
-    header = to_csv(reproduce("fig7"), timestamp=False).splitlines()[0]
+    header = without_timestamp(to_csv(reproduce("fig7"))).splitlines()[0]
     assert oam_interferometry.__version__ == declared
     assert header == f"# oam-interferometry {declared}"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -317,6 +318,42 @@ class TestOptimum:
     def test_operating_point_scales_with_oam(self):
         phi, _ = optimal_operating_point(3)
         assert phi == pytest.approx(math.pi / 6.0)
+
+    @pytest.mark.parametrize(
+        "g, ell, alpha_mag",
+        [
+            (-1.0, 1, 1.0),
+            (math.nan, 1, 1.0),
+            (1.0, 0, 1.0),
+            (1.0, -2, 1.0),
+            (1.0, 1.5, 1.0),
+            (1.0, True, 1.0),
+            (1.0, 1, math.nan),
+            (1.0, 1, math.inf),
+        ],
+    )
+    def test_sensitivity_raises_the_config_error_outside_the_domain(self, g, ell, alpha_mag):
+        with pytest.raises(ValueError) as rejected:
+            ExperimentConfig(g=g, ell=ell, alpha_mag=alpha_mag, theta=0.0, phi=0.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
+            optimal_sensitivity(g, ell, alpha_mag)
+
+    @pytest.mark.parametrize(
+        "alpha_mag, transmissivity, message",
+        [
+            (0.0, 1.0, "alpha_mag must be > 0"),
+            (1.0, 0.0, "transmissivity must lie in (0, 1]"),
+            (1.0, 1.5, "transmissivity must lie in (0, 1]"),
+        ],
+    )
+    def test_sensitivity_keeps_its_stricter_rules(self, alpha_mag, transmissivity, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            optimal_sensitivity(1.0, 1, alpha_mag, transmissivity)
+
+    @pytest.mark.parametrize("ell", [True, 0, 1.5])
+    def test_operating_point_rejects_what_the_config_rejects(self, ell):
+        with pytest.raises(ValueError, match="^ell must be a positive integer$"):
+            optimal_operating_point(ell)
 
     def test_grid_search_confirms_analytic_point(self):
         g, ell, amag = 1.3, 2, 3.0

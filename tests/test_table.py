@@ -32,6 +32,7 @@ from oam_interferometry.cli import (
     run_sweep,
     to_csv,
 )
+from helpers import without_timestamp
 
 SCALAR = {
     "signal": homodyne_mean_lossy,
@@ -112,7 +113,7 @@ def assert_matches_per_point(text):
         else:
             assert repr(value) == repr(want[-1])
         assert flag == ("divergent" if math.isinf(value) else "non-finite" if math.isnan(value) else "")
-    header = [line for line in to_csv(result, timestamp=False).splitlines() if line.startswith("#")]
+    header = [line for line in without_timestamp(to_csv(result)).splitlines() if line.startswith("#")]
     after_axes = header[header.index(f"# axes={result.metadata['axes']}") + 1 :]
     if failures:
         assert after_axes[0] == f"# undefined={len(failures)} of {len(expected)}; {failures[0]}"
@@ -541,7 +542,7 @@ def test_figure_rows_equal_direct_calls(figure):
 @pytest.mark.parametrize("figure", ["fig3", "fig4", "fig7"])
 def test_csv_rows_are_the_repr_of_each_value(figure):
     result = reproduce(figure)
-    body = to_csv(result, timestamp=False).splitlines()[-len(result.rows):]
+    body = without_timestamp(to_csv(result)).splitlines()[-len(result.rows):]
     assert body == [
         ",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in result.rows
     ]
