@@ -23,7 +23,6 @@ from .interferometer import (
     run_lossy,
 )
 from .metrology import (
-    MaxLossResult,
     heisenberg_limit,
     homodyne_mean,
     homodyne_mean_lossy,

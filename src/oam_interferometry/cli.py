@@ -70,12 +70,15 @@ class SweepAxis:
     def __post_init__(self) -> None:
         # every value the axis produces must be a valid working-point field:
         # a sweep evaluates its grid at once and builds no per-point config,
-        # so ExperimentConfig's rules are checked here on the whole axis
+        # so ExperimentConfig's rules are checked here on the whole axis, kept
+        # for values() outside the fields (equality and repr are unchanged)
         if self.count < 1:
             raise ValueError("sweep count must be >= 1")
         if not math.isfinite(self.stop - self.start):
             raise ValueError(f"{self.name} axis must produce finite values")
-        values = self.values()
+        values = np.sort(np.linspace(self.start, self.stop, self.count))
+        values.flags.writeable = False
+        object.__setattr__(self, "_values", values)
         if self.name == "ell" and (
             np.any(np.abs(values - np.round(values)) > 1e-9) or round(values[0]) < 1
         ):
@@ -86,8 +89,7 @@ class SweepAxis:
             raise ValueError("transmissivity axis must produce values in [0, 1]")
 
     def values(self) -> np.ndarray:
-        vals = np.linspace(self.start, self.stop, self.count)
-        return np.sort(vals)
+        return self._values
 
 
 @dataclass(frozen=True)
@@ -356,10 +358,10 @@ def _figure_metadata(figure_id: str, quantity: str, params: str) -> dict:
 
 def _max_loss_result(g: float, ell: int, alpha_mag: float, metadata: dict) -> SweepResult:
     """The one-row maximum allowable loss at a working point."""
-    loss = metrology.max_allowable_loss(g, ell, alpha_mag).loss
+    loss = metrology.max_allowable_loss(g, ell, alpha_mag)
     return SweepResult(
         ("g", "ell", "alpha_sq", "value", "flag"),
-        ((g, float(ell), alpha_mag**2, loss, _flags([loss], "max_loss")[0]),),
+        ((g, float(ell), alpha_mag * alpha_mag, loss, _flags([loss], "max_loss")[0]),),
         metadata,
     )
 
@@ -395,18 +397,20 @@ def reproduce(figure_id: str) -> SweepResult:
         )
 
     if figure_id == "fig4":
+        alpha_sqs = np.array([10.0, 100.0, 1000.0])
         gs = np.linspace(0.25, 3.0, 56)
-        rows = []
-        for asq in (10.0, 100.0, 1000.0):
-            amag = math.sqrt(asq)
-            sens = [metrology.optimal_sensitivity(g, 1, amag) for g in gs.tolist()]
-            bound = metrology.qcrb_table(gs, 1, amag, 0.0, 0.0, 1.0).tolist()
-            for g, s, b, s_flag, b_flag in zip(gs.tolist(), sens, bound, _flags(sens), _flags(bound)):
-                rows.append((g, asq, "sensitivity_opt", s, s_flag))
-                rows.append((g, asq, "qcrb", b, b_flag))
+        alpha_sq_grid, g_grid = np.ix_(alpha_sqs, gs)
+        point = (g_grid, 1, np.sqrt(alpha_sq_grid), 0.0, 0.0, 1.0)
+        forms = {
+            "sensitivity_opt": metrology.optimal_sensitivity_table,
+            "qcrb": metrology.qcrb_table,
+        }
+        # the quantity is a third, innermost axis, so each g has its two rows in turn
+        value = np.stack([form(*point) for form in forms.values()], axis=-1)
+        rows = _grid_rows((alpha_sqs, gs, np.array(list(forms))), value, _flags(value))
         return SweepResult(
             ("g", "alpha_sq", "quantity", "value", "flag"),
-            tuple(rows),
+            tuple((g, asq, quantity, v, flag) for asq, g, quantity, v, flag in rows),
             _figure_metadata("fig4", "sensitivity_opt+qcrb", "ell=1,alpha_sq=10|100|1000"),
         )
 
@@ -477,8 +481,8 @@ def _cmd_eval(args) -> int:
         "non-finite" if any(map(math.isnan, values.values())) else ""
     )
     row = (
-        config.g, float(config.ell), config.alpha_mag**2, config.theta, config.phi,
-        config.transmissivity, *values.values(), flag,
+        config.g, float(config.ell), config.alpha_mag * config.alpha_mag, config.theta,
+        config.phi, config.transmissivity, *values.values(), flag,
     )
     result = SweepResult(
         ("g", "ell", "alpha_sq", "theta", "phi", "transmissivity", *values, "flag"),

@@ -6,16 +6,16 @@ The eight sweep quantities (``signal``, ``sensitivity``,
 ``sensitivity_lossy``, ``qcrb``, ``snl``, ``hl``, ``visibility``,
 ``max_loss``) are each defined once, as a closed form that broadcasts over
 numpy arrays of ``(g, ell, alpha_mag, theta, phi, transmissivity)``; ``TABLE``
-maps each name to its function.  ``fluctuation_table``, the quadrature noise
-that ``eval`` reports beside them, and ``second_moment_table`` and
-``photon_number_table``, the moments ``validate`` compares with the
-phase-space engine, are more such forms.  Where a formula
-fails (zero photon number or amplitude, a hyperbolic or a photon number that
-overflows), scalar inputs raise its error and array inputs give nan.  The
-scalar functions of an ``ExperimentConfig`` and ``max_allowable_loss`` call
-the same definitions, so a sweep row and a direct call agree bit for bit.
-The maximum allowable loss is the exact root of a quadratic in the
-transmissivity, not a search.
+maps each name to its function.  ``fluctuation_table`` (the noise ``eval``
+reports), ``second_moment_table`` and ``photon_number_table`` (the moments
+``validate`` checks) and ``optimal_sensitivity_table`` (fig4's optimum) are
+more such forms.  Where a formula fails (zero photon number or amplitude, a
+hyperbolic or a photon number that overflows), scalar inputs raise its error
+and array inputs give nan.  Every scalar entry point, ``optimal_sensitivity``
+and ``max_allowable_loss`` included, reads one form at one working point
+through ``_at``, so a row and a direct call agree bit for bit.  The maximum
+allowable loss is the exact root of a quadratic in the transmissivity, not a
+search; ``max_allowable_loss`` returns it.
 
 Every closed form here is also reproduced independently by the phase-space
 engine (and, at small parameters, by the truncated-Fock validator); the test
@@ -25,7 +25,6 @@ suite keeps the two routes in agreement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .interferometer import ExperimentConfig
 __all__ = [
     "DERIVATIVE_FLOOR",
     "TABLE",
-    "MaxLossResult",
     "signal_table",
     "sensitivity_table",
     "sensitivity_lossy_table",
@@ -46,6 +44,7 @@ __all__ = [
     "hl_table",
     "visibility_table",
     "max_loss_table",
+    "optimal_sensitivity_table",
     "homodyne_mean",
     "homodyne_mean_slope",
     "homodyne_mean_lossy",
@@ -332,6 +331,18 @@ def max_loss_table(g, ell, alpha_mag, theta, phi, transmissivity):
 
 
 @np.errstate(all="ignore")
+def optimal_sensitivity_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    """Sensitivity at ``optimal_operating_point`` with arm transmissivity T,
+    ``sqrt(T (e^-2g - 1) + 1) / (2 sqrt2 T l cosh g |alpha|)``: the squeezed
+    noise e^-2g relaxes toward the vacuum unit with loss.  Theta and phi are
+    ignored; fails where cosh g overflows (g above about 710.5)."""
+    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    noise = transmissivity * (steps.libm(lambda x: math.exp(-2.0 * x), g) - 1.0) + 1.0
+    denom = _TWO_SQRT2 * transmissivity * ell * steps.libm(math.cosh, g) * alpha_mag
+    return steps.result(np.sqrt(noise) / denom)
+
+
+@np.errstate(all="ignore")
 def _slope_table(g, ell, alpha_mag, theta, phi, transmissivity):
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
     return steps.result(_slope(steps, g, ell, alpha_mag, theta, phi))
@@ -454,10 +465,7 @@ def optimal_operating_point(ell: int) -> tuple[float, float]:
 def optimal_sensitivity(
     g: float, ell: int, alpha_mag: float, transmissivity: float = 1.0
 ) -> float:
-    """Sensitivity at the optimal working point (closed form).
-
-    Lossless this is ``e^-g / (2 sqrt2 l cosh g |alpha|)``; with loss the
-    squeezed noise term ``e^-2g`` relaxes toward the vacuum unit.
+    """Sensitivity at the optimal working point, ``optimal_sensitivity_table``.
 
     Domain: ``ExperimentConfig``'s (finite g >= 0, ell a positive integer),
     after two stricter rules checked first: alpha_mag > 0 and T in (0, 1].
@@ -467,34 +475,20 @@ def optimal_sensitivity(
     t = float(transmissivity)
     if not 0.0 < t <= 1.0:
         raise ValueError("transmissivity must lie in (0, 1]")
-    ExperimentConfig(g=g, ell=ell, alpha_mag=alpha_mag, theta=0.0, phi=0.0, transmissivity=t)
-    noise = t * (math.exp(-2.0 * g) - 1.0) + 1.0
-    return math.sqrt(noise) / (_TWO_SQRT2 * t * ell * math.cosh(g) * alpha_mag)
+    config = ExperimentConfig(
+        g=g, ell=ell, alpha_mag=alpha_mag, theta=0.0, phi=0.0, transmissivity=t
+    )
+    return _at(optimal_sensitivity_table, config)
 
 
-@dataclass(frozen=True)
-class MaxLossResult:
-    """Outcome of the maximum-allowable-loss root.
-
-    ``loss`` is the largest fraction 1 - T at which the best lossy sensitivity
-    still reaches the lossless shot-noise limit; ``sub_snl_exists`` is False
-    (and loss 0) when even the lossless optimum cannot beat that limit.
-    """
-
-    loss: float
-    transmissivity: float
-    sub_snl_exists: bool
-
-
-def max_allowable_loss(g: float, ell: int, alpha_mag: float) -> MaxLossResult:
-    """Largest loss fraction keeping the optimal sensitivity at or below the
-    lossless shot-noise limit: the exact root of ``max_loss_table``, which
-    does not depend on ell.
+def max_allowable_loss(g: float, ell: int, alpha_mag: float) -> float:
+    """Largest loss fraction 1 - T keeping the optimal sensitivity at or below
+    the lossless shot-noise limit (0 where no T does): the exact root of
+    ``max_loss_table``, which does not depend on ell.
 
     The working point is validated as an ``ExperimentConfig``; zero amplitude
     raises ValueError, and a gain whose cosh 2g overflows raises
     OverflowError.
     """
     config = ExperimentConfig(g=g, ell=ell, alpha_mag=alpha_mag, theta=0.0, phi=0.0)
-    loss = _at(max_loss_table, config)
-    return MaxLossResult(loss=loss, transmissivity=1.0 - loss, sub_snl_exists=loss != 0.0)
+    return _at(max_loss_table, config)

@@ -147,8 +147,9 @@ class GaussianState:
     ``mean`` has length ``2 m`` in ``(x1, p1, ..., xm, pm)`` order; ``cov`` is
     the symmetric ``2m x 2m`` covariance normalised so the vacuum is the
     identity.  Leading axes, the same on both, index a stack of states.
-    Instances are immutable; the arrays are stored read-only so states can
-    be shared freely across threads.
+    Instances are immutable; the arrays are stored read-only because a
+    cached state, the vacuum of ``vacuum_state``, is shared by every caller
+    (``SymplecticOp`` does the same for the cached coupler ``bs_matrix``).
     """
 
     mean: np.ndarray

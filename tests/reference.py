@@ -1,7 +1,7 @@
 """Reference routes the tests check the package against: the dense Fock
-operators, a direct loss channel, a brute-force optimum scan, and the
-asymptotic and SU(1,1) sensitivity forms.  None of them is on the package's
-product path."""
+operators, a direct loss channel, a brute-force optimum scan, the optimal
+sensitivity in plain ``math``, and the asymptotic and SU(1,1) sensitivity
+forms.  None of them is on the package's product path."""
 
 import math
 from dataclasses import dataclass
@@ -147,6 +147,19 @@ def grid_min_sensitivity(
         if zoomed[0] < best:
             best, phi_best, th_best = zoomed[0], zoomed[1], zoomed[2]
     return best, phi_best, th_best
+
+
+def optimal_sensitivity_math(
+    g: float, ell: int, alpha_mag: float, transmissivity: float = 1.0
+) -> float:
+    """The optimal sensitivity in plain ``math``, in the package's order of
+    operations: ``sqrt(T (e^-2g - 1) + 1) / (2 sqrt2 T l cosh g |alpha|)``.
+
+    No domain checks; raises OverflowError where cosh g overflows and
+    ZeroDivisionError where the denominator underflows to 0.
+    """
+    noise = transmissivity * (math.exp(-2.0 * g) - 1.0) + 1.0
+    return math.sqrt(noise) / (_TWO_SQRT2 * transmissivity * ell * math.cosh(g) * alpha_mag)
 
 
 def optimal_sensitivity_asymptotic(g: float, ell: int, alpha_mag: float) -> float:

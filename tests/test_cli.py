@@ -431,6 +431,18 @@ class TestMainEntry:
         value = float(out.splitlines()[-1].split(",")[3])
         assert value == pytest.approx(0.38, abs=0.01)
 
+    @pytest.mark.parametrize("command", ["eval", "max-loss"])
+    def test_alpha_sq_echo_is_the_hashed_square(self, tmp_path, capsys, command):
+        # the row echoes |alpha| * |alpha|, the square render_config writes and
+        # config_sha256 hashes; pow(|alpha|, 2) is one ulp above it here
+        text = "alpha_sq = 755411.6830031364"
+        path = self._write(tmp_path, text)
+        assert main([command, "--config", path]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert row["alpha_sq"] == "755411.6830031364"
+        assert text in render_config(parse_config(text)).splitlines()
+
     def test_grid_flag_is_gone(self, tmp_path, capsys):
         path = self._write(tmp_path, FIG3_TEXT)
         assert main(["max-loss", "--config", path, "--grid", "0"]) == 1

@@ -51,7 +51,7 @@ def bisection_root(g, alpha_mag, resolution=1e-12):
 class TestRoot:
     @pytest.mark.parametrize("g, alpha_mag", ROADMAP_POINTS)
     def test_quadratic_residual_vanishes(self, g, alpha_mag):
-        t = max_allowable_loss(g, 1, alpha_mag).transmissivity
+        t = 1.0 - max_allowable_loss(g, 1, alpha_mag)
         c2 = alpha_mag**2 * math.cosh(g) ** 2
         k = 1.0 - math.exp(-2.0 * g)
         n = math.cosh(2.0 * g) * alpha_mag**2 + 2.0 * math.sinh(g) ** 2
@@ -59,16 +59,16 @@ class TestRoot:
 
     @pytest.mark.parametrize("g, alpha_mag", ROADMAP_POINTS)
     def test_optimum_meets_the_shot_noise_limit_at_the_root(self, g, alpha_mag):
-        t = max_allowable_loss(g, 1, alpha_mag).transmissivity
+        t = 1.0 - max_allowable_loss(g, 1, alpha_mag)
         assert optimal_sensitivity(g, 1, alpha_mag, transmissivity=t) == pytest.approx(
             _snl(g, alpha_mag), rel=1e-12
         )
 
     @pytest.mark.parametrize("g, alpha_mag", ROADMAP_POINTS)
     def test_matches_bisection(self, g, alpha_mag):
-        result = max_allowable_loss(g, 1, alpha_mag)
-        assert result.sub_snl_exists
-        assert abs(result.transmissivity - bisection_root(g, alpha_mag)) <= 1e-9
+        loss = max_allowable_loss(g, 1, alpha_mag)
+        assert loss != 0.0
+        assert abs((1.0 - loss) - bisection_root(g, alpha_mag)) <= 1e-9
 
     @pytest.mark.parametrize("g, alpha_mag", ROADMAP_POINTS)
     def test_independent_of_ell(self, g, alpha_mag):
@@ -81,24 +81,23 @@ class TestRoot:
         # (N k)^2 and c^2 N overflow here, and the bisection read 4.8e-7 at g=345
         golden = 2.0 / (1.0 + math.sqrt(5.0))
         for g in (170.0, 345.0):
-            result = max_allowable_loss(g, 1, 1e6)
-            assert result.transmissivity == pytest.approx(golden, rel=1e-12)
+            loss = max_allowable_loss(g, 1, 1e6)
+            assert 1.0 - loss == pytest.approx(golden, rel=1e-12)
 
     @pytest.mark.parametrize("alpha_mag", [3.0, 1e-200])  # |alpha|^2 underflows
     def test_zero_gain(self, alpha_mag):
         # without squeezing the optimum beats the shot-noise limit by sqrt 2
-        result = max_allowable_loss(0.0, 1, alpha_mag)
-        assert result.transmissivity == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-        assert max_allowable_loss(0.5, 1, alpha_mag).sub_snl_exists == (alpha_mag == 3.0)
+        loss = max_allowable_loss(0.0, 1, alpha_mag)
+        assert 1.0 - loss == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+        assert (max_allowable_loss(0.5, 1, alpha_mag) != 0.0) == (alpha_mag == 3.0)
 
     def test_no_region_exactly_when_loss_is_zero(self):
         for g in (0.1, 0.5, 1.0, 2.0):
             for alpha_mag in (0.01, 0.1, 0.3, 1.0, 10.0):
-                result = max_allowable_loss(g, 1, alpha_mag)
-                assert result.sub_snl_exists == (result.loss != 0.0)
-                assert result.transmissivity == 1.0 - result.loss
+                loss = max_allowable_loss(g, 1, alpha_mag)
+                assert isinstance(loss, float)
                 lossless = optimal_sensitivity(g, 1, alpha_mag)
-                assert result.sub_snl_exists == (lossless < _snl(g, alpha_mag))
+                assert (loss != 0.0) == (lossless < _snl(g, alpha_mag))
 
 
 class TestChecksMovedOutOfTheSearch:
@@ -136,15 +135,15 @@ class TestTablePaths:
             if any(axis.name == "alpha_sq" for axis in spec.axes):
                 alpha_mag = math.sqrt(fields["alpha_sq"])
             expected = max_allowable_loss(fields["g"], int(round(fields["ell"])), alpha_mag)
-            assert row[-2] == expected.loss
-            assert row[-1] == ("" if expected.sub_snl_exists else "no-sub-snl-region")
+            assert row[-2] == expected
+            assert row[-1] == ("" if expected != 0.0 else "no-sub-snl-region")
         assert {row[-1] for row in result.rows} == {"", "no-sub-snl-region"}
 
     def test_fig8_rows_equal_scalar_calls(self):
         rows = reproduce("fig8").rows
         assert [(g, math.sqrt(asq)) for g, asq, _, _ in rows] == FIG8_POINTS
         for g, asq, value, flag in rows:
-            assert value == max_allowable_loss(g, 1, math.sqrt(asq)).loss
+            assert value == max_allowable_loss(g, 1, math.sqrt(asq))
             assert flag == ""
 
     def test_table_ignores_angles_and_transmissivity(self):
@@ -161,14 +160,14 @@ class TestErrors:
         assert math.isnan(result.rows[0][1]) and result.rows[0][2] == "non-finite"
         for alpha_sq, value, flag in result.rows[1:]:
             # at g = 0 the loss is 1 - 1/sqrt(2) for any |alpha| > 0
-            assert value == max_allowable_loss(0.0, 1, math.sqrt(alpha_sq)).loss
+            assert value == max_allowable_loss(0.0, 1, math.sqrt(alpha_sq))
             assert flag == ""
 
     def test_overflowing_gain(self):
         result = run_sweep(parse_config("alpha_sq = 4\nquantity = max_loss\nsweep = g 350 360 3\n"))
         assert result.metadata["undefined"] == "1 of 3; max_loss failed at (g=360): math range error"
         for g, value, flag in result.rows[:2]:
-            assert value == max_allowable_loss(g, 1, 2.0).loss
+            assert value == max_allowable_loss(g, 1, 2.0)
             assert flag == ""
         assert math.isnan(result.rows[2][1]) and result.rows[2][2] == "non-finite"
 

@@ -31,6 +31,7 @@ from reference import (
     grid_min_sensitivity,
     hybrid_phase_sensitivity,
     optimal_sensitivity_asymptotic,
+    optimal_sensitivity_math,
     su11_phase_sensitivity,
 )
 
@@ -411,29 +412,80 @@ class TestSu11Comparison:
             )
 
 
+def _outcome(fn, *args):
+    """``repr`` of the value, or the error's type and text."""
+    try:
+        return repr(fn(*args))
+    except ArithmeticError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestOptimalSensitivityForm:
+    @pytest.mark.parametrize("g_range", [(0.0, 5.0), (0.0, 710.0), (710.0, 800.0)])
+    def test_scalar_calls_equal_the_plain_math_formula(self, g_range):
+        # bit for bit, lossless and lossy, dim and bright; past g = 710.5 cosh g
+        # overflows and both raise the same error
+        rng = np.random.default_rng(13)
+        for _ in range(2000):
+            g = float(rng.uniform(*g_range))
+            ell = int(rng.integers(1, 8))
+            alpha_mag = float(10.0 ** rng.uniform(-8.0, 8.0))
+            t = 1.0 if rng.random() < 0.3 else 1.0 - float(rng.random())
+            assert _outcome(optimal_sensitivity, g, ell, alpha_mag, t) == _outcome(
+                optimal_sensitivity_math, g, ell, alpha_mag, t
+            )
+
+    def test_overflowing_gain_raises_the_math_error(self):
+        for fn in (optimal_sensitivity, optimal_sensitivity_math):
+            with pytest.raises(OverflowError, match="^math range error$"):
+                fn(720.0, 1, 1.0, 0.5)
+
+    def test_underflowing_denominator_is_divergent(self):
+        # 2 sqrt2 T l cosh g |alpha| rounds to 0: the ratio reads inf, where
+        # the plain formula divides by zero
+        assert optimal_sensitivity(0.0, 1, 5e-324, 1e-9) == math.inf
+        assert optimal_sensitivity(0.0, 1, 5e-324) == math.inf
+        with pytest.raises(ZeroDivisionError):
+            optimal_sensitivity_math(0.0, 1, 5e-324, 1e-9)
+
+    def test_table_on_arrays_equals_scalar_calls(self):
+        # the angles are ignored; past the overflow the points are nan, no raise
+        g = np.linspace(0.0, 800.0, 41)[:, None]
+        t = np.array([1e-3, 0.4, 1.0])
+        value = metrology.optimal_sensitivity_table(g, 2, 3.0, 0.7, -0.2, t)
+        assert value.shape == (41, 3)
+        for (i, j), v in np.ndenumerate(value):
+            try:
+                expected = optimal_sensitivity(float(g[i, 0]), 2, 3.0, float(t[j]))
+            except OverflowError:
+                assert math.isnan(v) and g[i, 0] > 710.0
+            else:
+                assert v == expected
+        assert np.isnan(value).any() and not np.isnan(value[:36]).any()
+
+
 class TestMaxAllowableLoss:
     def test_reference_threshold(self):
-        result = max_allowable_loss(2.0, 1, 10.0)
-        assert result.sub_snl_exists
-        assert result.loss == pytest.approx(0.38, abs=0.01)
-        assert result.transmissivity == pytest.approx(1.0 - result.loss, abs=1e-12)
+        loss = max_allowable_loss(2.0, 1, 10.0)
+        assert loss != 0.0
+        assert loss == pytest.approx(0.38, abs=0.01)
+        assert isinstance(loss, float)
 
     def test_threshold_transmissivity_sits_on_the_boundary(self):
-        result = max_allowable_loss(2.0, 1, 10.0)
+        t = 1.0 - max_allowable_loss(2.0, 1, 10.0)
         cfg = _cfg(g=2.0, alpha_mag=10.0)
         snl = shot_noise_limit(cfg)
-        below = optimal_sensitivity(2.0, 1, 10.0, transmissivity=result.transmissivity + 1e-4)
-        above = optimal_sensitivity(2.0, 1, 10.0, transmissivity=result.transmissivity - 1e-4)
+        below = optimal_sensitivity(2.0, 1, 10.0, transmissivity=t + 1e-4)
+        above = optimal_sensitivity(2.0, 1, 10.0, transmissivity=t - 1e-4)
         assert below < snl < above
 
     def test_dim_input_has_no_sub_snl_region(self):
-        result = max_allowable_loss(1.0, 1, 0.1)
-        assert not result.sub_snl_exists
-        assert result.loss == 0.0
+        loss = max_allowable_loss(1.0, 1, 0.1)
+        assert loss == 0.0
 
     def test_loss_tolerance_curve_has_interior_maximum(self):
         gs = np.linspace(0.5, 4.0, 15)
-        losses = [max_allowable_loss(float(g), 1, 10.0).loss for g in gs]
+        losses = [max_allowable_loss(float(g), 1, 10.0) for g in gs]
         imax = int(np.argmax(losses))
         assert 0 < imax < len(losses) - 1
 

@@ -15,6 +15,7 @@ from oam_interferometry import (
     homodyne_mean,
     homodyne_mean_lossy,
     metrology,
+    optimal_sensitivity,
     quantum_cramer_rao_bound,
     sensitivity,
     sensitivity_lossy,
@@ -516,10 +517,25 @@ def test_scalar_inputs_give_the_scalar_value():
         assert float(metrology.TABLE[name](*fields)) == fn(cfg)
 
 
-@pytest.mark.parametrize("figure", ["fig2", "fig3", "fig6"])
+@pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4", "fig6"])
 def test_figure_rows_equal_direct_calls(figure):
     result = reproduce(figure)
+    if figure == "fig4":
+        assert [row[:3] for row in result.rows] == [
+            (g, asq, quantity)
+            for asq in (10.0, 100.0, 1000.0)
+            for g in np.linspace(0.25, 3.0, 56).tolist()
+            for quantity in ("sensitivity_opt", "qcrb")
+        ]
     for row in result.rows:
+        if figure == "fig4":
+            g, asq, quantity, value, _ = row
+            if quantity == "sensitivity_opt":
+                assert value == optimal_sensitivity(g, 1, math.sqrt(asq))
+            else:
+                cfg = ExperimentConfig(g=g, ell=1, alpha_mag=math.sqrt(asq), theta=0.0, phi=0.0)
+                assert value == quantum_cramer_rao_bound(cfg)
+            continue
         if figure == "fig2":
             phi, theta, value, _ = row
             cfg = ExperimentConfig(g=1.0, ell=3, alpha_mag=math.sqrt(10.0), theta=theta, phi=phi)
@@ -562,6 +578,14 @@ class TestAxisDomain:
     def test_rejected_at_parse_time_with_the_line(self, axis, fragment):
         with pytest.raises(ConfigError, match=rf"^line 3: {fragment}"):
             parse_config(f"alpha_sq = 1\nquantity = signal\nsweep = {axis}\n")
+
+    def test_values_are_built_once_and_read_only(self):
+        axis = SweepAxis("g", 2.0, 0.0, 5)
+        assert axis.values() is axis.values()
+        assert not axis.values().flags.writeable
+        assert axis.values().tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert axis == SweepAxis("g", 2.0, 0.0, 5)
+        assert repr(axis) == "SweepAxis(name='g', start=2.0, stop=0.0, count=5)"
 
     def test_axis_built_in_code_is_checked_too(self):
         with pytest.raises(ValueError, match="^g axis must produce values >= 0"):
