@@ -4,15 +4,16 @@ The state is the amplitude matrix ``psi[n_a, n_b]`` (``n <= cutoff`` per
 mode).  Each element of the chain conserves a photon-number combination even
 after truncation, so its unitary is exactly a direct sum of small blocks:
 
-* the squeezer ``g (a^dag b^dag - a b)`` conserves ``n_a - n_b``: one block
-  per diagonal of ``psi``;
+* the squeezer ``g (a^dag b^dag - a b)`` conserves ``d = n_a - n_b``: one
+  block per diagonal of ``psi``.  Mode B enters in vacuum, so block ``d``
+  meets one amplitude, at ``|d, 0>``, and only that column is kept;
 * the balanced coupler conserves ``n_a + n_b``: one block per anti-diagonal;
 * the Dove-prism rotation is a phase on each row.
 
-The ``2 cutoff + 1`` blocks of an element, each at most ``cutoff + 1`` square,
-are zero-padded into one stack; a padded slot exponentiates to the identity
-and carries no amplitude.  Every block generator, and the single-mode
-displacement ``|alpha| (a^dag - a)``, is a real antisymmetric tridiagonal
+An element's blocks, each at most ``cutoff + 1`` square, are zero-padded into
+one stack; a padded slot exponentiates to the identity and carries no
+amplitude.  Every block generator, and the single-mode displacement
+``|alpha| (a^dag - a)``, is a real antisymmetric tridiagonal
 ladder matrix, which is ``-i J`` for a real symmetric tridiagonal J up to a
 diagonal phase change.  So one batched ``numpy.linalg.eigh`` of the J stack
 exponentiates them all in real arithmetic (``_ladder_exp``).  This is the same
@@ -25,15 +26,16 @@ Reliability gauge: the probability sitting on the top two Fock layers of
 either mode ("tail mass").  A state whose tail mass reaches
 ``DEFAULT_TAIL_TOLERANCE`` is flagged unreliable and refuses to report moments.
 
-Cost: an element's block stack holds ``(2 cutoff + 1)(cutoff + 1)^2`` reals.
-Measured on one core (one BLAS thread), building one element takes about
-14 / 45 / 120 ms at cutoff 40 / 60 / 80, and the cutoff-80 stack is 8.5 MB;
-the dense route took 3.9 / 30 / 164 s and about 0.4 GB per operator at 80.
+Cost: the coupler keeps ``(2 cutoff + 1)(cutoff + 1)^2`` reals (8.5 MB at
+cutoff 80); the squeezer keeps one column of each of its ``cutoff + 1`` blocks.
+The README's "The Fock validator" section has the measured times; the dense
+route took 3.9 / 30 / 164 s at cutoff 40 / 60 / 80 and 0.4 GB per operator at 80.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,7 +50,6 @@ __all__ = [
     "BlockUnitary",
     "FockState",
     "OracleReport",
-    "opa_unitary",
     "bs_unitary",
     "evolve",
     "moments",
@@ -94,8 +95,8 @@ class BlockUnitary:
 
     ``blocks[k]`` acts on the amplitudes at flat indices ``index[k]`` of the
     raveled ``psi``; a padded slot has index ``(cutoff+1)^2`` and an identity
-    row and column in its block.  Both generators in the chain are real and
-    antisymmetric, so the blocks are real orthogonal matrices.
+    row and column in its block.  It holds the coupler: its generator is real
+    and antisymmetric, so the blocks are real orthogonal matrices.
     """
 
     blocks: np.ndarray
@@ -111,47 +112,41 @@ class BlockUnitary:
         return out[:-1].reshape(psi.shape)
 
 
-def _block_unitary(cutoff: int, conserve_total: bool, strength: float) -> BlockUnitary:
-    """exp(strength * G) for one of the two ladder generators, block by block.
-
-    ``conserve_total=False``: ``G = a^dag b^dag - a b``, blocks of fixed
-    ``n_a - n_b`` stepped by ``(n_a, n_b) -> (n_a + 1, n_b + 1)`` with matrix
-    element ``sqrt((n_a + 1)(n_b + 1))``.  ``conserve_total=True``:
-    ``G = a^dag b - a b^dag``, blocks of fixed ``n_a + n_b`` stepped by
-    ``(n_a, n_b) -> (n_a + 1, n_b - 1)`` with ``sqrt((n_a + 1) n_b)``.
-    """
-    dim = cutoff + 1
-    label = np.arange(2 * cutoff + 1)[:, None]
-    step = np.arange(dim)[None, :]
-    n_a = step + np.maximum(label - cutoff, 0)
-    if conserve_total:
-        n_b = label - n_a
-        raised = n_b
-    else:
-        n_b = step + np.maximum(cutoff - label, 0)
-        raised = n_b + 1
-    valid = (n_a <= cutoff) & (n_b >= 0) & (n_b <= cutoff)
-    index = np.where(valid, n_a * dim + n_b, dim * dim)
-    linked = valid[:, :-1] & valid[:, 1:]
-    weight = np.sqrt(np.where(linked, (n_a[:, :-1] + 1) * raised[:, :-1], 0))
-    blocks = _ladder_exp(strength * weight)
-    blocks.flags.writeable = False
-    index.flags.writeable = False
-    return BlockUnitary(blocks=blocks, index=index)
-
-
 @lru_cache(maxsize=6)
-def opa_unitary(g: float, cutoff: int) -> BlockUnitary:
-    """exp(g (a^dag b^dag - a b)): two-mode squeezer matching
-    ``A = a cosh g + b^dag sinh g`` in the Heisenberg picture."""
-    return _block_unitary(cutoff, conserve_total=False, strength=g)
+def _squeezed_columns(g: float, cutoff: int) -> np.ndarray:
+    """exp(g (a^dag b^dag - a b)) |d, 0> for d = 0 .. cutoff: the two-mode
+    squeezer matching ``A = a cosh g + b^dag sinh g`` in the Heisenberg picture.
+
+    Row d is column 0 of the block of fixed ``n_a - n_b = d``, stepped by
+    ``(d + k, k) -> (d + k + 1, k + 1)`` with ``sqrt((d + k + 1)(k + 1))``; its
+    entry k is the amplitude at ``(d + k, k)``, padding where ``d + k > cutoff``.
+    """
+    d = np.arange(cutoff + 1)[:, None]
+    k = np.arange(cutoff)[None, :]
+    weight = np.sqrt(np.where(d + k < cutoff, (d + k + 1) * (k + 1), 0))
+    columns = _ladder_exp(g * weight)[..., 0].copy()
+    columns.flags.writeable = False
+    return columns
 
 
 @lru_cache(maxsize=4)
 def bs_unitary(cutoff: int) -> BlockUnitary:
     """exp(pi/4 (a^dag b - a b^dag)): the balanced coupler
-    ``a -> (a + b)/sqrt2``, ``b -> (b - a)/sqrt2``."""
-    return _block_unitary(cutoff, conserve_total=True, strength=math.pi / 4.0)
+    ``a -> (a + b)/sqrt2``, ``b -> (b - a)/sqrt2``, with one block per fixed
+    ``n_a + n_b`` stepped by ``(n_a, n_b) -> (n_a + 1, n_b - 1)`` with matrix
+    element ``sqrt((n_a + 1) n_b)``."""
+    dim = cutoff + 1
+    total = np.arange(2 * cutoff + 1)[:, None]
+    n_a = np.arange(dim)[None, :] + np.maximum(total - cutoff, 0)
+    n_b = total - n_a
+    valid = (n_a <= cutoff) & (n_b >= 0)
+    index = np.where(valid, n_a * dim + n_b, dim * dim)
+    linked = valid[:, :-1] & valid[:, 1:]
+    weight = np.sqrt(np.where(linked, (n_a[:, :-1] + 1) * n_b[:, :-1], 0))
+    blocks = _ladder_exp(math.pi / 4.0 * weight)
+    blocks.flags.writeable = False
+    index.flags.writeable = False
+    return BlockUnitary(blocks=blocks, index=index)
 
 
 @lru_cache(maxsize=16)
@@ -197,11 +192,13 @@ class OracleReport:
 
 def _evolve_at(config: ExperimentConfig, cutoff: int) -> FockState:
     dim = cutoff + 1
-    # psi[n_a, n_b]: displaced vacuum in mode A, vacuum in mode B
-    psi = np.zeros((dim, dim), dtype=complex)
     n = np.arange(dim)
-    psi[:, 0] = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
-    psi = opa_unitary(config.g, cutoff).apply(psi)
+    # displaced vacuum |n, 0>, each squeezed along its diagonal of psi[n_a, n_b]
+    amplitude = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
+    squeezed = _squeezed_columns(config.g, cutoff) * amplitude[:, None]
+    n_a, n_b = np.tril_indices(dim)
+    psi = np.zeros((dim, dim), dtype=complex)
+    psi[n_a, n_b] = squeezed[n_a - n_b, n_b]
     psi *= np.exp(1j * 2.0 * config.ell * config.phi * n)[:, None]
     psi = bs_unitary(cutoff).apply(psi)
     psi /= np.linalg.norm(psi)
@@ -219,17 +216,21 @@ def evolve(
 
     With ``cutoff=None`` the schedule is walked until the tail-mass criterion
     passes; if the ceiling still fails, the last state is returned carrying
-    ``reliable == False``.  An explicit cutoff is used as given; a cutoff
-    below 2 raises ValueError.  Only the lossless chain is covered (loss
-    validation goes through the exact scaling laws against the phase-space
-    engine instead).
+    ``reliable == False``.  An explicit cutoff is used as given; a cutoff that
+    is not an integer or is below 2 raises ValueError.  Only the lossless chain
+    is covered (loss validation goes through the exact scaling laws against
+    the phase-space engine instead).
     """
     if config.transmissivity != 1.0:
         raise ValueError("the Fock validator covers the lossless chain only")
     schedule = (cutoff,) if cutoff is not None else tuple(cutoff_schedule)
     if not schedule:
         raise ValueError("cutoff schedule is empty")
-    schedule = tuple(int(c) for c in schedule)
+    try:
+        schedule = tuple(operator.index(c) for c in schedule)
+    except TypeError:
+        given = schedule if cutoff is None else cutoff
+        raise ValueError(f"cutoff must be an integer, got {given!r}") from None
     if min(schedule) < 2:
         raise ValueError("cutoff must be >= 2")
     state = None

@@ -137,9 +137,8 @@ def _slope(steps: _Steps, g, ell, alpha_mag, theta, phi):
 
 def _noise(steps: _Steps, g, ell, phi, where=True):
     """Var X_A of the lossless chain, ``cosh 2g + sinh 2g cos(2 l phi)``."""
-    return steps.libm(lambda x: math.cosh(2.0 * x), g, where) + steps.libm(
-        lambda x: math.sinh(2.0 * x), g, where
-    ) * np.cos(2.0 * ell * phi)
+    cosh, sinh = steps.libm(math.cosh, 2.0 * g, where), steps.libm(math.sinh, 2.0 * g, where)
+    return cosh + sinh * np.cos(2.0 * ell * phi)
 
 
 def _fluctuation(steps: _Steps, g, ell, phi, transmissivity, where=True):
@@ -151,9 +150,9 @@ def _fluctuation(steps: _Steps, g, ell, phi, transmissivity, where=True):
 def _photon_number(steps: _Steps, g, alpha_mag):
     """Mean photon number before any loss, ``cosh(2g) |alpha|^2 + 2 sinh^2 g``
     (as ``interferometer.mean_photon_number``); fails where it overflows."""
-    n = steps.libm(lambda x: math.cosh(2.0 * x), g) * steps.libm(
-        _square, alpha_mag
-    ) + 2.0 * steps.libm(lambda x: math.sinh(x) ** 2, g)
+    n = steps.libm(math.cosh, 2.0 * g) * steps.libm(_square, alpha_mag) + 2.0 * steps.libm(
+        lambda x: math.sinh(x) ** 2, g
+    )
     return steps.fail(n == math.inf, OverflowError("photon number out of range"), n)
 
 
@@ -234,13 +233,12 @@ def second_moment_table(g, ell, alpha_mag, theta, phi, transmissivity):
     """
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
     a2 = steps.libm(_square, alpha_mag)
-    ch2 = steps.libm(lambda x: math.cosh(2.0 * x), g)
-    sh2 = steps.libm(lambda x: math.sinh(2.0 * x), g)
+    noise = _noise(steps, g, ell, phi)
     moment = (
         np.cos(2.0 * theta + 4.0 * ell * phi) * steps.libm(lambda x: math.cosh(x) ** 2, g) * a2
         + np.cos(2.0 * theta) * steps.libm(lambda x: math.sinh(x) ** 2, g) * a2
-        + (ch2 + np.cos(2.0 * ell * phi) * sh2) * (a2 + 1.0)
-        + np.cos(2.0 * theta + 2.0 * ell * phi) * sh2 * a2
+        + noise * (a2 + 1.0)
+        + np.cos(2.0 * theta + 2.0 * ell * phi) * steps.libm(math.sinh, 2.0 * g) * a2
     )
     return steps.result(transmissivity * moment + (1.0 - transmissivity))
 
@@ -259,9 +257,7 @@ def qcrb_table(g, ell, alpha_mag, theta, phi, transmissivity):
     ``1 / (2 l sqrt(sinh^2 2g + |alpha|^2 [1 + 2 cosh 2g + cosh 4g]))``."""
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
     s = steps.libm(lambda x: math.sinh(2.0 * x) ** 2, g) + steps.libm(_square, alpha_mag) * (
-        1.0
-        + 2.0 * steps.libm(lambda x: math.cosh(2.0 * x), g)
-        + steps.libm(lambda x: math.cosh(4.0 * x), g)
+        1.0 + 2.0 * steps.libm(math.cosh, 2.0 * g) + steps.libm(math.cosh, 4.0 * g)
     )
     degenerate = ValueError("bound undefined for the degenerate g = alpha = 0 input")
     s = steps.fail(s <= 0.0, degenerate, s)
@@ -320,12 +316,9 @@ def max_loss_table(g, ell, alpha_mag, theta, phi, transmissivity):
     alpha_mag = steps.fail(alpha_mag <= 0.0, ValueError("alpha_mag must be > 0"), alpha_mag)
     # N / |alpha|^2 before c^2 / N, so an overflowing g fails at cosh 2g first;
     # squaring sinh g / |alpha|, not |alpha|, leaves no |alpha|^2 to underflow
-    n_scaled = (
-        steps.libm(lambda x: math.cosh(2.0 * x), g)
-        + 2.0 * (steps.libm(math.sinh, g) / alpha_mag) ** 2
-    )
+    n_scaled = steps.libm(math.cosh, 2.0 * g) + 2.0 * (steps.libm(math.sinh, g) / alpha_mag) ** 2
     c2_over_n = steps.libm(lambda x: math.cosh(x) ** 2, g) / n_scaled
-    k = steps.libm(lambda x: -math.expm1(-2.0 * x), g)
+    k = -steps.libm(math.expm1, -2.0 * g)
     t_star = 2.0 / (k + np.sqrt(k * k + 8.0 * c2_over_n))
     return steps.result(np.where(t_star >= 1.0, 0.0, 1.0 - t_star))
 
@@ -337,7 +330,7 @@ def optimal_sensitivity_table(g, ell, alpha_mag, theta, phi, transmissivity):
     noise e^-2g relaxes toward the vacuum unit with loss.  Theta and phi are
     ignored; fails where cosh g overflows (g above about 710.5)."""
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
-    noise = transmissivity * (steps.libm(lambda x: math.exp(-2.0 * x), g) - 1.0) + 1.0
+    noise = transmissivity * (steps.libm(math.exp, -2.0 * g) - 1.0) + 1.0
     denom = _TWO_SQRT2 * transmissivity * ell * steps.libm(math.cosh, g) * alpha_mag
     return steps.result(np.sqrt(noise) / denom)
 

@@ -1,16 +1,23 @@
 """Reference routes the tests check the package against: the dense Fock
-operators, a direct loss channel, a brute-force optimum scan, the optimal
-sensitivity in plain ``math``, and the asymptotic and SU(1,1) sensitivity
-forms.  None of them is on the package's product path."""
+operators, the general blocked squeezer and the oracle chain built on it, a
+direct loss channel, a brute-force optimum scan, the optimal sensitivity in
+plain ``math``, and the asymptotic and SU(1,1) sensitivity forms.  None of
+them is on the package's product path."""
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from oam_interferometry import GaussianState, omega
-from oam_interferometry.fock_oracle import BlockUnitary
+from oam_interferometry import ExperimentConfig, GaussianState, omega
+from oam_interferometry.fock_oracle import (
+    BlockUnitary,
+    _displacement_column,
+    _ladder_exp,
+    bs_unitary,
+)
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -57,6 +64,38 @@ def repeated(unitary: BlockUnitary, times: int) -> BlockUnitary:
     """``unitary`` applied ``times`` times, as one blocked unitary: the balanced
     coupler repeated three times is exp(3 pi/4 (a^dag b - a b^dag))."""
     return BlockUnitary(np.linalg.matrix_power(unitary.blocks, times), unitary.index)
+
+
+@functools.lru_cache(maxsize=8)
+def squeezer_unitary(g: float, cutoff: int) -> BlockUnitary:
+    """exp(g (a^dag b^dag - a b)) on any two-mode input, as ``2 cutoff + 1``
+    blocks of fixed ``n_a - n_b`` stepped by ``(n_a, n_b) -> (n_a + 1, n_b + 1)``
+    with ``sqrt((n_a + 1)(n_b + 1))``.  The oracle keeps only column 0 of the
+    blocks with ``n_a >= n_b``, the ones its vacuum mode B meets."""
+    dim = cutoff + 1
+    label = np.arange(2 * cutoff + 1)[:, None]
+    step = np.arange(dim)[None, :]
+    n_a = step + np.maximum(label - cutoff, 0)
+    n_b = step + np.maximum(cutoff - label, 0)
+    valid = (n_a <= cutoff) & (n_b <= cutoff)
+    index = np.where(valid, n_a * dim + n_b, dim * dim)
+    linked = valid[:, :-1] & valid[:, 1:]
+    weight = np.sqrt(np.where(linked, (n_a[:, :-1] + 1) * (n_b[:, :-1] + 1), 0))
+    return BlockUnitary(_ladder_exp(g * weight), index)
+
+
+def blocked_chain(config: ExperimentConfig, cutoff: int) -> np.ndarray:
+    """The oracle's normalised amplitudes at ``cutoff``, with the squeezer
+    applied as ``squeezer_unitary`` to the whole displaced-vacuum state."""
+    dim = cutoff + 1
+    psi = np.zeros((dim, dim), dtype=complex)
+    n = np.arange(dim)
+    psi[:, 0] = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
+    psi = squeezer_unitary(config.g, cutoff).apply(psi)
+    psi *= np.exp(1j * 2.0 * config.ell * config.phi * n)[:, None]
+    psi = bs_unitary(cutoff).apply(psi)
+    psi /= np.linalg.norm(psi)
+    return psi.ravel()
 
 
 # --- direct loss channel -------------------------------------------------------

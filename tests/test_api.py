@@ -65,11 +65,14 @@ ROOT_NAMES = {
 # the Pipeline layer, eval's report layer, the lifted 8x8 elements
 # (phase_space.attenuate is the loss stage) and MaxLossResult
 # (max_allowable_loss returns the loss) are deleted, the fluctuation
-# became metrology.fluctuation_table, and the rest moved to tests/reference.py
+# became metrology.fluctuation_table, opa_unitary became the squeezer
+# columns the vacuum mode B meets (its general form is tests/reference.py's
+# squeezer_unitary), and the rest moved to tests/reference.py
 REMOVED = {
     "TwoModeOperators": fock_oracle,
     "build_operators": fock_oracle,
     "annihilation": fock_oracle,
+    "opa_unitary": fock_oracle,
     "grid_min_sensitivity": metrology,
     "optimal_sensitivity_asymptotic": metrology,
     "su11_phase_sensitivity": metrology,

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -268,6 +269,23 @@ class TestValidateHarness:
         oracle_lines = [line for line in report.lines() if "oracle vs" in line]
         assert len(oracle_lines) == 3
         assert all(" cutoff=40 tail=" in line for line in oracle_lines)
+
+    def test_cold_and_warm_caches_render_the_same_report(self):
+        # the cached squeezer columns, coupler blocks and displacement columns
+        # are read-only: a warm run reads exactly what the cold run built
+        caches = (
+            fock_oracle._squeezed_columns,
+            fock_oracle.bs_unitary,
+            fock_oracle._displacement_column,
+        )
+        for cache in caches:
+            cache.cache_clear()
+        cold, warm = [
+            [re.sub(r" elapsed=\S+", "", line) for line in run_validation("quick").lines()]
+            for _ in range(2)
+        ]
+        assert warm == cold
+        assert all(cache.cache_info().hits > 0 for cache in caches)
 
     def test_corrupted_coupler_sign_is_caught_at_zero_gain(self, monkeypatch):
         # the coupler three times over: exp(3 pi/4 (a^dag b - a b^dag))

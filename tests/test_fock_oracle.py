@@ -17,11 +17,12 @@ from oam_interferometry import (
 from oam_interferometry.fock_oracle import (
     DEFAULT_TAIL_TOLERANCE,
     _displacement_column,
+    _squeezed_columns,
     bs_unitary,
-    opa_unitary,
 )
-from oam_interferometry.validation import ORACLE_TOL
-from reference import annihilation, build_operators, repeated
+from oam_interferometry.validation import ORACLE_TOL, grid_configs
+from helpers import random_config
+from reference import annihilation, blocked_chain, build_operators, repeated
 
 
 def _cfg(**kw):
@@ -82,11 +83,18 @@ class TestBlockedUnitaries:
         return psi / np.linalg.norm(psi)
 
     @pytest.mark.parametrize("g", [0.3, 0.9])
-    def test_squeezer_matches_dense_expm(self, g, psi):
+    def test_squeezer_matches_dense_expm(self, g):
+        # mode B enters in vacuum: the squeezer only ever acts on |d, 0>, and
+        # sends it along the diagonal (d + k, k) of psi[n_a, n_b]
         ops = build_operators(self.CUTOFF)
         dense = expm(g * (ops.a.T @ ops.b.T - ops.a @ ops.b))
-        blocked = opa_unitary(g, self.CUTOFF).apply(psi)
-        assert np.max(np.abs(blocked.ravel() - dense @ psi.ravel())) <= 1e-12
+        columns = _squeezed_columns(g, self.CUTOFF)
+        dim = self.CUTOFF + 1
+        for d in range(dim):
+            k = np.arange(dim - d)
+            blocked = np.zeros((dim, dim))
+            blocked[d + k, k] = columns[d, k]
+            assert np.max(np.abs(blocked.ravel() - dense[:, d * dim])) <= 1e-12
 
     @pytest.mark.parametrize("mixing_angle", [math.pi / 4.0, 3.0 * math.pi / 4.0])
     def test_coupler_matches_dense_expm(self, mixing_angle, psi):
@@ -100,16 +108,19 @@ class TestBlockedUnitaries:
 
 
 class TestLadderExponential:
-    """The blocks and the displacement column at the schedule's cutoffs:
-    orthogonal to rounding, and the column equal to dense expm."""
+    """The coupler blocks, the squeezer columns and the displacement column at
+    the schedule's cutoffs: orthogonal or of unit norm to rounding, and the
+    displacement column equal to dense expm."""
 
     @pytest.mark.parametrize("cutoff", [40, 60, 80])
-    @pytest.mark.parametrize(
-        "unitary", [lambda c: opa_unitary(0.5, c), bs_unitary], ids=["squeezer", "coupler"]
-    )
-    def test_blocks_are_orthogonal(self, unitary, cutoff):
-        blocks = unitary(cutoff).blocks
-        defect = blocks @ np.swapaxes(blocks, -1, -2) - np.eye(cutoff + 1)
+    @pytest.mark.parametrize("element", ["squeezer", "coupler"])
+    def test_blocks_are_orthogonal(self, element, cutoff):
+        if element == "squeezer":
+            # the one column of each block that the state meets has unit norm
+            defect = np.linalg.norm(_squeezed_columns(0.5, cutoff), axis=-1) - 1.0
+        else:
+            blocks = bs_unitary(cutoff).blocks
+            defect = blocks @ np.swapaxes(blocks, -1, -2) - np.eye(cutoff + 1)
         assert np.max(np.abs(defect)) <= 1e-14
 
     @pytest.mark.parametrize("cutoff", [40, 60, 80])
@@ -119,6 +130,34 @@ class TestLadderExponential:
         dense = expm(math.sqrt(alpha_sq) * (a.T - a))[:, 0]
         column = _displacement_column(math.sqrt(alpha_sq), cutoff)
         assert np.max(np.abs(column - dense)) <= 1e-14
+
+
+class TestAgainstReferenceChain:
+    """The oracle's states equal, bit for bit, the chain that applies the
+    general blocked squeezer (tests/reference.py) to the whole input state."""
+
+    def _assert_equal(self, config, state):
+        assert np.all(state.amplitudes == blocked_chain(config, state.cutoff))
+
+    def test_quick_grid_at_40(self):
+        for config in grid_configs("quick"):
+            self._assert_equal(config, evolve(config, cutoff=40))
+
+    def test_full_grid_points_that_escalate_to_60(self):
+        escalated = 0
+        for config in grid_configs("full"):
+            state = evolve(config)
+            if state.cutoff == 60:
+                self._assert_equal(config, state)
+                escalated += 1
+        assert escalated == 288
+
+    @pytest.mark.parametrize("cutoff", [12, 25])
+    def test_seeded_configs(self, cutoff):
+        rng = np.random.default_rng(1400 + cutoff)
+        for _ in range(40):
+            config = random_config(rng, g_max=0.8, alpha_sq_range=(0.0, 5.0))
+            self._assert_equal(config, evolve(config, cutoff=cutoff))
 
 
 class TestDirectExpectations:
@@ -220,6 +259,19 @@ class TestTruncationControl:
     def test_cutoff_below_two_is_rejected(self, kw):
         with pytest.raises(ValueError, match="^cutoff must be >= 2$"):
             evolve(_cfg(alpha_mag=1.0), **kw)
+
+    @pytest.mark.parametrize(
+        "kw", [dict(cutoff=40.7), dict(cutoff="40"), dict(cutoff_schedule=(40.5, 60))]
+    )
+    def test_non_integer_cutoff_is_rejected(self, kw):
+        with pytest.raises(ValueError, match="^cutoff must be an integer"):
+            evolve(_cfg(alpha_mag=1.0), **kw)
+
+    def test_numpy_integer_cutoff_is_accepted(self):
+        cfg = _cfg(g=0.2, alpha_mag=1.0)
+        state = evolve(cfg, cutoff=np.int64(12))
+        assert state.cutoff == 12
+        assert np.all(state.amplitudes == evolve(cfg, cutoff=12).amplitudes)
 
     def test_lossy_configs_are_rejected(self):
         cfg = dataclasses.replace(_cfg(alpha_mag=1.0), transmissivity=0.5)
