@@ -14,15 +14,9 @@ from .fock_oracle import (
     evolve,
     moments,
 )
-from .interferometer import (
-    ExperimentConfig,
-    mean_photon_number,
-    quadrature_mean,
-    quadrature_second_moment,
-    run_lossless,
-    run_lossy,
-)
+from .interferometer import quadrature_mean, quadrature_second_moment, run_lossless, run_lossy
 from .metrology import (
+    ExperimentConfig,
     heisenberg_limit,
     homodyne_mean,
     homodyne_mean_lossy,
@@ -30,6 +24,7 @@ from .metrology import (
     homodyne_second_moment,
     homodyne_second_moment_lossy,
     max_allowable_loss,
+    mean_photon_number,
     optimal_operating_point,
     optimal_sensitivity,
     quantum_cramer_rao_bound,

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__, metrology
-from .interferometer import ExperimentConfig
+from .metrology import ExperimentConfig
 from .validation import run_validation
 
 QUANTITIES = tuple(metrology.TABLE)
@@ -445,14 +445,16 @@ def _read_config(path: str):
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
     try:
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write output {out!r}: {exc}") from exc
+        target = "<stdout>" if out is None else repr(out)
+        raise ConfigError(f"cannot write output {target}: {exc}") from exc
 
 
 # eval's columns after the working point, each a closed form at that point:

@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .interferometer import ExperimentConfig
+from .metrology import ExperimentConfig
 
 __all__ = [
     "DEFAULT_TAIL_TOLERANCE",

@@ -11,15 +11,15 @@ traced out at once.
 once: the parameters are broadcast arrays, each element is one stacked
 product over them, and every element and state is checked per point.
 ``run_lossless`` and ``run_lossy`` are the same chains at one point.
+``ExperimentConfig`` and ``mean_photon_number`` live in ``metrology`` and are
+re-exported here.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
+from .metrology import ExperimentConfig, mean_photon_number
 from .phase_space import (
     GaussianState,
     angular_displacement_matrix,
@@ -41,43 +41,6 @@ __all__ = [
     "quadrature_mean",
     "quadrature_second_moment",
 ]
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One interferometer working point, and the one statement of its domain:
-    each ValueError's message starts with the name of the field it rejects.
-
-    g: squeezing factor of the parametric amplifier (>= 0)
-    ell: OAM quantum number (positive integer)
-    alpha_mag: magnitude of the input coherent amplitude (>= 0)
-    theta: amplitude angle of the input coherent state, radians
-    phi: angular displacement between the Dove prisms, radians
-    transmissivity: shared arm transmissivity T in [0, 1]; 1 means lossless
-    """
-
-    g: float
-    ell: int
-    alpha_mag: float
-    theta: float
-    phi: float
-    transmissivity: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("g", "alpha_mag", "theta", "phi", "transmissivity"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
-        if isinstance(self.ell, bool) or int(self.ell) != self.ell or self.ell < 1:
-            raise ValueError("ell must be a positive integer")
-        object.__setattr__(self, "ell", int(self.ell))
-        if self.g < 0:
-            raise ValueError("g must be >= 0")
-        if self.alpha_mag < 0:
-            raise ValueError("alpha_mag must be >= 0")
-        if not 0.0 <= self.transmissivity <= 1.0:
-            raise ValueError("transmissivity must lie in [0, 1]")
 
 
 def _rotated(g, ell, alpha_mag, theta, phi) -> GaussianState:
@@ -111,22 +74,6 @@ def run_lossy(config: ExperimentConfig) -> GaussianState:
     rotation and the coupler."""
     return lossy_chain(
         config.g, config.ell, config.alpha_mag, config.theta, config.phi, config.transmissivity
-    )
-
-
-def mean_photon_number(config: ExperimentConfig) -> float:
-    """Mean photon number inside the interferometer (before any loss), as
-    ``metrology.photon_number_table`` at ``config``.
-
-    Raises OverflowError where that number leaves the double range.
-    """
-    # metrology imports this module at load time
-    from .metrology import photon_number_table
-
-    return float(
-        photon_number_table(
-            config.g, config.ell, config.alpha_mag, config.theta, config.phi, config.transmissivity
-        )
     )
 
 

@@ -1,4 +1,6 @@
-"""Balanced-homodyne statistics at output port A, error-propagation
+"""The working point ``ExperimentConfig`` (re-exported, with
+``mean_photon_number``, by ``interferometer`` and the package root),
+balanced-homodyne statistics at output port A, error-propagation
 sensitivity, the metrology benchmarks (shot-noise limit, Heisenberg limit,
 quantum Cramer-Rao bound), optimal operating points, and loss robustness.
 
@@ -25,12 +27,12 @@ suite keeps the two routes in agreement.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import ExperimentConfig
-
 __all__ = [
+    "ExperimentConfig",
     "DERIVATIVE_FLOOR",
     "TABLE",
     "signal_table",
@@ -56,6 +58,7 @@ __all__ = [
     "shot_noise_limit",
     "heisenberg_limit",
     "quantum_cramer_rao_bound",
+    "mean_photon_number",
     "optimal_operating_point",
     "optimal_sensitivity",
     "max_allowable_loss",
@@ -66,6 +69,46 @@ DERIVATIVE_FLOOR = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
+
+
+# --- the working point --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One interferometer working point, and the one statement of its domain:
+    each ValueError's message starts with the name of the field it rejects.
+
+    g: squeezing factor of the parametric amplifier (>= 0)
+    ell: OAM quantum number (positive integer)
+    alpha_mag: magnitude of the input coherent amplitude (>= 0)
+    theta: amplitude angle of the input coherent state, radians
+    phi: angular displacement between the Dove prisms, radians
+    transmissivity: shared arm transmissivity T in [0, 1]; 1 means lossless
+    """
+
+    g: float
+    ell: int
+    alpha_mag: float
+    theta: float
+    phi: float
+    transmissivity: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("g", "alpha_mag", "theta", "phi", "transmissivity"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
+        if isinstance(self.ell, bool) or int(self.ell) != self.ell or self.ell < 1:
+            raise ValueError("ell must be a positive integer")
+        object.__setattr__(self, "ell", int(self.ell))
+        if self.g < 0:
+            raise ValueError("g must be >= 0")
+        if self.alpha_mag < 0:
+            raise ValueError("alpha_mag must be >= 0")
+        if not 0.0 <= self.transmissivity <= 1.0:
+            raise ValueError("transmissivity must lie in [0, 1]")
 
 
 # --- the quantity table -------------------------------------------------------
@@ -91,9 +134,10 @@ class _Steps:
         One-variable factors (hyperbolics, squares) go through ``math``:
         numpy's cosh and sinh differ from libm in the last place on about a
         quarter of inputs, and numpy's ``x**2`` is ``x*x``, not ``pow``.  On an
-        open grid ``x`` is one axis, so this costs one call per axis value.  An
-        element where ``fn`` raises is nan; with scalar inputs the error is
-        raised if ``where`` holds.
+        open grid ``x`` is one axis, so this costs one call per axis value;
+        ``validate`` passes flat columns, so there it is one call per point
+        (1,728 per factor in ``full``).  An element where ``fn`` raises is nan;
+        with scalar inputs the error is raised if ``where`` holds.
         """
         if self.scalar:
             try:
@@ -148,8 +192,8 @@ def _fluctuation(steps: _Steps, g, ell, phi, transmissivity, where=True):
 
 
 def _photon_number(steps: _Steps, g, alpha_mag):
-    """Mean photon number before any loss, ``cosh(2g) |alpha|^2 + 2 sinh^2 g``
-    (as ``interferometer.mean_photon_number``); fails where it overflows."""
+    """Mean photon number before any loss, ``cosh(2g) |alpha|^2 + 2 sinh^2 g``;
+    fails where it overflows."""
     n = steps.libm(math.cosh, 2.0 * g) * steps.libm(_square, alpha_mag) + 2.0 * steps.libm(
         lambda x: math.sinh(x) ** 2, g
     )
@@ -440,6 +484,15 @@ def quantum_cramer_rao_bound(config: ExperimentConfig) -> float:
     """Best sensitivity allowed by the probe state's Fisher information:
     ``1 / (2 l sqrt(sinh^2 2g + |alpha|^2 [1 + 2 cosh 2g + cosh 4g]))``."""
     return _at(qcrb_table, config)
+
+
+def mean_photon_number(config: ExperimentConfig) -> float:
+    """Mean photon number inside the interferometer (before any loss),
+    ``photon_number_table`` at ``config``.
+
+    Raises OverflowError where that number leaves the double range.
+    """
+    return _at(photon_number_table, config)
 
 
 def optimal_operating_point(ell: int) -> tuple[float, float]:

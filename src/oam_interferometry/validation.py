@@ -27,13 +27,8 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import fock_oracle, metrology
-from .interferometer import (
-    ExperimentConfig,
-    lossless_chain,
-    lossy_chain,
-    quadrature_mean,
-    quadrature_second_moment,
-)
+from .interferometer import lossless_chain, lossy_chain, quadrature_mean, quadrature_second_moment
+from .metrology import ExperimentConfig
 from .phase_space import photon_number
 
 ORACLE_TOL = 1e-5

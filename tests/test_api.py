@@ -2,6 +2,7 @@
 names and parameters that left it for the test references or were deleted."""
 
 import ast
+import importlib
 import inspect
 import os
 import subprocess
@@ -12,6 +13,9 @@ import pytest
 
 import oam_interferometry
 from oam_interferometry import cli, fock_oracle, interferometer, metrology, phase_space, validation
+
+PACKAGE_DIR = Path(oam_interferometry.__file__).parent
+PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 ROOT_NAMES = {
     # fock_oracle
@@ -151,8 +155,95 @@ def test_evolve_keeps_the_signature_the_benchmark_binds():
     ]
 
 
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _benchmark_bindings():
+    """(package module, name) for each package name the benchmark binds: the
+    names ``perfbench/workloads.py`` imports from the package or reads off its
+    modules, and the keys of the tracer's counter and annotator tables."""
+    bindings = set()
+    modules = {"cli", "interferometer", "metrology", "validation"}
+    for node in ast.walk(_parse(PERFBENCH_DIR / "workloads.py")):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("oam_interferometry"):
+            bindings.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                bindings.add((f"oam_interferometry.{node.value.id}", node.attr))
+    tables = {"COUNTED_FUNCTIONS", "COUNTED_CONSTRUCTORS", "ANNOTATORS"}
+    found = set()
+    for node in _parse(PERFBENCH_DIR / "tracing.py").body:
+        if isinstance(node, ast.Assign) and node.targets[0].id in tables:
+            found.add(node.targets[0].id)
+            for layer, name in (ast.literal_eval(key) for key in node.value.keys):
+                bindings.add((f"oam_interferometry.{layer}", name))
+    assert found == tables
+    return bindings
+
+
+def test_every_name_the_benchmark_binds_exists():
+    bindings = _benchmark_bindings()
+    assert ("oam_interferometry.interferometer", "ExperimentConfig") in bindings
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(bindings)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing
+
+
+def test_interferometer_re_exports_the_working_point():
+    for name in ("ExperimentConfig", "mean_photon_number"):
+        assert name in interferometer.__all__ and name in metrology.__all__
+        assert getattr(interferometer, name) is getattr(metrology, name)
+        assert getattr(oam_interferometry, name) is getattr(metrology, name)
+
+
+def _package_imports(path):
+    """The package modules ``path`` imports, as (module, at module level)."""
+    modules = {p.stem for p in PACKAGE_DIR.glob("*.py")}
+    tree = _parse(path)
+    top_level = {id(node) for node in tree.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            parts = node.module.split(".") if node.module else []
+        elif node.module and node.module.split(".")[0] == "oam_interferometry":
+            parts = node.module.split(".")[1:]
+        else:
+            continue
+        top = id(node) in top_level
+        if parts:
+            yield parts[0], top
+        else:
+            # "from . import x": x is a module, or a name of the package root
+            for alias in node.names:
+                yield (alias.name if alias.name in modules else "__init__"), top
+
+
+def test_package_imports_form_a_dag():
+    graph = {}
+    for path in PACKAGE_DIR.glob("*.py"):
+        imports = list(_package_imports(path))
+        assert all(top for _, top in imports), f"{path.name} imports inside a function"
+        graph[path.stem] = {target for target, _ in imports}
+    assert graph["metrology"] == set()
+    assert graph["phase_space"] == set()
+    assert graph["fock_oracle"] == {"metrology"}
+    assert "interferometer" not in graph["cli"]
+    # peel off the modules that import nothing left; a cycle never empties
+    remaining = dict(graph)
+    while remaining:
+        leaves = {m for m, targets in remaining.items() if not targets & remaining.keys()}
+        assert leaves, f"import cycle among {sorted(remaining)}"
+        for module in leaves:
+            del remaining[module]
+
+
 def test_package_does_not_import_the_tests():
-    for path in Path(oam_interferometry.__file__).parent.glob("*.py"):
+    for path in PACKAGE_DIR.glob("*.py"):
         imported = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):

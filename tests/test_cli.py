@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -157,7 +158,7 @@ class TestRunSweep:
         with pytest.raises(SweepError, match=r"visibility failed at \(phi=0\)"):
             run_sweep(spec)
 
-    def test_parallel_path_is_deterministic(self):
+    def test_two_axis_sweep_is_repeatable(self):
         text = "g=1\nell=2\nalpha_sq=9\nquantity = signal\nsweep = phi 0 6.28 40\nsweep = theta 0 6.28 3"
         a = without_timestamp(to_csv(run_sweep(parse_config(text))))
         b = without_timestamp(to_csv(run_sweep(parse_config(text))))
@@ -472,6 +473,20 @@ class TestMainEntry:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: cannot write output {str(out)!r}: ")
+
+    def test_unwritable_stdout_is_one_error_line(self, monkeypatch, capsys):
+        class FullDevice:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", FullDevice())
+        assert main(["reproduce", "fig7"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot write output <stdout>: [Errno 28] No space left on device"
+        ]
 
     def test_reproduce_to_file(self, tmp_path, capsys):
         out = tmp_path / "fig7.csv"
