@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, metrology
 from .metrology import ExperimentConfig
-from .validation import run_validation
+from .validation import PRESETS, run_validation
 
 QUANTITIES = tuple(metrology.TABLE)
 
@@ -385,14 +385,12 @@ def reproduce(figure_id: str) -> SweepResult:
         phis = np.linspace(0.0, math.pi, 201)
         point = (2.0, 1, 10.0, math.pi / 2.0)  # g, ell, |alpha|, theta
         values = metrology.TABLE[quantity](*point, phis, t)
-        snl = float(metrology.snl_table(*point, 0.0, t))
-        rows = []
-        for ph, value, flag in zip(phis.tolist(), values.tolist(), _flags(values)):
-            rows.append((ph, quantity, value, flag))
-            rows.append((ph, "snl", snl, ""))
+        # the quantity is an inner axis, so each phi has its two rows in turn
+        snl = np.broadcast_to(metrology.snl_table(*point, 0.0, t), values.shape)
+        value = np.stack([values, snl], axis=-1)
         return SweepResult(
             ("phi", "quantity", "value", "flag"),
-            tuple(rows),
+            _grid_rows((phis, np.array([quantity, "snl"])), value, _flags(value)),
             _figure_metadata(figure_id, quantity, f"g=2,ell=1,alpha_sq=100,theta=pi/2,T={t}"),
         )
 
@@ -552,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=_cmd_reproduce)
 
     p_val = sub.add_parser("validate", help="cross-check closed forms, engine, and Fock force")
-    p_val.add_argument("--preset", choices=("quick", "full"), default="quick")
+    p_val.add_argument("--preset", choices=PRESETS, default="quick")
     p_val.set_defaults(func=_cmd_validate)
 
     p_ml = sub.add_parser("max-loss", help="maximum allowable loss for a working point")

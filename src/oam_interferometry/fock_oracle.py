@@ -18,18 +18,21 @@ ladder matrix, which is ``-i J`` for a real symmetric tridiagonal J up to a
 diagonal phase change.  So one batched ``numpy.linalg.eigh`` of the J stack
 exponentiates them all in real arithmetic (``_ladder_exp``).  This is the same
 truncated operator as the dense ``(cutoff+1)^2``-square ``expm`` (the test
-suite keeps that route as its reference), not an approximation.  Homodyne
-moments are read directly from ``psi``.  The oracle shares nothing with the
-phase-space engine it checks.
+suite keeps that route as its reference), not an approximation.  The squeezed
+columns are read straight into the coupler's slots, rotated there, and
+scattered into ``psi`` once; homodyne moments are read directly from ``psi``.
+The oracle shares nothing with the phase-space engine it checks.
 
 Reliability gauge: the probability sitting on the top two Fock layers of
 either mode ("tail mass").  A state whose tail mass reaches
 ``DEFAULT_TAIL_TOLERANCE`` is flagged unreliable and refuses to report moments.
 
 Cost: the coupler keeps ``(2 cutoff + 1)(cutoff + 1)^2`` reals (8.5 MB at
-cutoff 80); the squeezer keeps one column of each of its ``cutoff + 1`` blocks.
-The README's "The Fock validator" section has the measured times; the dense
-route took 3.9 / 30 / 164 s at cutoff 40 / 60 / 80 and 0.4 GB per operator at 80.
+cutoff 80) and, per slot, two integer maps beside its ``psi`` index: the
+squeezer-column entry the slot holds and its ``n_a``.  The squeezer keeps one
+column of each of its ``cutoff + 1`` blocks.  The README's "The Fock validator"
+section has the measured times; the dense route took 3.9 / 30 / 164 s at
+cutoff 40 / 60 / 80 and 0.4 GB per operator at 80.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "DEFAULT_TAIL_TOLERANCE",
     "CUTOFF_SCHEDULE",
     "UnreliableStateError",
-    "BlockUnitary",
     "FockState",
     "OracleReport",
     "bs_unitary",
@@ -89,29 +91,6 @@ def _ladder_exp(weights: np.ndarray) -> np.ndarray:
     return np.where(offset % 2 == 0, cos, sin) * np.where(offset < 2, 1.0, -1.0)
 
 
-@dataclass(frozen=True)
-class BlockUnitary:
-    """A two-mode unitary stored as the direct sum of its invariant blocks.
-
-    ``blocks[k]`` acts on the amplitudes at flat indices ``index[k]`` of the
-    raveled ``psi``; a padded slot has index ``(cutoff+1)^2`` and an identity
-    row and column in its block.  It holds the coupler: its generator is real
-    and antisymmetric, so the blocks are real orthogonal matrices.
-    """
-
-    blocks: np.ndarray
-    index: np.ndarray
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """The unitary applied to the amplitude matrix ``psi`` (same shape)."""
-        padded = np.append(psi.ravel(), 0.0)[self.index]
-        # real blocks times the real and imaginary parts in one batched matmul
-        pair = self.blocks @ np.stack((padded.real, padded.imag), axis=-1)
-        out = np.empty(psi.size + 1, dtype=complex)
-        out[self.index] = pair[..., 0] + 1j * pair[..., 1]
-        return out[:-1].reshape(psi.shape)
-
-
 @lru_cache(maxsize=6)
 def _squeezed_columns(g: float, cutoff: int) -> np.ndarray:
     """exp(g (a^dag b^dag - a b)) |d, 0> for d = 0 .. cutoff: the two-mode
@@ -130,23 +109,33 @@ def _squeezed_columns(g: float, cutoff: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def bs_unitary(cutoff: int) -> BlockUnitary:
+def bs_unitary(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """exp(pi/4 (a^dag b - a b^dag)): the balanced coupler
     ``a -> (a + b)/sqrt2``, ``b -> (b - a)/sqrt2``, with one block per fixed
     ``n_a + n_b`` stepped by ``(n_a, n_b) -> (n_a + 1, n_b - 1)`` with matrix
-    element ``sqrt((n_a + 1) n_b)``."""
+    element ``sqrt((n_a + 1) n_b)``.
+
+    Returns ``(blocks, index, source, rows)``: the real orthogonal blocks and,
+    per slot, the flat index ``n_a (cutoff+1) + n_b`` of the raveled ``psi``,
+    the entry ``(n_a - n_b)(cutoff+1) + n_b`` of the raveled squeezer columns
+    the slot holds before the coupler, and ``n_a``.  A padded slot has index
+    ``(cutoff+1)^2``, row 0 and an identity row and column in its block; it and
+    every slot with ``n_a < n_b`` have source ``(cutoff+1)^2``, an appended zero.
+    """
     dim = cutoff + 1
     total = np.arange(2 * cutoff + 1)[:, None]
     n_a = np.arange(dim)[None, :] + np.maximum(total - cutoff, 0)
     n_b = total - n_a
     valid = (n_a <= cutoff) & (n_b >= 0)
     index = np.where(valid, n_a * dim + n_b, dim * dim)
+    source = np.where(valid & (n_a >= n_b), (n_a - n_b) * dim + n_b, dim * dim)
+    rows = np.where(valid, n_a, 0)
     linked = valid[:, :-1] & valid[:, 1:]
     weight = np.sqrt(np.where(linked, (n_a[:, :-1] + 1) * n_b[:, :-1], 0))
-    blocks = _ladder_exp(math.pi / 4.0 * weight)
-    blocks.flags.writeable = False
-    index.flags.writeable = False
-    return BlockUnitary(blocks=blocks, index=index)
+    coupler = (_ladder_exp(math.pi / 4.0 * weight), index, source, rows)
+    for array in coupler:
+        array.flags.writeable = False
+    return coupler
 
 
 @lru_cache(maxsize=16)
@@ -193,14 +182,18 @@ class OracleReport:
 def _evolve_at(config: ExperimentConfig, cutoff: int) -> FockState:
     dim = cutoff + 1
     n = np.arange(dim)
+    blocks, index, source, rows = bs_unitary(cutoff)
     # displaced vacuum |n, 0>, each squeezed along its diagonal of psi[n_a, n_b]
     amplitude = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
     squeezed = _squeezed_columns(config.g, cutoff) * amplitude[:, None]
-    n_a, n_b = np.tril_indices(dim)
-    psi = np.zeros((dim, dim), dtype=complex)
-    psi[n_a, n_b] = squeezed[n_a - n_b, n_b]
-    psi *= np.exp(1j * 2.0 * config.ell * config.phi * n)[:, None]
-    psi = bs_unitary(cutoff).apply(psi)
+    # read straight into the coupler's slots and rotated there by e^{i 2 l phi n_a}
+    slots = np.append(squeezed.ravel(), 0.0)[source]
+    slots *= np.exp(1j * 2.0 * config.ell * config.phi * n)[rows]
+    # real blocks times the real and imaginary parts in one batched matmul
+    pair = blocks @ np.stack((slots.real, slots.imag), axis=-1)
+    out = np.empty(dim * dim + 1, dtype=complex)
+    out[index] = pair[..., 0] + 1j * pair[..., 1]
+    psi = out[:-1].reshape(dim, dim)
     psi /= np.linalg.norm(psi)
     probs = np.abs(psi) ** 2
     tail = float(max(1.0 - probs[: cutoff - 1, : cutoff - 1].sum(), 0.0))

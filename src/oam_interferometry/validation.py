@@ -34,6 +34,8 @@ from .phase_space import photon_number
 ORACLE_TOL = 1e-5
 ENGINE_TOL = 1e-9
 LOSS_LAW_TOL = 1e-9
+# the grid_configs names, which the CLI offers as --preset
+PRESETS = ("quick", "full")
 
 _LOSS_SEED = 20260809
 
@@ -111,7 +113,7 @@ def grid_configs(preset: str) -> list[ExperimentConfig]:
         thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
         phis = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     else:
-        raise ValueError(f"unknown preset {preset!r} (expected 'quick' or 'full')")
+        raise ValueError(f"unknown preset {preset!r} (expected {PRESETS[0]!r} or {PRESETS[1]!r})")
     return [
         ExperimentConfig(g=g, ell=ell, alpha_mag=math.sqrt(asq), theta=float(th), phi=float(ph))
         for g, asq, ell, th, ph in itertools.product(gs, alpha_sqs, ells, thetas, phis)

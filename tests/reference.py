@@ -1,8 +1,8 @@
 """Reference routes the tests check the package against: the dense Fock
-operators, the general blocked squeezer and the oracle chain built on it, a
-direct loss channel, a brute-force optimum scan, the optimal sensitivity in
-plain ``math``, and the asymptotic and SU(1,1) sensitivity forms.  None of
-them is on the package's product path."""
+operators, the dense-state blocked unitary, the general blocked squeezer and
+the oracle chain built on them, a direct loss channel, a brute-force optimum
+scan, the optimal sensitivity in plain ``math``, and the asymptotic and
+SU(1,1) sensitivity forms.  None of them is on the package's product path."""
 
 import functools
 import math
@@ -12,12 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from oam_interferometry import ExperimentConfig, GaussianState, omega
-from oam_interferometry.fock_oracle import (
-    BlockUnitary,
-    _displacement_column,
-    _ladder_exp,
-    bs_unitary,
-)
+from oam_interferometry.fock_oracle import _displacement_column, _ladder_exp, bs_unitary
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -60,14 +55,25 @@ def build_operators(cutoff: int) -> TwoModeOperators:
     return TwoModeOperators(cutoff=cutoff, a=np.kron(a1, eye), b=np.kron(eye, a1))
 
 
-def repeated(unitary: BlockUnitary, times: int) -> BlockUnitary:
-    """``unitary`` applied ``times`` times, as one blocked unitary: the balanced
-    coupler repeated three times is exp(3 pi/4 (a^dag b - a b^dag))."""
-    return BlockUnitary(np.linalg.matrix_power(unitary.blocks, times), unitary.index)
+def apply_blocked(blocks: np.ndarray, index: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Real ``blocks`` applied to the amplitude matrix ``psi``: ``blocks[k]``
+    acts on flat indices ``index[k]`` of the raveled ``psi``, ``(cutoff+1)^2``
+    (an appended zero) on padding."""
+    padded = np.append(psi.ravel(), 0.0)[index]
+    pair = blocks @ np.stack((padded.real, padded.imag), axis=-1)
+    out = np.empty(psi.size + 1, dtype=complex)
+    out[index] = pair[..., 0] + 1j * pair[..., 1]
+    return out[:-1].reshape(psi.shape)
+
+
+def repeated(coupler: tuple, times: int) -> tuple:
+    """``bs_unitary``'s coupler applied ``times`` times, its slot maps unchanged:
+    three times over it is exp(3 pi/4 (a^dag b - a b^dag))."""
+    return (np.linalg.matrix_power(coupler[0], times),) + coupler[1:]
 
 
 @functools.lru_cache(maxsize=8)
-def squeezer_unitary(g: float, cutoff: int) -> BlockUnitary:
+def squeezer_unitary(g: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """exp(g (a^dag b^dag - a b)) on any two-mode input, as ``2 cutoff + 1``
     blocks of fixed ``n_a - n_b`` stepped by ``(n_a, n_b) -> (n_a + 1, n_b + 1)``
     with ``sqrt((n_a + 1)(n_b + 1))``.  The oracle keeps only column 0 of the
@@ -81,19 +87,19 @@ def squeezer_unitary(g: float, cutoff: int) -> BlockUnitary:
     index = np.where(valid, n_a * dim + n_b, dim * dim)
     linked = valid[:, :-1] & valid[:, 1:]
     weight = np.sqrt(np.where(linked, (n_a[:, :-1] + 1) * (n_b[:, :-1] + 1), 0))
-    return BlockUnitary(_ladder_exp(g * weight), index)
+    return _ladder_exp(g * weight), index
 
 
 def blocked_chain(config: ExperimentConfig, cutoff: int) -> np.ndarray:
-    """The oracle's normalised amplitudes at ``cutoff``, with the squeezer
-    applied as ``squeezer_unitary`` to the whole displaced-vacuum state."""
+    """The oracle's normalised amplitudes at ``cutoff``, with the squeezer and
+    the coupler applied as ``apply_blocked`` to the whole state."""
     dim = cutoff + 1
     psi = np.zeros((dim, dim), dtype=complex)
     n = np.arange(dim)
     psi[:, 0] = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
-    psi = squeezer_unitary(config.g, cutoff).apply(psi)
+    psi = apply_blocked(*squeezer_unitary(config.g, cutoff), psi)
     psi *= np.exp(1j * 2.0 * config.ell * config.phi * n)[:, None]
-    psi = bs_unitary(cutoff).apply(psi)
+    psi = apply_blocked(*bs_unitary(cutoff)[:2], psi)
     psi /= np.linalg.norm(psi)
     return psi.ravel()
 

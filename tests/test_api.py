@@ -71,12 +71,15 @@ ROOT_NAMES = {
 # (max_allowable_loss returns the loss) are deleted, the fluctuation
 # became metrology.fluctuation_table, opa_unitary became the squeezer
 # columns the vacuum mode B meets (its general form is tests/reference.py's
-# squeezer_unitary), and the rest moved to tests/reference.py
+# squeezer_unitary), BlockUnitary became the coupler's slot maps (its dense
+# apply is tests/reference.py's apply_blocked), and the rest moved to
+# tests/reference.py
 REMOVED = {
     "TwoModeOperators": fock_oracle,
     "build_operators": fock_oracle,
     "annihilation": fock_oracle,
     "opa_unitary": fock_oracle,
+    "BlockUnitary": fock_oracle,
     "grid_min_sensitivity": metrology,
     "optimal_sensitivity_asymptotic": metrology,
     "su11_phase_sensitivity": metrology,

@@ -22,7 +22,7 @@ from oam_interferometry.fock_oracle import (
 )
 from oam_interferometry.validation import ORACLE_TOL, grid_configs
 from helpers import random_config
-from reference import annihilation, blocked_chain, build_operators, repeated
+from reference import annihilation, apply_blocked, blocked_chain, build_operators, repeated
 
 
 def _cfg(**kw):
@@ -103,8 +103,24 @@ class TestBlockedUnitaries:
         ops = build_operators(self.CUTOFF)
         dense = expm(mixing_angle * (ops.a.T @ ops.b - ops.a @ ops.b.T))
         times = round(mixing_angle / (math.pi / 4.0))
-        blocked = repeated(bs_unitary(self.CUTOFF), times).apply(psi)
+        blocked = apply_blocked(*repeated(bs_unitary(self.CUTOFF), times)[:2], psi)
         assert np.max(np.abs(blocked.ravel() - dense @ psi.ravel())) <= 1e-12
+
+    @pytest.mark.parametrize("cutoff", [12, 40])
+    def test_coupler_slots_read_the_squeezer_columns(self, cutoff):
+        # slot (n_a, n_b) holds squeezer entry (n_a - n_b, n_b) before the
+        # coupler; upper-triangle and padded slots read the appended zero
+        dim = cutoff + 1
+        _, index, source, rows = bs_unitary(cutoff)
+        held = source < dim * dim
+        for slot, entry in zip(index[held].tolist(), source[held].tolist()):
+            n_a, n_b = divmod(slot, dim)
+            assert divmod(entry, dim) == (n_a - n_b, n_b)
+        assert np.all(source[~held] == dim * dim)
+        assert held.sum() == dim * (dim + 1) // 2
+        padded = index == dim * dim
+        assert np.array_equal(rows[~padded], index[~padded] // dim)
+        assert not source.flags.writeable and not rows.flags.writeable
 
 
 class TestLadderExponential:
@@ -119,7 +135,7 @@ class TestLadderExponential:
             # the one column of each block that the state meets has unit norm
             defect = np.linalg.norm(_squeezed_columns(0.5, cutoff), axis=-1) - 1.0
         else:
-            blocks = bs_unitary(cutoff).blocks
+            blocks = bs_unitary(cutoff)[0]
             defect = blocks @ np.swapaxes(blocks, -1, -2) - np.eye(cutoff + 1)
         assert np.max(np.abs(defect)) <= 1e-14
 
@@ -142,6 +158,12 @@ class TestAgainstReferenceChain:
     def test_quick_grid_at_40(self):
         for config in grid_configs("quick"):
             self._assert_equal(config, evolve(config, cutoff=40))
+
+    def test_cutoff_80_rung(self):
+        config = _cfg(g=0.5, ell=2, alpha_mag=3.0, theta=0.7, phi=0.4)
+        state = evolve(config)
+        assert state.cutoff == 80
+        self._assert_equal(config, state)
 
     def test_full_grid_points_that_escalate_to_60(self):
         escalated = 0
@@ -254,6 +276,10 @@ class TestTruncationControl:
         state = evolve(_cfg(g=0.4, alpha_mag=1.2, theta=0.5, phi=0.7), cutoff=25)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
         assert state.tail_mass >= 0.0
+
+    def test_empty_schedule_is_rejected(self):
+        with pytest.raises(ValueError, match="^cutoff schedule is empty$"):
+            evolve(_cfg(alpha_mag=1.0), cutoff_schedule=())
 
     @pytest.mark.parametrize("kw", [dict(cutoff=1), dict(cutoff_schedule=(40, 1))])
     def test_cutoff_below_two_is_rejected(self, kw):
