@@ -436,7 +436,7 @@ def reproduce(figure_id: str) -> SweepResult:
 
 def _read_config(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc

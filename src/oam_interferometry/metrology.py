@@ -8,12 +8,13 @@ The eight sweep quantities (``signal``, ``sensitivity``,
 ``sensitivity_lossy``, ``qcrb``, ``snl``, ``hl``, ``visibility``,
 ``max_loss``) are each defined once, as a closed form that broadcasts over
 numpy arrays of ``(g, ell, alpha_mag, theta, phi, transmissivity)``; ``TABLE``
-maps each name to its function.  ``fluctuation_table`` (the noise ``eval``
-reports), ``second_moment_table`` and ``photon_number_table`` (the moments
-``validate`` checks) and ``optimal_sensitivity_table`` (fig4's optimum) are
-more such forms.  Where a formula fails (zero photon number or amplitude, a
-hyperbolic or a photon number that overflows), scalar inputs raise its error
-and array inputs give nan.  Every scalar entry point, ``optimal_sensitivity``
+maps each name to its function, and ``sensitivity`` is ``sensitivity_lossy``
+at T = 1.  ``fluctuation_table`` (the noise ``eval`` reports),
+``second_moment_table`` and ``photon_number_table`` (the moments ``validate``
+checks) and ``optimal_sensitivity_table`` (fig4's optimum) are more such
+forms.  Where a formula fails (zero photon number or amplitude, a hyperbolic
+or a photon number that overflows), scalar inputs raise its error and array
+inputs give nan.  Every scalar entry point, ``optimal_sensitivity``
 and ``max_allowable_loss`` included, reads one form at one working point
 through ``_at``, so a row and a direct call agree bit for bit.  The maximum
 allowable loss is the exact root of a quadratic in the transmissivity, not a
@@ -173,12 +174,6 @@ def _square(x: float) -> float:
     return x**2
 
 
-def _slope(steps: _Steps, g, ell, alpha_mag, theta, phi):
-    """d<X_A>/dphi of the lossless chain."""
-    delta = theta + 2.0 * ell * phi
-    return -_TWO_SQRT2 * ell * alpha_mag * steps.libm(math.cosh, g) * np.sin(delta)
-
-
 def _noise(steps: _Steps, g, ell, phi, where=True):
     """Var X_A of the lossless chain, ``cosh 2g + sinh 2g cos(2 l phi)``."""
     cosh, sinh = steps.libm(math.cosh, 2.0 * g, where), steps.libm(math.sinh, 2.0 * g, where)
@@ -218,16 +213,12 @@ def signal_table(g, ell, alpha_mag, theta, phi, transmissivity):
     return steps.result(np.where(no_signal & np.isnan(value), 0.0, value))
 
 
-@np.errstate(all="ignore")
 def sensitivity_table(g, ell, alpha_mag, theta, phi, transmissivity):
-    """Lossless error-propagation sensitivity ``Delta X_A / |d<X_A>/dphi|``
-    (T is ignored); ``inf`` where the slope magnitude is below DERIVATIVE_FLOOR,
-    and there the noise term is never evaluated."""
-    steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
-    slope = np.abs(_slope(steps, g, ell, alpha_mag, theta, phi))
-    live = ~(slope < DERIVATIVE_FLOOR)
-    noise = _noise(steps, g, ell, phi, where=live)
-    return steps.result(np.where(live, np.sqrt(noise) / slope, np.inf))
+    """Lossless error-propagation sensitivity: ``sensitivity_lossy_table`` at
+    T = 1.  T only sets the result's shape, and whether a failing step raises
+    (scalar T) or gives nan (array T)."""
+    one = np.ones(np.shape(transmissivity)) if isinstance(transmissivity, np.ndarray) else 1.0
+    return sensitivity_lossy_table(g, ell, alpha_mag, theta, phi, one)
 
 
 @np.errstate(all="ignore")
@@ -235,7 +226,9 @@ def sensitivity_lossy_table(g, ell, alpha_mag, theta, phi, transmissivity):
     """Error-propagation sensitivity with arm transmissivity T:
     ``sqrt(T [cosh 2g + sinh 2g cos(2 l phi) - 1] + 1)`` over
     ``2 sqrt2 T l cosh g |alpha sin(theta + 2 l phi)|``; ``inf`` where that
-    denominator is below DERIVATIVE_FLOOR (T = 0, zero slope)."""
+    denominator is below DERIVATIVE_FLOOR (T = 0, zero slope).  The slope of
+    ``signal_table`` scales by sqrt(T) and this denominator by T, so this is
+    ``fluctuation_table / |d signal_table / dphi|`` divided by sqrt(T)."""
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
     delta = theta + 2.0 * ell * phi
     denom = (
@@ -381,8 +374,10 @@ def optimal_sensitivity_table(g, ell, alpha_mag, theta, phi, transmissivity):
 
 @np.errstate(all="ignore")
 def _slope_table(g, ell, alpha_mag, theta, phi, transmissivity):
+    """d<X_A>/dphi of the lossless chain."""
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
-    return steps.result(_slope(steps, g, ell, alpha_mag, theta, phi))
+    delta = theta + 2.0 * ell * phi
+    return steps.result(-_TWO_SQRT2 * ell * alpha_mag * steps.libm(math.cosh, g) * np.sin(delta))
 
 
 # quantity name -> closed form over broadcast (g, ell, alpha_mag, theta, phi,
@@ -438,23 +433,26 @@ def homodyne_second_moment_lossy(config: ExperimentConfig) -> float:
 
 
 def sensitivity(config: ExperimentConfig) -> float:
-    """Error-propagation estimate Delta phi = Delta X_A / |d<X_A>/dphi|.
+    """Error-propagation estimate Delta phi = Delta X_A / |d<X_A>/dphi| of
+    the lossless chain: ``sensitivity_lossy`` at T = 1, whatever the config's T.
 
     Returns ``inf`` when the slope magnitude is below DERIVATIVE_FLOOR (the
     working point carries no first-order signal).  Raises OverflowError where
     cosh 2g overflows (g above about 355.2) unless the slope is below the
     floor, and where cosh g overflows (above about 710.5) at any point.
     """
-    return _at(sensitivity_table, config)
+    return _at(sensitivity_lossy_table, config, transmissivity=1.0)
 
 
 def sensitivity_lossy(config: ExperimentConfig) -> float:
     """Error-propagation sensitivity with arm transmissivity T.
 
     ``sqrt(T [cosh 2g + sinh 2g cos(2 l phi) - 1] + 1)`` over
-    ``2 sqrt2 T l cosh g |alpha sin(theta + 2 l phi)|``; reduces to the
-    lossless form at T = 1 and is reported as ``inf`` at T = 0 (total loss)
-    or where the slope vanishes.
+    ``2 sqrt2 T l cosh g |alpha sin(theta + 2 l phi)|``: the denominator is T
+    times the lossless slope, while the lossy mean's slope is sqrt(T) times
+    it, so this is the lossy ``Delta X_A / |d<X_A>/dphi|`` divided by sqrt(T).
+    It is ``sensitivity`` at T = 1 and is reported as ``inf`` at T = 0 (total
+    loss) or where the slope vanishes.
     """
     return _at(sensitivity_lossy_table, config)
 

@@ -18,6 +18,7 @@ from oam_interferometry.cli import (
     ConfigError,
     SweepError,
     SweepSpec,
+    entry,
     main,
     parse_config,
     render_config,
@@ -416,6 +417,36 @@ class TestMainEntry:
             assert (row[name] == "nan") == (name in undefined), name
         assert row["flag"] == "non-finite"
 
+    def test_eval_and_a_one_point_sweep_write_the_same_sensitivity(self, tmp_path, capsys):
+        point = "g = 2.69\nell = 2\nalpha_sq = 84.6\ntheta = 1.18\nphi = 1.48\n"
+        assert main(["eval", "--config", self._write(tmp_path, point)]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        sweep = point + "quantity = sensitivity\nsweep = phi 1.48 1.48 1\n"
+        assert main(["sweep", "--config", self._write(tmp_path, sweep, "sweep.txt")]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert lines[1].split(",")[1] == row["sensitivity"]
+
+    def test_config_saved_with_a_byte_order_mark(self, tmp_path, capsys):
+        # Windows Notepad starts a UTF-8 file with U+FEFF
+        outputs = []
+        for name, encoding in (("plain.txt", "utf-8"), ("bom.txt", "utf-8-sig")):
+            path = tmp_path / name
+            path.write_text(FIG3_TEXT, encoding=encoding)
+            assert main(["eval", "--config", str(path)]) == 0
+            outputs.append(without_timestamp(capsys.readouterr().out))
+        assert (tmp_path / "bom.txt").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("args, code", [(["reproduce", "fig7"], 0), (["eval"], 1)])
+    def test_console_script_exits_with_the_command_code(self, monkeypatch, capsys, args, code):
+        # [project.scripts] points oam-interferometry at entry(), which reads sys.argv
+        monkeypatch.setattr(sys, "argv", ["oam-interferometry", *args])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == code
+        capsys.readouterr()
+
     def test_eval_rejects_sweep_config(self, tmp_path):
         path = self._write(tmp_path, "alpha_sq=1\nquantity = snl\nsweep = g 0 1 3")
         assert main(["eval", "--config", path]) == 1
@@ -544,6 +575,26 @@ class TestUndefinedPointsThroughMain:
             assert value == repr(sensitivity(cfg))
         assert self._undefined_line(header) == (
             "# undefined=1 of 5; sensitivity failed at (g=360): math range error"
+        )
+
+    def test_lossless_sensitivity_keeps_the_mode_and_shape_of_a_t_axis(self, tmp_path, capsys):
+        # sensitivity ignores T, but a T axis still makes the call an array
+        # call: a failing point is a nan row, and every T gets its own row
+        base = "alpha_sq = 4\ng = 400\ntheta = 1\nquantity = sensitivity\n"
+        base += "sweep = transmissivity 0 1 3\n"
+        code, _, rows, err = self._sweep(tmp_path, capsys, base)
+        assert code == 1 and rows == []
+        assert err.splitlines()[-1] == (
+            "error: sensitivity failed at (transmissivity=0): math range error"
+        )
+        code, header, rows, _ = self._sweep(tmp_path, capsys, base + "sweep = g 300 400 3\n")
+        assert code == 0 and len(rows) == 9
+        for g in ("300.0", "350.0", "400.0"):
+            assert len({(value, flag) for _, row_g, value, flag in rows if row_g == g}) == 1
+        assert [row[2:] for row in rows if row[1] == "400.0"] == [["nan", "non-finite"]] * 3
+        assert self._undefined_line(header) == (
+            "# undefined=3 of 9; sensitivity failed at (transmissivity=0, g=400): "
+            "math range error"
         )
 
     def test_max_loss_at_zero_amplitude_names_the_point(self, tmp_path, capsys):

@@ -203,7 +203,7 @@ class TestLossySensitivity:
         rng = np.random.default_rng(17)
         for _ in range(20):
             cfg = random_config(rng)
-            assert sensitivity_lossy(cfg) == pytest.approx(sensitivity(cfg), rel=1e-12)
+            assert sensitivity_lossy(cfg) == sensitivity(cfg)
 
     def test_total_loss_is_divergent(self):
         cfg = dataclasses.replace(_cfg(theta=0.5, phi=0.3), transmissivity=0.0)
@@ -239,6 +239,21 @@ class TestLossySensitivity:
             * abs(math.sin(delta))
         )
         assert sensitivity_lossy(cfg) == pytest.approx(noise / denom, rel=1e-9)
+
+    @pytest.mark.parametrize("t", [0.3, 0.62, 0.9])
+    def test_divides_the_lossy_error_propagation_ratio_by_root_t(self, t):
+        # the denominator is T times the lossless slope, while the lossy
+        # mean's slope is sqrt(T) times it
+        cfg = ExperimentConfig(
+            g=2.0, ell=1, alpha_mag=10.0, theta=0.4, phi=1.1, transmissivity=t
+        )
+        h = 1e-6
+        slope = (
+            homodyne_mean_lossy(dataclasses.replace(cfg, phi=cfg.phi + h))
+            - homodyne_mean_lossy(dataclasses.replace(cfg, phi=cfg.phi - h))
+        ) / (2 * h)
+        ratio = fluctuation(cfg) / abs(slope)
+        assert sensitivity_lossy(cfg) * math.sqrt(t) == pytest.approx(ratio, rel=1e-7)
 
     def test_lossy_fluctuation_interpolates_to_vacuum(self):
         cfg = dataclasses.replace(_cfg(g=1.0, phi=0.2), transmissivity=0.5)

@@ -259,8 +259,8 @@ def reference(quantity, cfg):
             math.sqrt(2.0) * a * (math.cos(delta) * math.cosh(g) + math.cos(theta) * math.sinh(g))
         )
     if quantity == "sensitivity":
-        slope = -2.0 * math.sqrt(2.0) * ell * a * math.cosh(g) * math.sin(delta)
-        return math.inf if abs(slope) < 1e-12 else math.sqrt(noise) / abs(slope)
+        # the lossless sensitivity is defined as the lossy one at T = 1
+        quantity, t = "sensitivity_lossy", 1.0
     if quantity == "sensitivity_lossy":
         denom = t * 2.0 * math.sqrt(2.0) * ell * math.cosh(g) * a * abs(math.sin(delta))
         return math.inf if abs(denom) < 1e-12 else math.sqrt(t * (noise - 1.0) + 1.0) / denom
