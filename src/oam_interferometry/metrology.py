@@ -101,7 +101,11 @@ class ExperimentConfig:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
-        if isinstance(self.ell, bool) or int(self.ell) != self.ell or self.ell < 1:
+        try:
+            integral = not isinstance(self.ell, bool) and int(self.ell) == self.ell
+        except (ValueError, OverflowError):  # nan and +-inf have no int
+            integral = False
+        if not integral or self.ell < 1:
             raise ValueError("ell must be a positive integer")
         object.__setattr__(self, "ell", int(self.ell))
         if self.g < 0:

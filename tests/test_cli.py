@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -17,7 +18,9 @@ from oam_interferometry.cli import (
     EVAL_COLUMNS,
     ConfigError,
     SweepError,
+    SweepResult,
     SweepSpec,
+    _grid_rows,
     entry,
     main,
     parse_config,
@@ -189,6 +192,49 @@ class TestCsv:
         first, second = (to_csv(run_sweep(spec)) for _ in range(2))
         assert sum(l.startswith("# generated=") for l in first.splitlines()) == 1
         assert without_timestamp(first) == without_timestamp(second)
+
+    def test_each_entry_is_its_own_str_where_a_column_repeats(self):
+        # every column repeats an entry, so each is read through its text map
+        nan, other_nan = float("nan"), float("nan")
+        rows = (
+            (0.0, -0.0, nan, "x"),
+            (-0.0, 0.0, nan, "x"),
+            (0.0, -0.0, other_nan, "y"),
+            (math.inf, -math.inf, math.inf, "x"),
+            (-math.inf, 0.0, -math.inf, "x"),
+        )
+        assert nan is not other_nan
+        assert all(len(set(column)) < len(column) for column in zip(*rows))
+        text = to_csv(SweepResult(("a", "b", "c", "d"), rows, {"quantity": "hand-built"}))
+        assert text.splitlines()[-6:] == [
+            "a,b,c,d",
+            "0.0,-0.0,nan,x",
+            "-0.0,0.0,nan,x",
+            "0.0,-0.0,nan,y",
+            "inf,-inf,inf,x",
+            "-inf,0.0,-inf,x",
+        ]
+        assert text.endswith("-inf,0.0,-inf,x\n")
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (1, 5), (3, 4), (3, 56, 2)])
+    def test_grid_rows_are_the_product_of_the_axes(self, shape):
+        axes = [np.linspace(0.25, 3.0, n) * (k + 1) for k, n in enumerate(shape)]
+        if len(shape) == 3:  # fig4's innermost axis names the quantity
+            axes[-1] = np.array(["sensitivity_opt", "qcrb"])
+        value = np.arange(math.prod(shape), dtype=float).reshape(shape) / 7.0
+        flags = [f"flag{i}" for i in range(value.size)]
+        rows = _grid_rows(axes, value, flags)
+        expected = tuple(
+            (*point, v, flag)
+            for point, v, flag in zip(
+                itertools.product(*(a.tolist() for a in axes)), value.ravel().tolist(), flags
+            )
+        )
+        assert rows == expected
+        assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row)) for row in expected]
+        # rows share their coordinate objects: one per axis value
+        for k in range(len(shape)):
+            assert len({id(row[k]) for row in rows}) == shape[k]
 
 
 class TestReproduce:

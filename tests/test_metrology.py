@@ -366,10 +366,17 @@ class TestOptimum:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             optimal_sensitivity(1.0, 1, alpha_mag, transmissivity)
 
-    @pytest.mark.parametrize("ell", [True, 0, 1.5])
+    @pytest.mark.parametrize("ell", [True, 0, 1.5, math.nan, math.inf, -math.inf])
     def test_operating_point_rejects_what_the_config_rejects(self, ell):
         with pytest.raises(ValueError, match="^ell must be a positive integer$"):
             optimal_operating_point(ell)
+
+    @pytest.mark.parametrize("ell", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_ell_is_named(self, ell):
+        with pytest.raises(ValueError, match="^ell must be a positive integer$"):
+            ExperimentConfig(g=1.0, ell=ell, alpha_mag=1.0, theta=0.0, phi=0.0)
+        with pytest.raises(ValueError, match="^ell must be a positive integer$"):
+            optimal_sensitivity(1.0, ell, 1.0)
 
     def test_grid_search_confirms_analytic_point(self):
         g, ell, amag = 1.3, 2, 3.0

@@ -11,6 +11,7 @@ import pytest
 
 from oam_interferometry import (
     ExperimentConfig,
+    cli,
     heisenberg_limit,
     homodyne_mean,
     homodyne_mean_lossy,
@@ -23,6 +24,7 @@ from oam_interferometry import (
     visibility,
 )
 from oam_interferometry.cli import (
+    FIGURE_IDS,
     MAX_SWEEP_POINTS,
     ConfigError,
     SweepAxis,
@@ -555,13 +557,83 @@ def test_figure_rows_equal_direct_calls(figure):
         assert value == expected or (math.isinf(value) and math.isinf(expected))
 
 
-@pytest.mark.parametrize("figure", ["fig3", "fig4", "fig7"])
-def test_csv_rows_are_the_repr_of_each_value(figure):
-    result = reproduce(figure)
-    body = without_timestamp(to_csv(result)).splitlines()[-len(result.rows):]
+# sweeps whose columns repeat entries or hold the entries a text map could
+# confuse: inf, nan, one value throughout, and zeros of both signs
+EDGE_SWEEPS = {
+    "signal over phi": "g = 1\nell = 3\nalpha_sq = 10\nquantity = signal\nsweep = phi 0 1 40\n",
+    "sensitivity 200x50": (
+        "g = 2\nalpha_sq = 100\nquantity = sensitivity\n"
+        "sweep = phi 0 3.141592653589793 200\nsweep = theta 0 3 50\n"
+    ),
+    "snl over phi": "g = 1\nalpha_sq = 4\nquantity = snl\nsweep = phi 0 3 25\n",
+    "qcrb to overflow": "alpha_sq = 1\nquantity = qcrb\nsweep = g 0 700 8\n",
+    "signal at zero input": (
+        "g = 0\nalpha_sq = 0\nquantity = signal\nsweep = theta -3.14159 3.14159 9\n"
+        "sweep = phi -1.5707963267948966 1.5707963267948966 7\n"
+    ),
+}
+
+# one sweep of each table quantity; g and ell are max_loss's axes too
+TABLE_SWEEPS = {
+    f"{quantity} over g and ell": f"{BASE}quantity = {quantity}\nsweep = g 0 3 13\nsweep = ell 1 4 4\n"
+    for quantity in metrology.TABLE
+}
+
+POINT = "g = 2.69\nell = 2\nalpha_sq = 84.6\ntheta = 1.18\nphi = 1.48\ntransmissivity = 0.62\n"
+
+
+def _rendered(case, tmp_path, monkeypatch):
+    """The result a figure, a sweep, ``eval`` or ``max-loss`` writes, and its CSV."""
+    if case in FIGURE_IDS:
+        result = reproduce(case)
+        return result, to_csv(result)
+    sweeps = {**EDGE_SWEEPS, **TABLE_SWEEPS}
+    if case in sweeps:
+        result = run_sweep(parse_config(sweeps[case]))
+        return result, to_csv(result)
+    # eval and max-loss build their row inside main: catch what they render
+    rendered = []
+
+    def spy(result):
+        rendered.append((result, to_csv(result)))
+        return rendered[-1][1]
+
+    monkeypatch.setattr(cli, "to_csv", spy)
+    path = tmp_path / "point.txt"
+    path.write_text(POINT)
+    assert main([case, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+    (only,) = rendered
+    return only
+
+
+@pytest.mark.parametrize("case", [*FIGURE_IDS, *EDGE_SWEEPS, "eval", "max-loss"])
+def test_csv_rows_are_the_repr_of_each_value(case, tmp_path, monkeypatch):
+    result, text = _rendered(case, tmp_path, monkeypatch)
+    body = without_timestamp(text).splitlines()[-len(result.rows):]
     assert body == [
         ",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in result.rows
     ]
+
+
+def test_edge_sweeps_keep_their_edges():
+    values = {
+        name: [row[-2] for row in run_sweep(parse_config(text)).rows]
+        for name, text in EDGE_SWEEPS.items()
+    }
+    assert len(set(values["signal over phi"])) == len(values["signal over phi"])
+    assert any(map(math.isinf, values["sensitivity 200x50"]))
+    assert len(set(values["snl over phi"])) == 1 < len(values["snl over phi"])
+    assert any(map(math.isnan, values["qcrb to overflow"]))
+    signs = {math.copysign(1.0, v) for v in values["signal at zero input"] if v == 0.0}
+    assert signs == {1.0, -1.0}
+
+
+@pytest.mark.parametrize("case", [*FIGURE_IDS, *TABLE_SWEEPS, "eval", "max-loss"])
+def test_every_row_entry_is_a_float_or_a_str(case, tmp_path, monkeypatch):
+    # to_csv formats each distinct entry once, keyed by value: 1, 1.0 and
+    # True would share a text
+    result, _ = _rendered(case, tmp_path, monkeypatch)
+    assert {type(v) for row in result.rows for v in row} <= {float, str}
 
 
 class TestAxisDomain:
