@@ -255,11 +255,10 @@ def _grid_rows(axis_values: Sequence[np.ndarray], value, flags: Sequence[str]) -
     # each axis's Python values, each repeated over the inner axes and the
     # whole repeated over the outer ones: rows share their coordinate objects
     shape = [len(v) for v in axis_values]
-    coords = [
-        [v for v in values.tolist() for _ in range(math.prod(shape[i + 1 :]))]
-        * math.prod(shape[:i])
-        for i, values in enumerate(axis_values)
-    ]
+    coords = []
+    for i, values in enumerate(axis_values):
+        inner = range(math.prod(shape[i + 1 :]))
+        coords.append([v for v in values.tolist() for _ in inner] * math.prod(shape[:i]))
     return tuple(zip(*coords, np.ravel(value).tolist(), flags))
 
 
@@ -460,7 +459,7 @@ def _read_config(path: str):
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 

@@ -15,8 +15,8 @@ one stack; a padded slot exponentiates to the identity and carries no
 amplitude.  Every block generator, and the single-mode displacement
 ``|alpha| (a^dag - a)``, is a real antisymmetric tridiagonal
 ladder matrix, which is ``-i J`` for a real symmetric tridiagonal J up to a
-diagonal phase change.  So one batched ``numpy.linalg.eigh`` of the J stack
-exponentiates them all in real arithmetic (``_ladder_exp``).  This is the same
+diagonal phase change.  So batched ``numpy.linalg.eigh`` calls over the J
+stack exponentiate them all in real arithmetic (``_ladder_exp``).  This is the same
 truncated operator as the dense ``(cutoff+1)^2``-square ``expm`` (the test
 suite keeps that route as its reference), not an approximation.  The squeezed
 columns are read straight into the coupler's slots, rotated there, and
@@ -30,9 +30,12 @@ either mode ("tail mass").  A state whose tail mass reaches
 Cost: the coupler keeps ``(2 cutoff + 1)(cutoff + 1)^2`` reals (8.5 MB at
 cutoff 80) and, per slot, two integer maps beside its ``psi`` index: the
 squeezer-column entry the slot holds and its ``n_a``.  The squeezer keeps one
-column of each of its ``cutoff + 1`` blocks.  The README's "The Fock validator"
-section has the measured times; the dense route took 3.9 / 30 / 164 s at
-cutoff 40 / 60 / 80 and 0.4 GB per operator at 80.
+column of each of its ``cutoff + 1`` blocks.  The blocks are exponentiated a
+few at a time into the kept array, each by the same arithmetic as the whole
+stack at once, so a cold build holds little more than what it keeps.  The
+README's "The Fock validator" section has the measured times and peaks; the
+dense route took 3.9 / 30 / 164 s at cutoff 40 / 60 / 80 and 0.4 GB per
+operator at 80.
 """
 
 from __future__ import annotations
@@ -66,9 +69,19 @@ class UnreliableStateError(RuntimeError):
     """Raised when moments are requested from a state with too much tail mass."""
 
 
-def _ladder_exp(weights: np.ndarray) -> np.ndarray:
+# Blocks exponentiated per step of ``_ladder_exp``.  Each block still runs the
+# same eigh and the same two full products, so its bits do not change (fewer
+# columns per product would change them).  The traced peak of a cold
+# bs_unitary(80), which keeps 8.1 MiB, grows with the batch: 9.2 MiB at 1,
+# 10.1 at 4, 13.7 at 16 and 49 with every block at once.  Build times from 1
+# to 16 were equal within noise.
+_BATCH = 4
+
+
+def _ladder_exp(weights: np.ndarray, column: int | None = None) -> np.ndarray:
     """exp(G) for the real antisymmetric tridiagonal ``G[k+1, k] = w_k =
-    -G[k, k+1]``, ``w = weights[..., k]``, batched over the leading axes.
+    -G[k, k+1]``, ``w = weights[..., k]``, batched over the leading axes; with
+    ``column``, only that column of each exp(G).
 
     ``G = D (-i J) D^-1`` with ``D = diag(i^k)`` and J the real symmetric
     tridiagonal matrix with the same weights, so with ``J = V diag(lam) V^T``,
@@ -76,19 +89,31 @@ def _ladder_exp(weights: np.ndarray) -> np.ndarray:
     a zero diagonal, so its even functions vanish where ``k - l`` is odd and its
     odd functions where it is even: ``exp(G)`` is ``V cos(lam) V^T`` where
     ``k - l`` is even and ``V sin(lam) V^T`` where it is odd, signed +, +, -, -
-    for ``(k - l) mod 4 = 0, 1, 2, 3``.  Returns a C-contiguous real array.
+    for ``(k - l) mod 4 = 0, 1, 2, 3``.  The blocks are built ``_BATCH`` at a
+    time into one C-contiguous real array, each block by the same arithmetic.
     """
     dim = weights.shape[-1] + 1
-    j = np.zeros(weights.shape[:-1] + (dim, dim))
+    stack = weights.reshape(-1, dim - 1)
     k = np.arange(dim - 1)
-    j[..., k + 1, k] = weights
-    j[..., k, k + 1] = weights
-    lam, v = np.linalg.eigh(j)
-    vt = np.swapaxes(v, -1, -2)
-    cos = (v * np.cos(lam)[..., None, :]) @ vt
-    sin = (v * np.sin(lam)[..., None, :]) @ vt
     offset = np.subtract.outer(np.arange(dim), np.arange(dim)) % 4
-    return np.where(offset % 2 == 0, cos, sin) * np.where(offset < 2, 1.0, -1.0)
+    odd, sign = offset % 2 == 1, np.where(offset < 2, 1.0, -1.0)
+    if column is not None:
+        odd, sign = odd[:, column], sign[:, column]
+    out = np.empty(weights.shape[:-1] + sign.shape)
+    blocks = out.reshape((len(stack),) + sign.shape)
+    for start in range(0, len(stack), _BATCH):
+        batch = stack[start : start + _BATCH]
+        j = np.zeros((len(batch), dim, dim))
+        j[:, k + 1, k] = batch
+        j[:, k, k + 1] = batch
+        lam, v = np.linalg.eigh(j)
+        vt = np.swapaxes(v, -1, -2)
+        cos = (v * np.cos(lam)[:, None, :]) @ vt
+        sin = (v * np.sin(lam)[:, None, :]) @ vt
+        if column is not None:
+            cos, sin = cos[..., column], sin[..., column]
+        np.multiply(np.where(odd, sin, cos), sign, out=blocks[start : start + _BATCH])
+    return out
 
 
 @lru_cache(maxsize=6)
@@ -103,7 +128,7 @@ def _squeezed_columns(g: float, cutoff: int) -> np.ndarray:
     d = np.arange(cutoff + 1)[:, None]
     k = np.arange(cutoff)[None, :]
     weight = np.sqrt(np.where(d + k < cutoff, (d + k + 1) * (k + 1), 0))
-    columns = _ladder_exp(g * weight)[..., 0].copy()
+    columns = _ladder_exp(g * weight, column=0)
     columns.flags.writeable = False
     return columns
 
@@ -143,7 +168,7 @@ def _displacement_column(magnitude: float, cutoff: int) -> np.ndarray:
     """D(|alpha|)|0> for a single mode (first column of the displacement
     unitary); the phase of alpha is the rotation ``e^{i theta n}`` applied to it."""
     # a^dag - a steps n -> n + 1 with sqrt(n + 1)
-    col = _ladder_exp(magnitude * np.sqrt(np.arange(1.0, cutoff + 1)))[:, 0].copy()
+    col = _ladder_exp(magnitude * np.sqrt(np.arange(1.0, cutoff + 1)), column=0)
     col.flags.writeable = False
     return col
 

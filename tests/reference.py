@@ -1,8 +1,9 @@
 """Reference routes the tests check the package against: the dense Fock
-operators, the dense-state blocked unitary, the general blocked squeezer and
-the oracle chain built on them, a direct loss channel, a brute-force optimum
-scan, the optimal sensitivity in plain ``math``, and the asymptotic and
-SU(1,1) sensitivity forms.  None of them is on the package's product path."""
+operators, the dense-state blocked unitary, the one-shot ladder exponential,
+the general blocked squeezer and the oracle chain built on them, a direct loss
+channel, a brute-force optimum scan, the optimal sensitivity in plain
+``math``, and the asymptotic and SU(1,1) sensitivity forms.  None of them is
+on the package's product path."""
 
 import functools
 import math
@@ -64,6 +65,22 @@ def apply_blocked(blocks: np.ndarray, index: np.ndarray, psi: np.ndarray) -> np.
     out = np.empty(psi.size + 1, dtype=complex)
     out[index] = pair[..., 0] + 1j * pair[..., 1]
     return out[:-1].reshape(psi.shape)
+
+
+def ladder_exp_one_shot(weights: np.ndarray) -> np.ndarray:
+    """``fock_oracle._ladder_exp`` with every block exponentiated in one
+    batched ``eigh`` and two full-stack products."""
+    dim = weights.shape[-1] + 1
+    j = np.zeros(weights.shape[:-1] + (dim, dim))
+    k = np.arange(dim - 1)
+    j[..., k + 1, k] = weights
+    j[..., k, k + 1] = weights
+    lam, v = np.linalg.eigh(j)
+    vt = np.swapaxes(v, -1, -2)
+    cos = (v * np.cos(lam)[..., None, :]) @ vt
+    sin = (v * np.sin(lam)[..., None, :]) @ vt
+    offset = np.subtract.outer(np.arange(dim), np.arange(dim)) % 4
+    return np.where(offset % 2 == 0, cos, sin) * np.where(offset < 2, 1.0, -1.0)
 
 
 def repeated(coupler: tuple, times: int) -> tuple:

@@ -484,6 +484,17 @@ class TestMainEntry:
         assert (tmp_path / "bom.txt").read_bytes().startswith(b"\xef\xbb\xbf")
         assert outputs[0] == outputs[1]
 
+    def test_config_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"g = 1\xff\n")
+        assert main(["eval", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot read config {str(path)!r}: 'utf-8' codec can't decode"
+            " byte 0xff in position 5: invalid start byte"
+        ]
+
     @pytest.mark.parametrize("args, code", [(["reproduce", "fig7"], 0), (["eval"], 1)])
     def test_console_script_exits_with_the_command_code(self, monkeypatch, capsys, args, code):
         # [project.scripts] points oam-interferometry at entry(), which reads sys.argv

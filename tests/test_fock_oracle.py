@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,15 +15,24 @@ from oam_interferometry import (
     mean_photon_number,
     moments,
 )
+from oam_interferometry import fock_oracle
 from oam_interferometry.fock_oracle import (
     DEFAULT_TAIL_TOLERANCE,
     _displacement_column,
+    _ladder_exp,
     _squeezed_columns,
     bs_unitary,
 )
 from oam_interferometry.validation import ORACLE_TOL, grid_configs
 from helpers import random_config
-from reference import annihilation, apply_blocked, blocked_chain, build_operators, repeated
+from reference import (
+    annihilation,
+    apply_blocked,
+    blocked_chain,
+    build_operators,
+    ladder_exp_one_shot,
+    repeated,
+)
 
 
 def _cfg(**kw):
@@ -146,6 +156,99 @@ class TestLadderExponential:
         dense = expm(math.sqrt(alpha_sq) * (a.T - a))[:, 0]
         column = _displacement_column(math.sqrt(alpha_sq), cutoff)
         assert np.max(np.abs(column - dense)) <= 1e-14
+
+
+def _same_bits(array, expected):
+    # values and zero signs; == alone takes -0.0 for 0.0
+    return (
+        array.shape == expected.shape
+        and array.flags.c_contiguous
+        and np.array_equal(array, expected)
+        and np.array_equal(np.signbit(array), np.signbit(expected))
+    )
+
+
+class TestBatchedBuild:
+    """``_ladder_exp`` builds its blocks a few at a time; every block and every
+    kept column equals the one-shot build of the whole stack
+    (tests/reference.py) bit for bit, zero signs included."""
+
+    @pytest.mark.parametrize("shape", [(1, 11), (4, 11), (5, 11), (25, 11), (161, 11), (11,), (3, 5, 11)])
+    def test_weight_stacks(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        weights = rng.normal(size=shape)
+        weights[..., ::4] = 0.0  # unlinked levels, as in the padded blocks
+        expected = ladder_exp_one_shot(weights)
+        assert _same_bits(_ladder_exp(weights), expected)
+        assert _same_bits(_ladder_exp(weights, column=0), expected[..., 0].copy())
+
+    @pytest.mark.parametrize("cutoff", [3, 12, 40, 80])
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (bs_unitary, ()),
+            (_squeezed_columns, (0.0,)),
+            (_squeezed_columns, (0.3,)),
+            (_squeezed_columns, (1.1,)),
+            (_displacement_column, (2.5,)),
+        ],
+        ids=["coupler", "squeezer-0", "squeezer-0.3", "squeezer-1.1", "displacement"],
+    )
+    def test_oracle_stacks(self, monkeypatch, build, args, cutoff):
+        # the coupler keeps 2 cutoff + 1 whole blocks, the squeezer and the
+        # displacement column 0 of cutoff + 1 and of one; of these stacks only
+        # the squeezer's at cutoff 3 fills its last batch of four
+        calls = []
+
+        def recorded(weights, column=None):
+            calls.append((weights, column))
+            return _ladder_exp(weights, column)
+
+        monkeypatch.setattr(fock_oracle, "_ladder_exp", recorded)
+        kept = build.__wrapped__(*args, cutoff)
+        if build is bs_unitary:
+            kept = kept[0]
+        [(weights, column)] = calls
+        expected = ladder_exp_one_shot(weights)
+        if column is not None:
+            expected = expected[..., column].copy()
+        assert _same_bits(kept, expected)
+
+    def test_cached_results_stay_read_only(self):
+        kept = (*bs_unitary(12), _squeezed_columns(0.3, 12), _displacement_column(1.0, 12))
+        for array in kept:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 1.0
+
+
+class TestColdBuildMemory:
+    """A cold build holds only a few blocks' temporaries beside what it keeps.
+    Built all at once, bs_unitary(80) peaked at 6.1 times its blocks and
+    _squeezed_columns(0.3, 80) at 24.6 MiB (tracemalloc)."""
+
+    @staticmethod
+    def _traced_peak(build, *args):
+        # the builder behind the cache, so the build is cold whatever ran before
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = build.__wrapped__(*args)
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    def test_coupler_peaks_below_twice_its_blocks(self):
+        (blocks, *_), peak = self._traced_peak(bs_unitary, 80)
+        assert peak < 2 * blocks.nbytes
+
+    def test_squeezer_columns_peak_below_3_mb(self):
+        _, peak = self._traced_peak(_squeezed_columns, 0.3, 80)
+        assert peak < 3 * 2**20
 
 
 class TestAgainstReferenceChain:
