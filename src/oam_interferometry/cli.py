@@ -570,7 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_rep.set_defaults(func=_cmd_reproduce)
 
-    p_val = sub.add_parser("validate", help="cross-check closed forms, engine, and Fock force")
+    p_val = sub.add_parser("validate", help="cross-check closed forms, engine, and Fock oracle")
     p_val.add_argument("--preset", choices=PRESETS, default="quick")
     p_val.set_defaults(func=_cmd_validate)
 

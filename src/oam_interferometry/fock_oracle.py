@@ -1,41 +1,40 @@
 """Brute-force validator in a truncated two-mode Fock space.
 
 The state is the amplitude matrix ``psi[n_a, n_b]`` (``n <= cutoff`` per
-mode).  Each element of the chain conserves a photon-number combination even
-after truncation, so its unitary is exactly a direct sum of small blocks:
+mode) ahead of the output coupler.  Each truncated element conserves a
+photon-number combination, so its unitary is exactly a direct sum of small
+blocks:
 
 * the squeezer ``g (a^dag b^dag - a b)`` conserves ``d = n_a - n_b``: one
   block per diagonal of ``psi``.  Mode B enters in vacuum, so block ``d``
   meets one amplitude, at ``|d, 0>``, and only that column is kept;
-* the balanced coupler conserves ``n_a + n_b``: one block per anti-diagonal;
 * the Dove-prism rotation is a phase on each row.
 
-An element's blocks, each at most ``cutoff + 1`` square, are zero-padded into
-one stack; a padded slot exponentiates to the identity and carries no
-amplitude.  Every block generator, and the single-mode displacement
-``|alpha| (a^dag - a)``, is a real antisymmetric tridiagonal
-ladder matrix, which is ``-i J`` for a real symmetric tridiagonal J up to a
-diagonal phase change.  So batched ``numpy.linalg.eigh`` calls over the J
-stack exponentiate them all in real arithmetic (``_ladder_exp``).  This is the same
-truncated operator as the dense ``(cutoff+1)^2``-square ``expm`` (the test
-suite keeps that route as its reference), not an approximation.  The squeezed
-columns are read straight into the coupler's slots, rotated there, and
-scattered into ``psi`` once; homodyne moments are read directly from ``psi``.
-The oracle shares nothing with the phase-space engine it checks.
+The balanced coupler is linear, ``a -> (a + b)/sqrt2``, so the homodyne
+quadrature after it is ``X_out = (X_A + X_B)/sqrt2`` read on ``psi``, and the
+photon number, which the coupler conserves, is read on ``psi`` as well; the
+coupler is never built.  The squeezer's block columns, and the single-mode
+displacement ``|alpha| (a^dag - a)``, are column 0 of the exponential of a
+real antisymmetric tridiagonal ladder matrix, which is ``-i J`` for a real
+symmetric tridiagonal J up to a diagonal phase change.  So batched
+``numpy.linalg.eigh`` calls over the J stack exponentiate them in real
+arithmetic (``_ladder_exp``).  This is the same truncated operator as the
+dense ``(cutoff+1)^2``-square ``expm`` (the test suite keeps that route, and
+the chain through the coupler's blocks, as its references), not an
+approximation.  The oracle shares nothing with the phase-space engine it
+checks.
 
 Reliability gauge: the probability sitting on the top two Fock layers of
 either mode ("tail mass").  A state whose tail mass reaches
 ``DEFAULT_TAIL_TOLERANCE`` is flagged unreliable and refuses to report moments.
 
-Cost: the coupler keeps ``(2 cutoff + 1)(cutoff + 1)^2`` reals (8.5 MB at
-cutoff 80) and, per slot, two integer maps beside its ``psi`` index: the
-squeezer-column entry the slot holds and its ``n_a``.  The squeezer keeps one
-column of each of its ``cutoff + 1`` blocks.  The blocks are exponentiated a
-few at a time into the kept array, each by the same arithmetic as the whole
-stack at once, so a cold build holds little more than what it keeps.  The
-README's "The Fock validator" section has the measured times and peaks; the
-dense route took 3.9 / 30 / 164 s at cutoff 40 / 60 / 80 and 0.4 GB per
-operator at 80.
+Cost: the squeezer keeps one column of each of its ``cutoff + 1`` blocks and
+the displacement one column; the state is one ``(cutoff + 1)^2`` complex
+matrix.  The blocks are exponentiated a few at a time, each by the same
+arithmetic as the whole stack at once, so a cold build holds little more
+than what it keeps.  The README's "The Fock validator" section has the
+measured times and peaks; the dense route took 3.9 / 30 / 164 s at cutoff
+40 / 60 / 80 and 0.4 GB per operator at 80.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "UnreliableStateError",
     "FockState",
     "OracleReport",
-    "bs_unitary",
     "evolve",
     "moments",
 ]
@@ -72,16 +70,16 @@ class UnreliableStateError(RuntimeError):
 # Blocks exponentiated per step of ``_ladder_exp``.  Each block still runs the
 # same eigh and the same two full products, so its bits do not change (fewer
 # columns per product would change them).  The traced peak of a cold
-# bs_unitary(80), which keeps 8.1 MiB, grows with the batch: 9.2 MiB at 1,
-# 10.1 at 4, 13.7 at 16 and 49 with every block at once.  Build times from 1
-# to 16 were equal within noise.
+# _squeezed_columns(0.3, 80), which keeps 52 kB, grows with the batch: 0.5 MiB
+# at 1, 1.4 at 4, 5.0 at 16 and 20.5 with every block at once.  Build times
+# from 1 to 16 were equal within noise.
 _BATCH = 4
 
 
-def _ladder_exp(weights: np.ndarray, column: int | None = None) -> np.ndarray:
-    """exp(G) for the real antisymmetric tridiagonal ``G[k+1, k] = w_k =
-    -G[k, k+1]``, ``w = weights[..., k]``, batched over the leading axes; with
-    ``column``, only that column of each exp(G).
+def _ladder_exp(weights: np.ndarray) -> np.ndarray:
+    """Column 0 of exp(G) for the real antisymmetric tridiagonal
+    ``G[k+1, k] = w_k = -G[k, k+1]``, ``w = weights[..., k]``, batched over the
+    leading axes.
 
     ``G = D (-i J) D^-1`` with ``D = diag(i^k)`` and J the real symmetric
     tridiagonal matrix with the same weights, so with ``J = V diag(lam) V^T``,
@@ -95,12 +93,10 @@ def _ladder_exp(weights: np.ndarray, column: int | None = None) -> np.ndarray:
     dim = weights.shape[-1] + 1
     stack = weights.reshape(-1, dim - 1)
     k = np.arange(dim - 1)
-    offset = np.subtract.outer(np.arange(dim), np.arange(dim)) % 4
+    offset = np.arange(dim) % 4
     odd, sign = offset % 2 == 1, np.where(offset < 2, 1.0, -1.0)
-    if column is not None:
-        odd, sign = odd[:, column], sign[:, column]
-    out = np.empty(weights.shape[:-1] + sign.shape)
-    blocks = out.reshape((len(stack),) + sign.shape)
+    out = np.empty(weights.shape[:-1] + (dim,))
+    columns = out.reshape(len(stack), dim)
     for start in range(0, len(stack), _BATCH):
         batch = stack[start : start + _BATCH]
         j = np.zeros((len(batch), dim, dim))
@@ -108,11 +104,9 @@ def _ladder_exp(weights: np.ndarray, column: int | None = None) -> np.ndarray:
         j[:, k, k + 1] = batch
         lam, v = np.linalg.eigh(j)
         vt = np.swapaxes(v, -1, -2)
-        cos = (v * np.cos(lam)[:, None, :]) @ vt
-        sin = (v * np.sin(lam)[:, None, :]) @ vt
-        if column is not None:
-            cos, sin = cos[..., column], sin[..., column]
-        np.multiply(np.where(odd, sin, cos), sign, out=blocks[start : start + _BATCH])
+        cos = ((v * np.cos(lam)[:, None, :]) @ vt)[..., 0]
+        sin = ((v * np.sin(lam)[:, None, :]) @ vt)[..., 0]
+        np.multiply(np.where(odd, sin, cos), sign, out=columns[start : start + _BATCH])
     return out
 
 
@@ -128,39 +122,9 @@ def _squeezed_columns(g: float, cutoff: int) -> np.ndarray:
     d = np.arange(cutoff + 1)[:, None]
     k = np.arange(cutoff)[None, :]
     weight = np.sqrt(np.where(d + k < cutoff, (d + k + 1) * (k + 1), 0))
-    columns = _ladder_exp(g * weight, column=0)
+    columns = _ladder_exp(g * weight)
     columns.flags.writeable = False
     return columns
-
-
-@lru_cache(maxsize=4)
-def bs_unitary(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """exp(pi/4 (a^dag b - a b^dag)): the balanced coupler
-    ``a -> (a + b)/sqrt2``, ``b -> (b - a)/sqrt2``, with one block per fixed
-    ``n_a + n_b`` stepped by ``(n_a, n_b) -> (n_a + 1, n_b - 1)`` with matrix
-    element ``sqrt((n_a + 1) n_b)``.
-
-    Returns ``(blocks, index, source, rows)``: the real orthogonal blocks and,
-    per slot, the flat index ``n_a (cutoff+1) + n_b`` of the raveled ``psi``,
-    the entry ``(n_a - n_b)(cutoff+1) + n_b`` of the raveled squeezer columns
-    the slot holds before the coupler, and ``n_a``.  A padded slot has index
-    ``(cutoff+1)^2``, row 0 and an identity row and column in its block; it and
-    every slot with ``n_a < n_b`` have source ``(cutoff+1)^2``, an appended zero.
-    """
-    dim = cutoff + 1
-    total = np.arange(2 * cutoff + 1)[:, None]
-    n_a = np.arange(dim)[None, :] + np.maximum(total - cutoff, 0)
-    n_b = total - n_a
-    valid = (n_a <= cutoff) & (n_b >= 0)
-    index = np.where(valid, n_a * dim + n_b, dim * dim)
-    source = np.where(valid & (n_a >= n_b), (n_a - n_b) * dim + n_b, dim * dim)
-    rows = np.where(valid, n_a, 0)
-    linked = valid[:, :-1] & valid[:, 1:]
-    weight = np.sqrt(np.where(linked, (n_a[:, :-1] + 1) * n_b[:, :-1], 0))
-    coupler = (_ladder_exp(math.pi / 4.0 * weight), index, source, rows)
-    for array in coupler:
-        array.flags.writeable = False
-    return coupler
 
 
 @lru_cache(maxsize=16)
@@ -168,14 +132,15 @@ def _displacement_column(magnitude: float, cutoff: int) -> np.ndarray:
     """D(|alpha|)|0> for a single mode (first column of the displacement
     unitary); the phase of alpha is the rotation ``e^{i theta n}`` applied to it."""
     # a^dag - a steps n -> n + 1 with sqrt(n + 1)
-    col = _ladder_exp(magnitude * np.sqrt(np.arange(1.0, cutoff + 1)), column=0)
+    col = _ladder_exp(magnitude * np.sqrt(np.arange(1.0, cutoff + 1)))
     col.flags.writeable = False
     return col
 
 
 @dataclass(frozen=True)
 class FockState:
-    """Normalised truncated two-mode state with its tail-mass record."""
+    """Normalised truncated two-mode state ahead of the output coupler, with
+    its tail-mass record."""
 
     cutoff: int
     amplitudes: np.ndarray
@@ -195,7 +160,8 @@ class FockState:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Moments read directly from the truncated state."""
+    """Homodyne moments after the coupler and the photon number, read from
+    the truncated state ahead of it."""
 
     x_mean: float
     x_second_moment: float
@@ -207,18 +173,14 @@ class OracleReport:
 def _evolve_at(config: ExperimentConfig, cutoff: int) -> FockState:
     dim = cutoff + 1
     n = np.arange(dim)
-    blocks, index, source, rows = bs_unitary(cutoff)
-    # displaced vacuum |n, 0>, each squeezed along its diagonal of psi[n_a, n_b]
+    # displaced vacuum |d, 0>, each squeezed along its diagonal: entry
+    # (d, k) of the columns is the amplitude at (d + k, k) of psi[n_a, n_b]
     amplitude = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
-    squeezed = _squeezed_columns(config.g, cutoff) * amplitude[:, None]
-    # read straight into the coupler's slots and rotated there by e^{i 2 l phi n_a}
-    slots = np.append(squeezed.ravel(), 0.0)[source]
-    slots *= np.exp(1j * 2.0 * config.ell * config.phi * n)[rows]
-    # real blocks times the real and imaginary parts in one batched matmul
-    pair = blocks @ np.stack((slots.real, slots.imag), axis=-1)
-    out = np.empty(dim * dim + 1, dtype=complex)
-    out[index] = pair[..., 0] + 1j * pair[..., 1]
-    psi = out[:-1].reshape(dim, dim)
+    n_a, n_b = np.tril_indices(dim)
+    psi = np.zeros((dim, dim), dtype=complex)
+    psi[n_a, n_b] = _squeezed_columns(config.g, cutoff)[n_a - n_b, n_b] * amplitude[n_a - n_b]
+    # rotated by e^{i 2 l phi n_a}
+    psi *= np.exp(1j * 2.0 * config.ell * config.phi * n)[:, None]
     psi /= np.linalg.norm(psi)
     probs = np.abs(psi) ** 2
     tail = float(max(1.0 - probs[: cutoff - 1, : cutoff - 1].sum(), 0.0))
@@ -230,7 +192,8 @@ def evolve(
     cutoff: int | None = None,
     cutoff_schedule: tuple[int, ...] = CUTOFF_SCHEDULE,
 ) -> FockState:
-    """Propagate the input through displacement, squeezer, rotation, coupler.
+    """Propagate the input through displacement, squeezer and rotation to the
+    state ahead of the output coupler, which ``moments`` reads through.
 
     With ``cutoff=None`` the schedule is walked until the tail-mass criterion
     passes; if the ceiling still fails, the last state is returned carrying
@@ -259,24 +222,39 @@ def evolve(
     return state
 
 
+def _quadrature(psi: np.ndarray, axis: int) -> np.ndarray:
+    """``(a + a^dag) psi`` for the mode whose Fock index runs along ``axis``
+    of ``psi[n_a, n_b]``: the banded product with ``sqrt(n)`` off the diagonal."""
+    psi = psi.swapaxes(0, axis)
+    root = np.sqrt(np.arange(1, len(psi)))[:, None]
+    out = np.zeros_like(psi)
+    out[:-1] = root * psi[1:]
+    out[1:] += root * psi[:-1]
+    return out.swapaxes(0, axis)
+
+
 def moments(state: FockState) -> OracleReport:
-    """<X_A>, <X_A^2>, and total photon number of the output state; raises
-    UnreliableStateError when the state's tail mass reaches DEFAULT_TAIL_TOLERANCE."""
+    """<X_A>, <X_A^2> after the coupler, and the total photon number; raises
+    UnreliableStateError when the state's tail mass reaches DEFAULT_TAIL_TOLERANCE.
+
+    The coupler sends ``a -> (a + b)/sqrt2``, so the homodyne quadrature is
+    ``X_out = (X_A + X_B)/sqrt2`` on the state ahead of it: ``<X_out>`` is
+    ``(<X_A> + <X_B>)/sqrt2`` and ``<X_out^2> = |X_out psi|^2`` is
+    ``(<X_A^2> + <X_B^2> + 2 Re<X_A X_B>)/2``.  It conserves ``n_a + n_b``,
+    which is read as it stands.
+    """
     if not state.reliable:
         raise UnreliableStateError(
             f"tail mass {state.tail_mass:.3e} exceeds tolerance {DEFAULT_TAIL_TOLERANCE:.1e}"
         )
     dim = state.cutoff + 1
     psi = state.amplitudes.reshape(dim, dim)
-    # X_A = a + a^dag acts on the row index n_a: the banded (a + a^T) @ psi
-    root = np.sqrt(np.arange(1, dim))[:, None]
-    xpsi = np.zeros_like(psi)
-    xpsi[:-1] = root * psi[1:]
-    xpsi[1:] += root * psi[:-1]
-    x_mean = float(np.real(np.vdot(psi, xpsi)))
-    x_second = float(np.real(np.vdot(xpsi, xpsi)))
-    n = np.arange(dim)
-    n_total = float(np.sum(np.add.outer(n, n) * np.abs(psi) ** 2))
+    # sqrt2 X_out psi
+    xpsi = _quadrature(psi, 0) + _quadrature(psi, 1)
+    x_mean = float(np.real(np.vdot(psi, xpsi))) / math.sqrt(2.0)
+    x_second = float(np.real(np.vdot(xpsi, xpsi))) / 2.0
+    probs = np.abs(psi) ** 2
+    n_total = float(np.arange(dim) @ (probs.sum(axis=0) + probs.sum(axis=1)))
     return OracleReport(
         x_mean=x_mean,
         x_second_moment=x_second,

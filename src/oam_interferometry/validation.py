@@ -1,4 +1,4 @@
-"""Cross-validation harness: closed forms vs phase-space engine vs Fock force.
+"""Cross-validation harness: closed forms vs phase-space engine vs Fock oracle.
 
 Runs a parameter grid through all three routes and tracks the worst deviation
 per checked quantity.  Oracle comparisons are held to an absolute tolerance;

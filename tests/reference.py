@@ -1,6 +1,7 @@
 """Reference routes the tests check the package against: the dense Fock
 operators, the dense-state blocked unitary, the one-shot ladder exponential,
-the general blocked squeezer and the oracle chain built on them, a direct loss
+the general blocked squeezer, the balanced coupler's blocks and the oracle
+chain built on them with its homodyne read after the coupler, a direct loss
 channel, a brute-force optimum scan, the optimal sensitivity in plain
 ``math``, and the asymptotic and SU(1,1) sensitivity forms.  None of them is
 on the package's product path."""
@@ -13,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from oam_interferometry import ExperimentConfig, GaussianState, omega
-from oam_interferometry.fock_oracle import _displacement_column, _ladder_exp, bs_unitary
+from oam_interferometry.fock_oracle import _displacement_column
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -57,19 +58,25 @@ def build_operators(cutoff: int) -> TwoModeOperators:
 
 
 def apply_blocked(blocks: np.ndarray, index: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Real ``blocks`` applied to the amplitude matrix ``psi``: ``blocks[k]``
-    acts on flat indices ``index[k]`` of the raveled ``psi``, ``(cutoff+1)^2``
-    (an appended zero) on padding."""
-    padded = np.append(psi.ravel(), 0.0)[index]
-    pair = blocks @ np.stack((padded.real, padded.imag), axis=-1)
-    out = np.empty(psi.size + 1, dtype=complex)
-    out[index] = pair[..., 0] + 1j * pair[..., 1]
-    return out[:-1].reshape(psi.shape)
+    """Real ``blocks`` applied to each amplitude matrix ``psi[..., n_a, n_b]``:
+    ``blocks[k]`` acts on flat indices ``index[k]`` of the raveled matrix.
+    A block's padded slots, index ``(cutoff+1)^2``, come after its own and
+    are skipped.  The raveled matrices stand side by side as columns, so each
+    block is one real product over the real and imaginary parts of them all."""
+    columns = np.array(psi.reshape(-1, psi.shape[-2] * psi.shape[-1]).T, dtype=complex)
+    out = np.zeros_like(columns)
+    for block, slots in zip(blocks, index):
+        slots = slots[slots < len(columns)]
+        size = len(slots)
+        out[slots] = (block[:size, :size] @ columns[slots].view(float)).view(complex)
+    return out.T.reshape(psi.shape)
 
 
 def ladder_exp_one_shot(weights: np.ndarray) -> np.ndarray:
-    """``fock_oracle._ladder_exp`` with every block exponentiated in one
-    batched ``eigh`` and two full-stack products."""
+    """exp(G) for the real antisymmetric tridiagonal ``G[k+1, k] = w_k =
+    -G[k, k+1]``, ``w = weights[..., k]``, every block in one batched ``eigh``
+    and two full-stack products; ``fock_oracle._ladder_exp`` builds column 0
+    of each a few blocks at a time."""
     dim = weights.shape[-1] + 1
     j = np.zeros(weights.shape[:-1] + (dim, dim))
     k = np.arange(dim - 1)
@@ -81,12 +88,6 @@ def ladder_exp_one_shot(weights: np.ndarray) -> np.ndarray:
     sin = (v * np.sin(lam)[..., None, :]) @ vt
     offset = np.subtract.outer(np.arange(dim), np.arange(dim)) % 4
     return np.where(offset % 2 == 0, cos, sin) * np.where(offset < 2, 1.0, -1.0)
-
-
-def repeated(coupler: tuple, times: int) -> tuple:
-    """``bs_unitary``'s coupler applied ``times`` times, its slot maps unchanged:
-    three times over it is exp(3 pi/4 (a^dag b - a b^dag))."""
-    return (np.linalg.matrix_power(coupler[0], times),) + coupler[1:]
 
 
 @functools.lru_cache(maxsize=8)
@@ -104,21 +105,69 @@ def squeezer_unitary(g: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     index = np.where(valid, n_a * dim + n_b, dim * dim)
     linked = valid[:, :-1] & valid[:, 1:]
     weight = np.sqrt(np.where(linked, (n_a[:, :-1] + 1) * (n_b[:, :-1] + 1), 0))
-    return _ladder_exp(g * weight), index
+    return ladder_exp_one_shot(g * weight), index
 
 
-def blocked_chain(config: ExperimentConfig, cutoff: int) -> np.ndarray:
-    """The oracle's normalised amplitudes at ``cutoff``, with the squeezer and
-    the coupler applied as ``apply_blocked`` to the whole state."""
+@functools.lru_cache(maxsize=4)
+def bs_unitary(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(pi/4 (a^dag b - a b^dag)): the balanced coupler
+    ``a -> (a + b)/sqrt2``, ``b -> (b - a)/sqrt2``, as ``2 cutoff + 1`` blocks
+    of fixed ``n_a + n_b`` stepped by ``(n_a, n_b) -> (n_a + 1, n_b - 1)`` with
+    ``sqrt((n_a + 1) n_b)``."""
     dim = cutoff + 1
-    psi = np.zeros((dim, dim), dtype=complex)
+    total = np.arange(2 * cutoff + 1)[:, None]
+    n_a = np.arange(dim)[None, :] + np.maximum(total - cutoff, 0)
+    n_b = total - n_a
+    valid = (n_a <= cutoff) & (n_b >= 0)
+    index = np.where(valid, n_a * dim + n_b, dim * dim)
+    linked = valid[:, :-1] & valid[:, 1:]
+    weight = np.sqrt(np.where(linked, (n_a[:, :-1] + 1) * n_b[:, :-1], 0))
+    return ladder_exp_one_shot(math.pi / 4.0 * weight), index
+
+
+def pre_coupler_chain(configs: Sequence[ExperimentConfig], cutoff: int) -> np.ndarray:
+    """The oracle's normalised amplitude matrices at ``cutoff`` ahead of the
+    coupler, one per config, with the squeezer applied as ``apply_blocked`` to
+    the whole input state."""
+    dim = cutoff + 1
     n = np.arange(dim)
-    psi[:, 0] = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
-    psi = apply_blocked(*squeezer_unitary(config.g, cutoff), psi)
-    psi *= np.exp(1j * 2.0 * config.ell * config.phi * n)[:, None]
-    psi = apply_blocked(*bs_unitary(cutoff)[:2], psi)
-    psi /= np.linalg.norm(psi)
-    return psi.ravel()
+    psi = np.zeros((len(configs), dim, dim), dtype=complex)
+    for state, config in zip(psi, configs):
+        state[:, 0] = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
+    gains = np.array([config.g for config in configs])
+    for g in np.unique(gains):
+        psi[gains == g] = apply_blocked(*squeezer_unitary(float(g), cutoff), psi[gains == g])
+    for state, config in zip(psi, configs):
+        state *= np.exp(1j * 2.0 * config.ell * config.phi * n)[:, None]
+        state /= np.linalg.norm(state)
+    return psi
+
+
+def blocked_chain(configs: Sequence[ExperimentConfig], cutoff: int) -> np.ndarray:
+    """``pre_coupler_chain`` carried through the coupler's blocks: the
+    amplitude matrices after the whole interferometer."""
+    return apply_blocked(*bs_unitary(cutoff), pre_coupler_chain(configs, cutoff))
+
+
+def output_moments(psi: np.ndarray) -> np.ndarray:
+    """``<X_A>``, ``<X_A^2>`` and the total photon number, one row per
+    amplitude matrix ``psi[..., n_a, n_b]`` after the coupler, with
+    ``X_A = a + a^dag`` acting on the row index as a banded product."""
+    dim = psi.shape[-1]
+    root = np.sqrt(np.arange(1, dim))[:, None]
+    xpsi = np.zeros_like(psi)
+    xpsi[..., :-1, :] = root * psi[..., 1:, :]
+    xpsi[..., 1:, :] += root * psi[..., :-1, :]
+    n = np.arange(dim)
+    axes = (-2, -1)
+    return np.stack(
+        (
+            np.sum(np.real(psi.conj() * xpsi), axis=axes),
+            np.sum(np.abs(xpsi) ** 2, axis=axes),
+            np.sum(np.add.outer(n, n) * np.abs(psi) ** 2, axis=axes),
+        ),
+        axis=-1,
+    )
 
 
 # --- direct loss channel -------------------------------------------------------

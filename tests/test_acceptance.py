@@ -96,7 +96,7 @@ def test_c05_unit_visibility():
 
 
 def test_c06_oracle_equivalence():
-    """Fock force, closed forms, and engine agree to 1e-5 absolute over the
+    """Fock oracle, closed forms, and engine agree to 1e-5 absolute over the
     full small-parameter grid, in under ten minutes."""
     start = time.perf_counter()
     report = run_validation("full")

@@ -72,14 +72,15 @@ ROOT_NAMES = {
 # became metrology.fluctuation_table, opa_unitary became the squeezer
 # columns the vacuum mode B meets (its general form is tests/reference.py's
 # squeezer_unitary), BlockUnitary became the coupler's slot maps (its dense
-# apply is tests/reference.py's apply_blocked), and the rest moved to
-# tests/reference.py
+# apply is tests/reference.py's apply_blocked), and the rest, the coupler's
+# blocks (bs_unitary) too, moved to tests/reference.py
 REMOVED = {
     "TwoModeOperators": fock_oracle,
     "build_operators": fock_oracle,
     "annihilation": fock_oracle,
     "opa_unitary": fock_oracle,
     "BlockUnitary": fock_oracle,
+    "bs_unitary": fock_oracle,
     "grid_min_sensitivity": metrology,
     "optimal_sensitivity_asymptotic": metrology,
     "su11_phase_sensitivity": metrology,
@@ -104,7 +105,6 @@ REMOVED_PARAMETERS = [
     (fock_oracle.evolve, "tail_tolerance"),
     (fock_oracle.FockState, "tail_tolerance"),
     (fock_oracle.moments, "allow_unreliable"),
-    (fock_oracle.bs_unitary, "mixing_angle"),
     (interferometer.quadrature_mean, "mode"),
     (interferometer.quadrature_second_moment, "mode"),
     (metrology.optimal_operating_point, "g"),

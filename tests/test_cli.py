@@ -31,7 +31,6 @@ from oam_interferometry.cli import (
 )
 from oam_interferometry.validation import _describe, _record, run_validation
 from helpers import without_timestamp
-from reference import repeated
 
 FIG3_TEXT = "g=2\nell=1\nalpha_sq=100"
 
@@ -319,13 +318,9 @@ class TestValidateHarness:
         assert all(" cutoff=40 tail=" in line for line in oracle_lines)
 
     def test_cold_and_warm_caches_render_the_same_report(self):
-        # the cached squeezer columns, coupler blocks and displacement columns
-        # are read-only: a warm run reads exactly what the cold run built
-        caches = (
-            fock_oracle._squeezed_columns,
-            fock_oracle.bs_unitary,
-            fock_oracle._displacement_column,
-        )
+        # the cached squeezer columns and displacement columns are read-only:
+        # a warm run reads exactly what the cold run built
+        caches = (fock_oracle._squeezed_columns, fock_oracle._displacement_column)
         for cache in caches:
             cache.cache_clear()
         cold, warm = [
@@ -335,13 +330,17 @@ class TestValidateHarness:
         assert warm == cold
         assert all(cache.cache_info().hits > 0 for cache in caches)
 
-    def test_corrupted_coupler_sign_is_caught_at_zero_gain(self, monkeypatch):
-        # the coupler three times over: exp(3 pi/4 (a^dag b - a b^dag))
-        real = fock_oracle.bs_unitary
-        monkeypatch.setattr(fock_oracle, "bs_unitary", lambda cutoff: repeated(real(cutoff), 3))
-        cfg = ExperimentConfig(g=0.0, ell=1, alpha_mag=1.0, theta=0.4, phi=0.7)
-        report = fock_oracle.moments(fock_oracle.evolve(cfg, cutoff=20))
-        assert abs(report.x_mean - homodyne_mean(cfg)) > 1e-3
+    def test_corrupted_coupler_sign_is_caught_with_gain(self, monkeypatch):
+        # the coupler read as X_out = (X_A - X_B)/sqrt2; at g = 0 mode B is
+        # vacuum and the sign is moot, so it shows only with gain
+        real = fock_oracle._quadrature
+        monkeypatch.setattr(
+            fock_oracle, "_quadrature", lambda psi, axis: -real(psi, axis) if axis else real(psi, axis)
+        )
+        for g, seen in [(0.0, False), (0.3, True)]:
+            cfg = ExperimentConfig(g=g, ell=1, alpha_mag=1.0, theta=0.4, phi=0.7)
+            report = fock_oracle.moments(fock_oracle.evolve(cfg, cutoff=20))
+            assert (abs(report.x_mean - homodyne_mean(cfg)) > 1e-3) is seen
 
         validation = run_validation("quick")
         assert not validation.passed

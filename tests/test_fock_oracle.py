@@ -21,7 +21,6 @@ from oam_interferometry.fock_oracle import (
     _displacement_column,
     _ladder_exp,
     _squeezed_columns,
-    bs_unitary,
 )
 from oam_interferometry.validation import ORACLE_TOL, grid_configs
 from helpers import random_config
@@ -29,9 +28,11 @@ from reference import (
     annihilation,
     apply_blocked,
     blocked_chain,
+    bs_unitary,
     build_operators,
     ladder_exp_one_shot,
-    repeated,
+    output_moments,
+    pre_coupler_chain,
 )
 
 
@@ -80,8 +81,9 @@ class TestLadderOperators:
 
 
 class TestBlockedUnitaries:
-    """The symmetry-blocked unitaries against dense expm of the same truncated
-    generators on the (cutoff+1)^2-dimensional two-mode space."""
+    """The symmetry-blocked unitaries (the oracle's squeezer columns and the
+    reference coupler) against dense expm of the same truncated generators on
+    the (cutoff+1)^2-dimensional two-mode space."""
 
     CUTOFF = 12
 
@@ -108,35 +110,39 @@ class TestBlockedUnitaries:
 
     @pytest.mark.parametrize("mixing_angle", [math.pi / 4.0, 3.0 * math.pi / 4.0])
     def test_coupler_matches_dense_expm(self, mixing_angle, psi):
-        # 3 pi/4 is the balanced coupler three times over, the wrong coupler
-        # of the fault-injection test in test_cli
+        # 3 pi/4 is the balanced coupler three times over
         ops = build_operators(self.CUTOFF)
         dense = expm(mixing_angle * (ops.a.T @ ops.b - ops.a @ ops.b.T))
+        blocks, index = bs_unitary(self.CUTOFF)
         times = round(mixing_angle / (math.pi / 4.0))
-        blocked = apply_blocked(*repeated(bs_unitary(self.CUTOFF), times)[:2], psi)
+        blocked = apply_blocked(np.linalg.matrix_power(blocks, times), index, psi)
         assert np.max(np.abs(blocked.ravel() - dense @ psi.ravel())) <= 1e-12
 
     @pytest.mark.parametrize("cutoff", [12, 40])
     def test_coupler_slots_read_the_squeezer_columns(self, cutoff):
-        # slot (n_a, n_b) holds squeezer entry (n_a - n_b, n_b) before the
-        # coupler; upper-triangle and padded slots read the appended zero
+        # the coupler's input slot (n_a, n_b) holds squeezer entry
+        # (n_a - n_b, n_b), scaled by the displaced amplitude at n_a - n_b and
+        # rotated by e^{i 2 l phi n_a}; the upper triangle holds nothing
+        config = _cfg(g=0.3, ell=2, alpha_mag=1.2, theta=0.5, phi=0.7)
         dim = cutoff + 1
-        _, index, source, rows = bs_unitary(cutoff)
-        held = source < dim * dim
-        for slot, entry in zip(index[held].tolist(), source[held].tolist()):
-            n_a, n_b = divmod(slot, dim)
-            assert divmod(entry, dim) == (n_a - n_b, n_b)
-        assert np.all(source[~held] == dim * dim)
-        assert held.sum() == dim * (dim + 1) // 2
-        padded = index == dim * dim
-        assert np.array_equal(rows[~padded], index[~padded] // dim)
-        assert not source.flags.writeable and not rows.flags.writeable
+        n = np.arange(dim)
+        columns = _squeezed_columns(config.g, cutoff)
+        amplitude = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
+        phase = np.exp(1j * 2.0 * config.ell * config.phi * n)
+        expected = np.zeros((dim, dim), dtype=complex)
+        for n_a in range(dim):
+            for n_b in range(n_a + 1):
+                expected[n_a, n_b] = columns[n_a - n_b, n_b] * amplitude[n_a - n_b] * phase[n_a]
+        expected /= np.linalg.norm(expected)
+        psi = evolve(config, cutoff=cutoff).amplitudes.reshape(dim, dim)
+        assert np.max(np.abs(psi - expected)) <= 1e-15
+        assert np.all(psi[np.triu_indices(dim, 1)] == 0.0)
 
 
 class TestLadderExponential:
-    """The coupler blocks, the squeezer columns and the displacement column at
-    the schedule's cutoffs: orthogonal or of unit norm to rounding, and the
-    displacement column equal to dense expm."""
+    """The reference coupler's blocks, the squeezer columns and the
+    displacement column at the schedule's cutoffs: orthogonal or of unit norm
+    to rounding, and the displacement column equal to dense expm."""
 
     @pytest.mark.parametrize("cutoff", [40, 60, 80])
     @pytest.mark.parametrize("element", ["squeezer", "coupler"])
@@ -169,8 +175,8 @@ def _same_bits(array, expected):
 
 
 class TestBatchedBuild:
-    """``_ladder_exp`` builds its blocks a few at a time; every block and every
-    kept column equals the one-shot build of the whole stack
+    """``_ladder_exp`` builds its blocks a few at a time; every kept column
+    equals column 0 of the one-shot build of the whole stack
     (tests/reference.py) bit for bit, zero signs included."""
 
     @pytest.mark.parametrize("shape", [(1, 11), (4, 11), (5, 11), (25, 11), (161, 11), (11,), (3, 5, 11)])
@@ -178,44 +184,37 @@ class TestBatchedBuild:
         rng = np.random.default_rng(sum(shape))
         weights = rng.normal(size=shape)
         weights[..., ::4] = 0.0  # unlinked levels, as in the padded blocks
-        expected = ladder_exp_one_shot(weights)
+        expected = ladder_exp_one_shot(weights)[..., 0].copy()
         assert _same_bits(_ladder_exp(weights), expected)
-        assert _same_bits(_ladder_exp(weights, column=0), expected[..., 0].copy())
 
     @pytest.mark.parametrize("cutoff", [3, 12, 40, 80])
     @pytest.mark.parametrize(
         "build, args",
         [
-            (bs_unitary, ()),
             (_squeezed_columns, (0.0,)),
             (_squeezed_columns, (0.3,)),
             (_squeezed_columns, (1.1,)),
             (_displacement_column, (2.5,)),
         ],
-        ids=["coupler", "squeezer-0", "squeezer-0.3", "squeezer-1.1", "displacement"],
+        ids=["squeezer-0", "squeezer-0.3", "squeezer-1.1", "displacement"],
     )
     def test_oracle_stacks(self, monkeypatch, build, args, cutoff):
-        # the coupler keeps 2 cutoff + 1 whole blocks, the squeezer and the
-        # displacement column 0 of cutoff + 1 and of one; of these stacks only
-        # the squeezer's at cutoff 3 fills its last batch of four
+        # the squeezer keeps column 0 of cutoff + 1 blocks and the
+        # displacement of one; of these stacks only the squeezer's at cutoff 3
+        # fills its last batch of four
         calls = []
 
-        def recorded(weights, column=None):
-            calls.append((weights, column))
-            return _ladder_exp(weights, column)
+        def recorded(weights):
+            calls.append(weights)
+            return _ladder_exp(weights)
 
         monkeypatch.setattr(fock_oracle, "_ladder_exp", recorded)
         kept = build.__wrapped__(*args, cutoff)
-        if build is bs_unitary:
-            kept = kept[0]
-        [(weights, column)] = calls
-        expected = ladder_exp_one_shot(weights)
-        if column is not None:
-            expected = expected[..., column].copy()
-        assert _same_bits(kept, expected)
+        [weights] = calls
+        assert _same_bits(kept, ladder_exp_one_shot(weights)[..., 0].copy())
 
     def test_cached_results_stay_read_only(self):
-        kept = (*bs_unitary(12), _squeezed_columns(0.3, 12), _displacement_column(1.0, 12))
+        kept = (_squeezed_columns(0.3, 12), _displacement_column(1.0, 12))
         for array in kept:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -224,8 +223,8 @@ class TestBatchedBuild:
 
 class TestColdBuildMemory:
     """A cold build holds only a few blocks' temporaries beside what it keeps.
-    Built all at once, bs_unitary(80) peaked at 6.1 times its blocks and
-    _squeezed_columns(0.3, 80) at 24.6 MiB (tracemalloc)."""
+    Built all at once, _squeezed_columns(0.3, 80) peaked at 20.5 MiB
+    (tracemalloc)."""
 
     @staticmethod
     def _traced_peak(build, *args):
@@ -242,47 +241,83 @@ class TestColdBuildMemory:
             if not tracing:
                 tracemalloc.stop()
 
-    def test_coupler_peaks_below_twice_its_blocks(self):
-        (blocks, *_), peak = self._traced_peak(bs_unitary, 80)
-        assert peak < 2 * blocks.nbytes
-
     def test_squeezer_columns_peak_below_3_mb(self):
         _, peak = self._traced_peak(_squeezed_columns, 0.3, 80)
         assert peak < 3 * 2**20
+
+
+# walks 40 -> 60 -> 80, with tails 4.9e-4, 9.9e-7 and 9.8e-10
+FAR_POINT = dict(g=1.0, ell=1, alpha_mag=2.0, theta=0.3, phi=0.2)
 
 
 class TestAgainstReferenceChain:
     """The oracle's states equal, bit for bit, the chain that applies the
     general blocked squeezer (tests/reference.py) to the whole input state."""
 
-    def _assert_equal(self, config, state):
-        assert np.all(state.amplitudes == blocked_chain(config, state.cutoff))
+    def _assert_equal(self, configs, states):
+        expected = pre_coupler_chain(configs, states[0].cutoff)
+        for state, matrix in zip(states, expected):
+            assert np.all(state.amplitudes == matrix.ravel())
 
     def test_quick_grid_at_40(self):
-        for config in grid_configs("quick"):
-            self._assert_equal(config, evolve(config, cutoff=40))
+        configs = grid_configs("quick")
+        self._assert_equal(configs, [evolve(config, cutoff=40) for config in configs])
 
     def test_cutoff_80_rung(self):
-        config = _cfg(g=0.5, ell=2, alpha_mag=3.0, theta=0.7, phi=0.4)
+        config = _cfg(**FAR_POINT)
         state = evolve(config)
         assert state.cutoff == 80
-        self._assert_equal(config, state)
+        self._assert_equal([config], [state])
 
-    def test_full_grid_points_that_escalate_to_60(self):
-        escalated = 0
-        for config in grid_configs("full"):
-            state = evolve(config)
-            if state.cutoff == 60:
-                self._assert_equal(config, state)
-                escalated += 1
-        assert escalated == 288
+    def test_full_grid_stays_at_40(self):
+        configs = grid_configs("full")
+        states = [evolve(config) for config in configs]
+        assert {state.cutoff for state in states} == {40}
+        for start in range(0, len(configs), 192):
+            self._assert_equal(configs[start : start + 192], states[start : start + 192])
 
     @pytest.mark.parametrize("cutoff", [12, 25])
     def test_seeded_configs(self, cutoff):
         rng = np.random.default_rng(1400 + cutoff)
-        for _ in range(40):
-            config = random_config(rng, g_max=0.8, alpha_sq_range=(0.0, 5.0))
-            self._assert_equal(config, evolve(config, cutoff=cutoff))
+        configs = [random_config(rng, g_max=0.8, alpha_sq_range=(0.0, 5.0)) for _ in range(40)]
+        self._assert_equal(configs, [evolve(config, cutoff=cutoff) for config in configs])
+
+
+class TestAgainstCouplerReference:
+    """``moments`` reads the homodyne ahead of the coupler through
+    ``X_out = (X_A + X_B)/sqrt2``; the reference carries the state through the
+    coupler's blocks and reads ``X_A`` after them (tests/reference.py)."""
+
+    # (mean, second moment, photon number); the full grid measured 8.2e-6,
+    # 6.9e-5, 3.6e-15 at 40 and 2.8e-10, 2.8e-9, 3.6e-15 at 60, where the
+    # reference's own truncation after the coupler dominates, and 3.6e-15,
+    # 5.3e-14, 3.6e-15 at 80
+    BOUNDS = {40: (2e-5, 2e-4, 1e-13), 60: (1e-9, 1e-8, 1e-13), 80: (1e-13, 1e-12, 1e-13)}
+
+    def _deviations(self, configs, cutoff):
+        reports = [moments(evolve(config, cutoff=cutoff)) for config in configs]
+        oracle = np.array([(r.x_mean, r.x_second_moment, r.photon_number) for r in reports])
+        return np.abs(oracle - output_moments(blocked_chain(configs, cutoff)))
+
+    @pytest.mark.parametrize("cutoff", [40, 60, 80])
+    def test_full_grid(self, cutoff):
+        configs = grid_configs("full")
+        worst = np.max(
+            [self._deviations(configs[s : s + 192], cutoff).max(axis=0) for s in range(0, len(configs), 192)],
+            axis=0,
+        )
+        assert np.all(worst <= self.BOUNDS[cutoff])
+
+    def test_wrong_sign_on_mode_b_is_caught(self, monkeypatch):
+        # (X_A - X_B)/sqrt2; mode B is vacuum at g = 0, where the sign is moot
+        real = fock_oracle._quadrature
+        monkeypatch.setattr(
+            fock_oracle, "_quadrature", lambda psi, axis: -real(psi, axis) if axis else real(psi, axis)
+        )
+        configs = [_cfg(g=0.3, ell=1, alpha_mag=1.0, theta=0.4, phi=0.7), _cfg(alpha_mag=1.0, theta=0.4)]
+        wrong, moot = self._deviations(configs, 40)
+        assert wrong[0] > 0.1 and wrong[1] > 0.1
+        assert np.all(moot <= self.BOUNDS[40])
 
 
 class TestDirectExpectations:
@@ -291,6 +326,16 @@ class TestDirectExpectations:
         assert report.x_mean == pytest.approx(0.0, abs=1e-12)
         assert report.x_second_moment == pytest.approx(1.0, rel=1e-12)
         assert report.photon_number == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_quadrature_matches_the_dense_operator(self, axis):
+        # X_A = a + a^dag on the rows of psi[n_a, n_b], X_B on its columns
+        ops = build_operators(12)
+        ladder = ops.a if axis == 0 else ops.b
+        rng = np.random.default_rng(12 + axis)
+        psi = rng.normal(size=(13, 13)) + 1j * rng.normal(size=(13, 13))
+        dense = ((ladder + ladder.T) @ psi.ravel()).reshape(13, 13)
+        assert np.max(np.abs(fock_oracle._quadrature(psi, axis) - dense)) <= 1e-14
 
     def test_coherent_state_quadrature_without_any_optics(self):
         # displaced vacuum alone: <X> = 2 for unit amplitude at zero phase
@@ -357,7 +402,7 @@ class TestTruncationControl:
         assert state.cutoff == 24
 
     def test_schedule_reaches_the_cutoff_80_rung(self):
-        cfg = _cfg(g=0.5, ell=2, alpha_mag=3.0, theta=0.7, phi=0.4)
+        cfg = _cfg(**FAR_POINT)
         assert not evolve(cfg, cutoff=40).reliable
         assert not evolve(cfg, cutoff=60).reliable
         state = evolve(cfg)
