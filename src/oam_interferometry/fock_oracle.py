@@ -16,9 +16,11 @@ photon number, which the coupler conserves, is read on ``psi`` as well; the
 coupler is never built.  The squeezer's block columns, and the single-mode
 displacement ``|alpha| (a^dag - a)``, are column 0 of the exponential of a
 real antisymmetric tridiagonal ladder matrix, which is ``-i J`` for a real
-symmetric tridiagonal J up to a diagonal phase change.  So batched
-``numpy.linalg.eigh`` calls over the J stack exponentiate them in real
-arithmetic (``_ladder_exp``).  This is the same truncated operator as the
+symmetric tridiagonal J up to a diagonal phase change.  J is the gain g, or
+|alpha|, times a unit matrix fixed by the cutoff, so ``numpy.linalg.eigh``
+decomposes each unit matrix once per cutoff and every gain or amplitude
+after that is one real matrix-vector product per block
+(``_ladder_basis``).  This is the same truncated operator as the
 dense ``(cutoff+1)^2``-square ``expm`` (the test suite keeps that route, and
 the chain through the coupler's blocks, as its references), not an
 approximation.  The oracle shares nothing with the phase-space engine it
@@ -28,11 +30,12 @@ Reliability gauge: the probability sitting on the top two Fock layers of
 either mode ("tail mass").  A state whose tail mass reaches
 ``DEFAULT_TAIL_TOLERANCE`` is flagged unreliable and refuses to report moments.
 
-Cost: the squeezer keeps one column of each of its ``cutoff + 1`` blocks and
-the displacement one column; the state is one ``(cutoff + 1)^2`` complex
-matrix.  The blocks are exponentiated a few at a time, each by the same
-arithmetic as the whole stack at once, so a cold build holds little more
-than what it keeps.  The README's "The Fock validator" section has the
+Cost: per cutoff c, the squeezer's eigenbasis holds (c + 1)^3 reals (0.55,
+4.3 and 14 MB at cutoff 40, 80 and 120), built one block at a time so that a
+cold build holds little more than what it keeps; each gain's columns then
+hold (c + 1)^2 reals, the displacement one column, and the state is one
+(c + 1)^2 complex matrix.  The per-point read goes through index maps built
+once per cutoff.  The README's "The Fock validator" section has the
 measured times and peaks; the dense route took 3.9 / 30 / 164 s at cutoff
 40 / 60 / 80 and 0.4 GB per operator at 80.
 """
@@ -43,6 +46,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,47 +71,59 @@ class UnreliableStateError(RuntimeError):
     """Raised when moments are requested from a state with too much tail mass."""
 
 
-# Blocks exponentiated per step of ``_ladder_exp``.  Each block still runs the
-# same eigh and the same two full products, so its bits do not change (fewer
-# columns per product would change them).  The traced peak of a cold
-# _squeezed_columns(0.3, 80), which keeps 52 kB, grows with the batch: 0.5 MiB
-# at 1, 1.4 at 4, 5.0 at 16 and 20.5 with every block at once.  Build times
-# from 1 to 16 were equal within noise.
-_BATCH = 4
-
-
-def _ladder_exp(weights: np.ndarray) -> np.ndarray:
-    """Column 0 of exp(G) for the real antisymmetric tridiagonal
-    ``G[k+1, k] = w_k = -G[k, k+1]``, ``w = weights[..., k]``, batched over the
-    leading axes.
+def _ladder_basis(weights: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenbasis behind column 0 of ``exp(s G_b)`` at any scale s, for the
+    real antisymmetric tridiagonal ``G_b[k+1, k] = w_k = -G_b[k, k+1]``, one
+    block per weight vector ``w = weights[b]``, zero-padded to the longest.
 
     ``G = D (-i J) D^-1`` with ``D = diag(i^k)`` and J the real symmetric
     tridiagonal matrix with the same weights, so with ``J = V diag(lam) V^T``,
-    ``exp(G)[k, l] = i^(k-l) (V cos(lam) V^T - i V sin(lam) V^T)[k, l]``.  J has
-    a zero diagonal, so its even functions vanish where ``k - l`` is odd and its
-    odd functions where it is even: ``exp(G)`` is ``V cos(lam) V^T`` where
-    ``k - l`` is even and ``V sin(lam) V^T`` where it is odd, signed +, +, -, -
-    for ``(k - l) mod 4 = 0, 1, 2, 3``.  The blocks are built ``_BATCH`` at a
-    time into one C-contiguous real array, each block by the same arithmetic.
+    ``exp(s G)[k, 0] = i^k (V cos(s lam) V^T - i V sin(s lam) V^T)[k, 0]``.  J
+    has a zero diagonal, so its even functions vanish at odd k and its odd
+    functions at even k: column 0 is ``V (cos(s lam) * V[0])`` at even k and
+    ``V (sin(s lam) * V[0])`` at odd k, signed +, +, -, - for
+    ``k mod 4 = 0, 1, 2, 3``.  Returns ``lam`` and ``modes[b, k, j] =
+    sign_k V[k, j] V[0, j]``, read-only.  Each block is decomposed alone,
+    over its ``len(w) + 1`` levels; the padding stays exactly 0.
     """
-    dim = weights.shape[-1] + 1
-    stack = weights.reshape(-1, dim - 1)
-    k = np.arange(dim - 1)
-    offset = np.arange(dim) % 4
-    odd, sign = offset % 2 == 1, np.where(offset < 2, 1.0, -1.0)
-    out = np.empty(weights.shape[:-1] + (dim,))
-    columns = out.reshape(len(stack), dim)
-    for start in range(0, len(stack), _BATCH):
-        batch = stack[start : start + _BATCH]
-        j = np.zeros((len(batch), dim, dim))
-        j[:, k + 1, k] = batch
-        j[:, k, k + 1] = batch
-        lam, v = np.linalg.eigh(j)
-        vt = np.swapaxes(v, -1, -2)
-        cos = ((v * np.cos(lam)[:, None, :]) @ vt)[..., 0]
-        sin = ((v * np.sin(lam)[:, None, :]) @ vt)[..., 0]
-        np.multiply(np.where(odd, sin, cos), sign, out=columns[start : start + _BATCH])
-    return out
+    dim = max(len(w) for w in weights) + 1
+    sign = np.where(np.arange(dim) % 4 < 2, 1.0, -1.0)[:, None]
+    lam = np.zeros((len(weights), dim))
+    modes = np.zeros((len(weights), dim, dim))
+    for w, lam_b, modes_b in zip(weights, lam, modes):
+        size = len(w) + 1
+        k = np.arange(size - 1)
+        j = np.zeros((size, size))
+        j[k + 1, k] = w
+        j[k, k + 1] = w
+        lam_b[:size], v = np.linalg.eigh(j)
+        np.multiply(v * sign[:size], v[0], out=modes_b[:size, :size])
+    lam.flags.writeable = modes.flags.writeable = False
+    return lam, modes
+
+
+def _ladder_columns(basis: tuple[np.ndarray, np.ndarray], scale: float) -> np.ndarray:
+    """Column 0 of ``exp(scale G_b)`` for every block of ``_ladder_basis``."""
+    lam, modes = basis
+    phase = scale * lam
+    cos = (modes @ np.cos(phase)[..., None])[..., 0]
+    sin = (modes @ np.sin(phase)[..., None])[..., 0]
+    return np.where(np.arange(lam.shape[-1]) % 2 == 1, sin, cos)
+
+
+# One entry per cutoff; the schedule has three.
+@lru_cache(maxsize=4)
+def _squeezer_basis(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    # block d steps (d + k, k) -> (d + k + 1, k + 1) with sqrt((d + k + 1)(k + 1))
+    # while d + k < cutoff: level 0 reaches only those cutoff - d + 1 levels
+    steps = (np.arange(cutoff - d) for d in range(cutoff + 1))
+    return _ladder_basis([np.sqrt((d + k + 1.0) * (k + 1)) for d, k in enumerate(steps)])
+
+
+@lru_cache(maxsize=4)
+def _displacement_basis(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    # a^dag - a steps n -> n + 1 with sqrt(n + 1)
+    return _ladder_basis([np.sqrt(np.arange(1.0, cutoff + 1))])
 
 
 @lru_cache(maxsize=6)
@@ -116,13 +132,10 @@ def _squeezed_columns(g: float, cutoff: int) -> np.ndarray:
     squeezer matching ``A = a cosh g + b^dag sinh g`` in the Heisenberg picture.
 
     Row d is column 0 of the block of fixed ``n_a - n_b = d``, stepped by
-    ``(d + k, k) -> (d + k + 1, k + 1)`` with ``sqrt((d + k + 1)(k + 1))``; its
-    entry k is the amplitude at ``(d + k, k)``, padding where ``d + k > cutoff``.
+    ``(d + k, k) -> (d + k + 1, k + 1)`` with ``g sqrt((d + k + 1)(k + 1))``;
+    its entry k is the amplitude at ``(d + k, k)``, 0 where ``d + k > cutoff``.
     """
-    d = np.arange(cutoff + 1)[:, None]
-    k = np.arange(cutoff)[None, :]
-    weight = np.sqrt(np.where(d + k < cutoff, (d + k + 1) * (k + 1), 0))
-    columns = _ladder_exp(g * weight)
+    columns = _ladder_columns(_squeezer_basis(cutoff), g)
     columns.flags.writeable = False
     return columns
 
@@ -131,10 +144,36 @@ def _squeezed_columns(g: float, cutoff: int) -> np.ndarray:
 def _displacement_column(magnitude: float, cutoff: int) -> np.ndarray:
     """D(|alpha|)|0> for a single mode (first column of the displacement
     unitary); the phase of alpha is the rotation ``e^{i theta n}`` applied to it."""
-    # a^dag - a steps n -> n + 1 with sqrt(n + 1)
-    col = _ladder_exp(magnitude * np.sqrt(np.arange(1.0, cutoff + 1)))
+    [col] = _ladder_columns(_displacement_basis(cutoff), magnitude)
     col.flags.writeable = False
     return col
+
+
+class _IndexMaps(NamedTuple):
+    """What the per-point read needs of a cutoff, built once per cutoff and
+    read-only; flat indices run over the raveled ``psi[n_a, n_b]``."""
+
+    slots: np.ndarray  # the flat slots n_a * dim + n_b of psi's lower triangle
+    sources: np.ndarray  # each slot's flat source d * dim + n_b in the squeezer columns
+    diagonal: np.ndarray  # each slot's d = n_a - n_b
+    n: np.ndarray  # 0 .. cutoff
+    # root[axis, flat]: sqrt(n_a) or sqrt(n_b) at each flat slot; complex, as
+    # numpy would cast a real factor on every product with psi
+    root: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _index_maps(cutoff: int) -> _IndexMaps:
+    dim = cutoff + 1
+    n_a, n_b = np.tril_indices(dim)
+    diagonal = n_a - n_b
+    n = np.arange(dim)
+    root = np.sqrt(n).astype(complex)
+    root = np.stack((np.repeat(root, dim), np.tile(root, dim)))
+    maps = _IndexMaps(n_a * dim + n_b, diagonal * dim + n_b, diagonal, n, root)
+    for array in maps:
+        array.flags.writeable = False
+    return maps
 
 
 @dataclass(frozen=True)
@@ -172,19 +211,21 @@ class OracleReport:
 
 def _evolve_at(config: ExperimentConfig, cutoff: int) -> FockState:
     dim = cutoff + 1
-    n = np.arange(dim)
+    maps = _index_maps(cutoff)
     # displaced vacuum |d, 0>, each squeezed along its diagonal: entry
     # (d, k) of the columns is the amplitude at (d + k, k) of psi[n_a, n_b]
-    amplitude = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
-    n_a, n_b = np.tril_indices(dim)
-    psi = np.zeros((dim, dim), dtype=complex)
-    psi[n_a, n_b] = _squeezed_columns(config.g, cutoff)[n_a - n_b, n_b] * amplitude[n_a - n_b]
+    amplitude = np.exp(1j * config.theta * maps.n) * _displacement_column(config.alpha_mag, cutoff)
+    columns = _squeezed_columns(config.g, cutoff)
+    flat = np.zeros(dim * dim, dtype=complex)
+    flat[maps.slots] = columns.take(maps.sources) * amplitude[maps.diagonal]
+    psi = flat.reshape(dim, dim)
     # rotated by e^{i 2 l phi n_a}
-    psi *= np.exp(1j * 2.0 * config.ell * config.phi * n)[:, None]
-    psi /= np.linalg.norm(psi)
+    psi *= np.exp(1j * 2.0 * config.ell * config.phi * maps.n)[:, None]
+    # the reductions of np.linalg.norm, without its overhead
+    flat /= math.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
     probs = np.abs(psi) ** 2
     tail = float(max(1.0 - probs[: cutoff - 1, : cutoff - 1].sum(), 0.0))
-    return FockState(cutoff=cutoff, amplitudes=psi.ravel(), tail_mass=tail)
+    return FockState(cutoff=cutoff, amplitudes=flat, tail_mass=tail)
 
 
 def evolve(
@@ -198,7 +239,8 @@ def evolve(
     With ``cutoff=None`` the schedule is walked until the tail-mass criterion
     passes; if the ceiling still fails, the last state is returned carrying
     ``reliable == False``.  An explicit cutoff is used as given; a cutoff that
-    is not an integer or is below 2 raises ValueError.  Only the lossless chain
+    is not an integer or is below 2, or a schedule that does not strictly
+    increase, raises ValueError.  Only the lossless chain
     is covered (loss validation goes through the exact scaling laws against
     the phase-space engine instead).
     """
@@ -214,6 +256,8 @@ def evolve(
         raise ValueError(f"cutoff must be an integer, got {given!r}") from None
     if min(schedule) < 2:
         raise ValueError("cutoff must be >= 2")
+    if any(lo >= hi for lo, hi in zip(schedule, schedule[1:])):
+        raise ValueError(f"cutoff schedule must strictly increase, got {schedule!r}")
     state = None
     for c in schedule:
         state = _evolve_at(config, c)
@@ -224,13 +268,20 @@ def evolve(
 
 def _quadrature(psi: np.ndarray, axis: int) -> np.ndarray:
     """``(a + a^dag) psi`` for the mode whose Fock index runs along ``axis``
-    of ``psi[n_a, n_b]``: the banded product with ``sqrt(n)`` off the diagonal."""
-    psi = psi.swapaxes(0, axis)
-    root = np.sqrt(np.arange(1, len(psi)))[:, None]
-    out = np.zeros_like(psi)
-    out[:-1] = root * psi[1:]
-    out[1:] += root * psi[:-1]
-    return out.swapaxes(0, axis)
+    of ``psi[n_a, n_b]``: the banded product with ``sqrt(n)`` off the diagonal.
+
+    On the raveled matrix a step of that index is a shift by ``step`` slots,
+    so each product is one contiguous pass.  A one-slot shift of ``n_b`` that
+    wraps into the next row meets ``sqrt(0)`` there and adds only zeros."""
+    dim = len(psi)
+    root = _index_maps(dim - 1).root[axis]
+    step = dim if axis == 0 else 1
+    flat = psi.ravel()
+    out = np.empty_like(flat)
+    np.multiply(root[step:], flat[step:], out=out[:-step])
+    out[-step:] = 0.0
+    out[step:] += root[step:] * flat[:-step]
+    return out.reshape(psi.shape)
 
 
 def moments(state: FockState) -> OracleReport:
@@ -250,7 +301,8 @@ def moments(state: FockState) -> OracleReport:
     dim = state.cutoff + 1
     psi = state.amplitudes.reshape(dim, dim)
     # sqrt2 X_out psi
-    xpsi = _quadrature(psi, 0) + _quadrature(psi, 1)
+    xpsi = _quadrature(psi, 0)
+    xpsi += _quadrature(psi, 1)
     x_mean = float(np.real(np.vdot(psi, xpsi))) / math.sqrt(2.0)
     x_second = float(np.real(np.vdot(xpsi, xpsi))) / 2.0
     probs = np.abs(psi) ** 2
