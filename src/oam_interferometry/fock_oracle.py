@@ -156,7 +156,6 @@ class _IndexMaps(NamedTuple):
     slots: np.ndarray  # the flat slots n_a * dim + n_b of psi's lower triangle
     sources: np.ndarray  # each slot's flat source d * dim + n_b in the squeezer columns
     diagonal: np.ndarray  # each slot's d = n_a - n_b
-    n: np.ndarray  # 0 .. cutoff
     # root[axis, flat]: sqrt(n_a) or sqrt(n_b) at each flat slot; complex, as
     # numpy would cast a real factor on every product with psi
     root: np.ndarray
@@ -167,10 +166,9 @@ def _index_maps(cutoff: int) -> _IndexMaps:
     dim = cutoff + 1
     n_a, n_b = np.tril_indices(dim)
     diagonal = n_a - n_b
-    n = np.arange(dim)
-    root = np.sqrt(n).astype(complex)
+    root = np.sqrt(np.arange(dim)).astype(complex)
     root = np.stack((np.repeat(root, dim), np.tile(root, dim)))
-    maps = _IndexMaps(n_a * dim + n_b, diagonal * dim + n_b, diagonal, n, root)
+    maps = _IndexMaps(n_a * dim + n_b, diagonal * dim + n_b, diagonal, root)
     for array in maps:
         array.flags.writeable = False
     return maps
@@ -212,17 +210,18 @@ class OracleReport:
 def _evolve_at(config: ExperimentConfig, cutoff: int) -> FockState:
     dim = cutoff + 1
     maps = _index_maps(cutoff)
+    n = np.arange(dim)
     # displaced vacuum |d, 0>, each squeezed along its diagonal: entry
     # (d, k) of the columns is the amplitude at (d + k, k) of psi[n_a, n_b]
-    amplitude = np.exp(1j * config.theta * maps.n) * _displacement_column(config.alpha_mag, cutoff)
+    amplitude = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
     columns = _squeezed_columns(config.g, cutoff)
     flat = np.zeros(dim * dim, dtype=complex)
     flat[maps.slots] = columns.take(maps.sources) * amplitude[maps.diagonal]
     psi = flat.reshape(dim, dim)
     # rotated by e^{i 2 l phi n_a}
-    psi *= np.exp(1j * 2.0 * config.ell * config.phi * maps.n)[:, None]
+    psi *= np.exp(1j * 2.0 * config.ell * config.phi * n)[:, None]
     # the reductions of np.linalg.norm, without its overhead
-    flat /= math.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    flat /= math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
     probs = np.abs(psi) ** 2
     tail = float(max(1.0 - probs[: cutoff - 1, : cutoff - 1].sum(), 0.0))
     return FockState(cutoff=cutoff, amplitudes=flat, tail_mass=tail)
