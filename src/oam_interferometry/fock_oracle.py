@@ -8,23 +8,32 @@ blocks:
 * the squeezer ``g (a^dag b^dag - a b)`` conserves ``d = n_a - n_b``: one
   block per diagonal of ``psi``.  Mode B enters in vacuum, so block ``d``
   meets one amplitude, at ``|d, 0>``, and only that column is kept;
-* the Dove-prism rotation is a phase on each row.
+* the phase of alpha, ``e^{i theta n}`` on the input mode, is the phase
+  ``e^{i theta d}`` on diagonal d after the squeezer, and the Dove-prism
+  rotation is ``e^{i 2 l phi n_a}`` on each row.
 
-The balanced coupler is linear, ``a -> (a + b)/sqrt2``, so the homodyne
-quadrature after it is ``X_out = (X_A + X_B)/sqrt2`` read on ``psi``, and the
-photon number, which the coupler conserves, is read on ``psi`` as well; the
-coupler is never built.  The squeezer's block columns, and the single-mode
-displacement ``|alpha| (a^dag - a)``, are column 0 of the exponential of a
-real antisymmetric tridiagonal ladder matrix, which is ``-i J`` for a real
+So ``psi = e^{i (theta + 2 l phi) n_a} e^{-i theta n_b} psi0``, where the real
+state psi0 depends on (g, |alpha|, cutoff) alone: every point with the same
+gain and amplitude shares one psi0, cached read-only with its tail mass and
+its expectations of the truncated monomials a, b, a^2, b^2, ab, a^dag b,
+a^dag a, a a^dag, b^dag b and b b^dag.  The truncated ladders obey
+``e^{-i t n} a e^{i t n} = e^{i t} a`` exactly, so each moment is a sum of
+those expectations times cosines of the two phases.  The balanced coupler is
+linear, ``a -> (a + b)/sqrt2``, so the homodyne quadrature after it is
+``X_out = (X_A + X_B)/sqrt2`` read on ``psi``, and the photon number, which
+the coupler conserves, is read on ``psi`` as well; the coupler is never
+built.  The squeezer's block columns, and the single-mode displacement
+``|alpha| (a^dag - a)``, are column 0 of the exponential of a real
+antisymmetric tridiagonal ladder matrix, which is ``-i J`` for a real
 symmetric tridiagonal J up to a diagonal phase change.  J is the gain g, or
 |alpha|, times a unit matrix fixed by the cutoff, so ``numpy.linalg.eigh``
 decomposes each unit matrix once per cutoff and every gain or amplitude
 after that is one real matrix-vector product per block
 (``_ladder_basis``).  This is the same truncated operator as the
-dense ``(cutoff+1)^2``-square ``expm`` (the test suite keeps that route, and
-the chain through the coupler's blocks, as its references), not an
-approximation.  The oracle shares nothing with the phase-space engine it
-checks.
+dense ``(cutoff+1)^2``-square ``expm`` (the test suite keeps that route, the
+chain through the coupler's blocks, and the dense read of the complex state,
+as its references), not an approximation.  The oracle shares nothing with
+the phase-space engine it checks.
 
 Reliability gauge: the probability sitting on the top two Fock layers of
 either mode ("tail mass").  A state whose tail mass reaches
@@ -33,11 +42,13 @@ either mode ("tail mass").  A state whose tail mass reaches
 Cost: per cutoff c, the squeezer's eigenbasis holds (c + 1)^3 reals (0.55,
 4.3 and 14 MB at cutoff 40, 80 and 120), built one block at a time so that a
 cold build holds little more than what it keeps; each gain's columns then
-hold (c + 1)^2 reals, the displacement one column, and the state is one
-(c + 1)^2 complex matrix.  The per-point read goes through index maps built
-once per cutoff.  The README's "The Fock validator" section has the
-measured times and peaks; the dense route took 3.9 / 30 / 164 s at cutoff
-40 / 60 / 80 and 0.4 GB per operator at 80.
+hold (c + 1)^2 reals, the displacement one column, and each psi0 one
+(c + 1)^2 real matrix, read by a few passes once per (g, |alpha|, cutoff).
+Each point after that is a few cosines and no array: ``evolve`` and
+``moments`` are O(1) in the cutoff.  ``FockState.amplitudes`` builds the
+complex matrix only when read.  The README's "The Fock validator" section
+has the measured times and peaks; the dense route took 3.9 / 30 / 164 s at
+cutoff 40 / 60 / 80 and 0.4 GB per operator at 80.
 """
 
 from __future__ import annotations
@@ -150,15 +161,13 @@ def _displacement_column(magnitude: float, cutoff: int) -> np.ndarray:
 
 
 class _IndexMaps(NamedTuple):
-    """What the per-point read needs of a cutoff, built once per cutoff and
-    read-only; flat indices run over the raveled ``psi[n_a, n_b]``."""
+    """Where each amplitude of psi's lower triangle sits and comes from, built
+    once per cutoff and read-only; flat indices run over the raveled
+    ``psi[n_a, n_b]``."""
 
     slots: np.ndarray  # the flat slots n_a * dim + n_b of psi's lower triangle
     sources: np.ndarray  # each slot's flat source d * dim + n_b in the squeezer columns
     diagonal: np.ndarray  # each slot's d = n_a - n_b
-    # root[axis, flat]: sqrt(n_a) or sqrt(n_b) at each flat slot; complex, as
-    # numpy would cast a real factor on every product with psi
-    root: np.ndarray
 
 
 @lru_cache(maxsize=4)
@@ -166,33 +175,113 @@ def _index_maps(cutoff: int) -> _IndexMaps:
     dim = cutoff + 1
     n_a, n_b = np.tril_indices(dim)
     diagonal = n_a - n_b
-    root = np.sqrt(np.arange(dim)).astype(complex)
-    root = np.stack((np.repeat(root, dim), np.tile(root, dim)))
-    maps = _IndexMaps(n_a * dim + n_b, diagonal * dim + n_b, diagonal, root)
+    maps = _IndexMaps(n_a * dim + n_b, diagonal * dim + n_b, diagonal)
     for array in maps:
         array.flags.writeable = False
     return maps
 
 
+def _lowered(psi: np.ndarray, axis: int) -> np.ndarray:
+    """``a psi`` for the mode whose Fock index runs along ``axis`` of
+    ``psi[n_a, n_b]``: the truncated ladder ``a[n-1, n] = sqrt(n)``, which
+    leaves the top level empty."""
+    root = np.sqrt(np.arange(1.0, len(psi)))
+    out = np.zeros_like(psi)
+    if axis == 0:
+        out[:-1] = root[:, None] * psi[1:]
+    else:
+        out[:, :-1] = root * psi[:, 1:]
+    return out
+
+
+class _RealState(NamedTuple):
+    """The state ahead of the rotations for one (g, |alpha|, cutoff): the
+    normalised real ``psi[n_a, n_b]`` (read-only), its tail mass, and its
+    expectations of the truncated monomials that ``moments`` reads."""
+
+    psi: np.ndarray
+    tail_mass: float
+    a: float
+    b: float
+    aa: float
+    bb: float
+    ab: float
+    adag_b: float
+    adag_a: float
+    a_adag: float
+    bdag_b: float
+    b_bdag: float
+
+
+# Every point with the same gain and amplitude shares one entry; 32 entries
+# hold at most 0.43 MB at cutoff 40 and 1.7 MB at 80.
+@lru_cache(maxsize=32)
+def _real_state(g: float, magnitude: float, cutoff: int) -> _RealState:
+    dim = cutoff + 1
+    maps = _index_maps(cutoff)
+    # displaced vacuum |d, 0>, each squeezed along its diagonal: entry (d, k)
+    # of the columns is the amplitude at (d + k, k) of psi[n_a, n_b]
+    flat = np.zeros(dim * dim)
+    flat[maps.slots] = _squeezed_columns(g, cutoff).take(maps.sources) * _displacement_column(
+        magnitude, cutoff
+    ).take(maps.diagonal)
+    flat /= math.sqrt(flat.dot(flat))
+    psi = flat.reshape(dim, dim)
+    psi.flags.writeable = False
+    probs = psi * psi
+    rows, columns = probs.sum(axis=1), probs.sum(axis=0)
+    n = np.arange(dim)
+    a_psi, b_psi = _lowered(psi, 0), _lowered(psi, 1)
+    return _RealState(
+        psi=psi,
+        tail_mass=float(max(1.0 - probs[: cutoff - 1, : cutoff - 1].sum(), 0.0)),
+        a=float(np.vdot(psi, a_psi)),
+        b=float(np.vdot(psi, b_psi)),
+        aa=float(np.vdot(psi, _lowered(a_psi, 0))),
+        bb=float(np.vdot(psi, _lowered(b_psi, 1))),
+        ab=float(np.vdot(psi, _lowered(b_psi, 0))),
+        adag_b=float(np.vdot(a_psi, b_psi)),
+        adag_a=float(n @ rows),
+        # |a^dag psi|^2: the truncated a^dag drops the top level
+        a_adag=float(n[1:] @ rows[:-1]),
+        bdag_b=float(n @ columns),
+        b_bdag=float(n[1:] @ columns[:-1]),
+    )
+
+
 @dataclass(frozen=True)
 class FockState:
-    """Normalised truncated two-mode state ahead of the output coupler, with
-    its tail-mass record."""
+    """Normalised truncated two-mode state ahead of the output coupler: the
+    real state of its (g, |alpha|, cutoff), shared by every point with those
+    values, rotated by ``e^{i theta (n_a - n_b)} e^{i rotation n_a}``, where
+    ``rotation = 2 l phi``."""
 
     cutoff: int
-    amplitudes: np.ndarray
-    tail_mass: float
+    real: _RealState
+    theta: float
+    rotation: float
 
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != ((self.cutoff + 1) ** 2,):
-            raise ValueError("amplitudes must have dimension (cutoff + 1)^2")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+    @property
+    def tail_mass(self) -> float:
+        return self.real.tail_mass
 
     @property
     def reliable(self) -> bool:
         return self.tail_mass < DEFAULT_TAIL_TOLERANCE
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The raveled complex ``psi[n_a, n_b]``, built on each read and
+        read-only: ``e^{i theta d}`` per diagonal, then ``e^{i rotation n_a}``
+        per row."""
+        dim = self.cutoff + 1
+        maps = _index_maps(self.cutoff)
+        n = np.arange(dim)
+        flat = np.zeros(dim * dim, dtype=complex)
+        flat[maps.slots] = self.real.psi.take(maps.slots) * np.exp(1j * self.theta * n)[maps.diagonal]
+        flat.reshape(dim, dim)[...] *= np.exp(1j * self.rotation * n)[:, None]
+        flat.flags.writeable = False
+        return flat
 
 
 @dataclass(frozen=True)
@@ -205,26 +294,6 @@ class OracleReport:
     photon_number: float
     cutoff_used: int
     tail_mass: float
-
-
-def _evolve_at(config: ExperimentConfig, cutoff: int) -> FockState:
-    dim = cutoff + 1
-    maps = _index_maps(cutoff)
-    n = np.arange(dim)
-    # displaced vacuum |d, 0>, each squeezed along its diagonal: entry
-    # (d, k) of the columns is the amplitude at (d + k, k) of psi[n_a, n_b]
-    amplitude = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
-    columns = _squeezed_columns(config.g, cutoff)
-    flat = np.zeros(dim * dim, dtype=complex)
-    flat[maps.slots] = columns.take(maps.sources) * amplitude[maps.diagonal]
-    psi = flat.reshape(dim, dim)
-    # rotated by e^{i 2 l phi n_a}
-    psi *= np.exp(1j * 2.0 * config.ell * config.phi * n)[:, None]
-    # the reductions of np.linalg.norm, without its overhead
-    flat /= math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
-    probs = np.abs(psi) ** 2
-    tail = float(max(1.0 - probs[: cutoff - 1, : cutoff - 1].sum(), 0.0))
-    return FockState(cutoff=cutoff, amplitudes=flat, tail_mass=tail)
 
 
 def evolve(
@@ -257,30 +326,13 @@ def evolve(
         raise ValueError("cutoff must be >= 2")
     if any(lo >= hi for lo, hi in zip(schedule, schedule[1:])):
         raise ValueError(f"cutoff schedule must strictly increase, got {schedule!r}")
+    rotation = 2.0 * config.ell * config.phi
     state = None
     for c in schedule:
-        state = _evolve_at(config, c)
+        state = FockState(c, _real_state(config.g, config.alpha_mag, c), config.theta, rotation)
         if state.reliable:
             return state
     return state
-
-
-def _quadrature(psi: np.ndarray, axis: int) -> np.ndarray:
-    """``(a + a^dag) psi`` for the mode whose Fock index runs along ``axis``
-    of ``psi[n_a, n_b]``: the banded product with ``sqrt(n)`` off the diagonal.
-
-    On the raveled matrix a step of that index is a shift by ``step`` slots,
-    so each product is one contiguous pass.  A one-slot shift of ``n_b`` that
-    wraps into the next row meets ``sqrt(0)`` there and adds only zeros."""
-    dim = len(psi)
-    root = _index_maps(dim - 1).root[axis]
-    step = dim if axis == 0 else 1
-    flat = psi.ravel()
-    out = np.empty_like(flat)
-    np.multiply(root[step:], flat[step:], out=out[:-step])
-    out[-step:] = 0.0
-    out[step:] += root[step:] * flat[:-step]
-    return out.reshape(psi.shape)
 
 
 def moments(state: FockState) -> OracleReport:
@@ -288,28 +340,33 @@ def moments(state: FockState) -> OracleReport:
     UnreliableStateError when the state's tail mass reaches DEFAULT_TAIL_TOLERANCE.
 
     The coupler sends ``a -> (a + b)/sqrt2``, so the homodyne quadrature is
-    ``X_out = (X_A + X_B)/sqrt2`` on the state ahead of it: ``<X_out>`` is
-    ``(<X_A> + <X_B>)/sqrt2`` and ``<X_out^2> = |X_out psi|^2`` is
-    ``(<X_A^2> + <X_B^2> + 2 Re<X_A X_B>)/2``.  It conserves ``n_a + n_b``,
-    which is read as it stands.
+    ``X_out = (X_A + X_B)/sqrt2`` on the state ahead of it, and it conserves
+    ``n_a + n_b``.  That state is ``e^{i t_a n_a} e^{i t_b n_b}`` times the
+    real state, with ``t_a = theta + 2 l phi`` and ``t_b = -theta``, and the
+    truncated ladders obey ``e^{-i t n} a e^{i t n} = e^{i t} a`` exactly, so
+    each moment is a sum of the real state's expectations times cosines:
+    ``<X_out> = sqrt2 (cos t_a <a> + cos t_b <b>)`` and ``<X_out^2> =
+    cos 2t_a <a^2> + cos 2t_b <b^2> + (<a^dag a> + <a a^dag> + <b^dag b> +
+    <b b^dag>)/2 + 2 cos(t_a + t_b) <ab> + 2 cos(t_a - t_b) <a^dag b>``.
     """
     if not state.reliable:
         raise UnreliableStateError(
             f"tail mass {state.tail_mass:.3e} exceeds tolerance {DEFAULT_TAIL_TOLERANCE:.1e}"
         )
-    dim = state.cutoff + 1
-    psi = state.amplitudes.reshape(dim, dim)
-    # sqrt2 X_out psi
-    xpsi = _quadrature(psi, 0)
-    xpsi += _quadrature(psi, 1)
-    x_mean = float(np.real(np.vdot(psi, xpsi))) / math.sqrt(2.0)
-    x_second = float(np.real(np.vdot(xpsi, xpsi))) / 2.0
-    probs = np.abs(psi) ** 2
-    n_total = float(np.arange(dim) @ (probs.sum(axis=0) + probs.sum(axis=1)))
+    real, theta, rotation = state.real, state.theta, state.rotation
+    angle_a = theta + rotation
+    x_mean = math.sqrt(2.0) * (math.cos(angle_a) * real.a + math.cos(theta) * real.b)
+    x_second = (
+        math.cos(2.0 * angle_a) * real.aa
+        + math.cos(2.0 * theta) * real.bb
+        + 0.5 * (real.adag_a + real.a_adag + real.bdag_b + real.b_bdag)
+        + 2.0 * math.cos(rotation) * real.ab
+        + 2.0 * math.cos(angle_a + theta) * real.adag_b
+    )
     return OracleReport(
         x_mean=x_mean,
         x_second_moment=x_second,
-        photon_number=n_total,
+        photon_number=real.adag_a + real.bdag_b,
         cutoff_used=state.cutoff,
         tail_mass=state.tail_mass,
     )

@@ -73,7 +73,7 @@ class ValidationReport:
     def lines(self) -> list[str]:
         out = [
             f"validation preset={self.preset} grid_points={self.point_count} "
-            f"loss_draws={self.loss_draws} elapsed={self.elapsed_seconds:.1f}s"
+            f"loss_draws={self.loss_draws} elapsed={self.elapsed_seconds:.3f}s"
         ]
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"

@@ -1,6 +1,7 @@
 """Shared test utilities: seeded random configs and states."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from oam_interferometry import (
     opa_matrix,
     vacuum_state,
 )
+from oam_interferometry import fock_oracle
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,3 +52,17 @@ def without_timestamp(csv_text):
 
 def guarded_rel(actual, expected):
     return abs(actual - expected) / max(1.0, abs(expected))
+
+
+def flip_mode_b_ladder(monkeypatch):
+    """Corrupt the Fock oracle's coupler read to ``X_out = (X_A - X_B)/sqrt2``
+    by flipping the sign of mode B's ladder, until the test ends.  The real
+    states are read through a fresh cache, so no state cached before or after
+    the test carries the flip."""
+    lowered = fock_oracle._lowered
+    monkeypatch.setattr(
+        fock_oracle, "_lowered", lambda psi, axis: -lowered(psi, axis) if axis else lowered(psi, axis)
+    )
+    monkeypatch.setattr(
+        fock_oracle, "_real_state", lru_cache(maxsize=32)(fock_oracle._real_state.__wrapped__)
+    )

@@ -1,7 +1,8 @@
 """Reference routes the tests check the package against: the dense Fock
 operators, the dense-state blocked unitary, the one-shot ladder exponential,
 the general blocked squeezer, the balanced coupler's blocks and the oracle
-chain built on them with its homodyne read after the coupler, a direct loss
+chain built on them with its homodyne read after the coupler, the dense read
+of a state ahead of the coupler, a direct loss
 channel, a brute-force optimum scan, the optimal sensitivity in plain
 ``math``, and the asymptotic and SU(1,1) sensitivity forms.  None of them is
 on the package's product path."""
@@ -75,8 +76,8 @@ def apply_blocked(blocks: np.ndarray, index: np.ndarray, psi: np.ndarray) -> np.
 def ladder_exp_one_shot(weights: np.ndarray) -> np.ndarray:
     """exp(G) for the real antisymmetric tridiagonal ``G[k+1, k] = w_k =
     -G[k, k+1]``, ``w = weights[..., k]``, every block in one batched ``eigh``
-    and two full-stack products; ``fock_oracle._ladder_exp`` builds column 0
-    of each a few blocks at a time."""
+    and two full-stack products; ``fock_oracle._ladder_basis`` decomposes one
+    block at a time and keeps only what column 0 needs at any scale."""
     dim = weights.shape[-1] + 1
     j = np.zeros(weights.shape[:-1] + (dim, dim))
     k = np.arange(dim - 1)
@@ -168,6 +169,42 @@ def output_moments(psi: np.ndarray) -> np.ndarray:
         ),
         axis=-1,
     )
+
+
+def _dense_quadrature(psi: np.ndarray, axis: int) -> np.ndarray:
+    """``(a + a^dag) psi`` for the mode whose Fock index runs along ``axis``
+    of ``psi[n_a, n_b]``: the banded product with ``sqrt(n)`` off the diagonal.
+
+    On the raveled matrix a step of that index is a shift by ``step`` slots,
+    so each product is one contiguous pass.  A one-slot shift of ``n_b`` that
+    wraps into the next row meets ``sqrt(0)`` there and adds only zeros."""
+    dim = len(psi)
+    root = np.sqrt(np.arange(dim)).astype(complex)
+    root = np.repeat(root, dim) if axis == 0 else np.tile(root, dim)
+    step = dim if axis == 0 else 1
+    flat = psi.ravel()
+    out = np.empty_like(flat)
+    np.multiply(root[step:], flat[step:], out=out[:-step])
+    out[-step:] = 0.0
+    out[step:] += root[step:] * flat[:-step]
+    return out.reshape(psi.shape)
+
+
+def dense_moments(amplitudes: np.ndarray) -> tuple[float, float, float]:
+    """``<X_out>``, ``<X_out^2>`` and the total photon number of the raveled
+    complex ``psi[n_a, n_b]`` ahead of the coupler, each read as a pass over
+    the whole matrix: ``X_out psi = (X_A + X_B) psi / sqrt2`` through the
+    banded quadratures, and ``n_a + n_b`` through the probabilities."""
+    dim = math.isqrt(len(amplitudes))
+    psi = amplitudes.reshape(dim, dim)
+    # sqrt2 X_out psi
+    xpsi = _dense_quadrature(psi, 0)
+    xpsi += _dense_quadrature(psi, 1)
+    x_mean = float(np.real(np.vdot(psi, xpsi))) / math.sqrt(2.0)
+    x_second = float(np.real(np.vdot(xpsi, xpsi))) / 2.0
+    probs = np.abs(psi) ** 2
+    n_total = float(np.arange(dim) @ (probs.sum(axis=0) + probs.sum(axis=1)))
+    return x_mean, x_second, n_total
 
 
 # --- direct loss channel -------------------------------------------------------

@@ -30,7 +30,7 @@ from oam_interferometry.cli import (
     to_csv,
 )
 from oam_interferometry.validation import _describe, _record, run_validation
-from helpers import without_timestamp
+from helpers import flip_mode_b_ladder, without_timestamp
 
 FIG3_TEXT = "g=2\nell=1\nalpha_sq=100"
 
@@ -335,10 +335,7 @@ class TestValidateHarness:
     def test_corrupted_coupler_sign_is_caught_with_gain(self, monkeypatch):
         # the coupler read as X_out = (X_A - X_B)/sqrt2; at g = 0 mode B is
         # vacuum and the sign is moot, so it shows only with gain
-        real = fock_oracle._quadrature
-        monkeypatch.setattr(
-            fock_oracle, "_quadrature", lambda psi, axis: -real(psi, axis) if axis else real(psi, axis)
-        )
+        flip_mode_b_ladder(monkeypatch)
         for g, seen in [(0.0, False), (0.3, True)]:
             cfg = ExperimentConfig(g=g, ell=1, alpha_mag=1.0, theta=0.4, phi=0.7)
             report = fock_oracle.moments(fock_oracle.evolve(cfg, cutoff=20))

@@ -22,17 +22,19 @@ from oam_interferometry.fock_oracle import (
     _displacement_basis,
     _displacement_column,
     _index_maps,
+    _real_state,
     _squeezed_columns,
     _squeezer_basis,
 )
 from oam_interferometry.validation import ORACLE_TOL, grid_configs
-from helpers import random_config
+from helpers import flip_mode_b_ladder, random_config
 from reference import (
     annihilation,
     apply_blocked,
     blocked_chain,
     bs_unitary,
     build_operators,
+    dense_moments,
     ladder_exp_one_shot,
     output_moments,
     pre_coupler_chain,
@@ -220,13 +222,17 @@ class TestBatchedBuild:
         assert np.max(np.abs(kept - expected)) <= self.BOUNDS[cutoff]
 
     def test_cached_results_stay_read_only(self):
-        # the columns, and the basis and index maps every later point reads
+        # the columns, the basis and index maps every later point reads, the
+        # real state every point of its gain and amplitude shares, and the
+        # amplitudes built from it
         kept = (
             _squeezed_columns(0.3, 12),
             _displacement_column(1.0, 12),
             *_squeezer_basis(12),
             *_displacement_basis(12),
             *_index_maps(12),
+            _real_state(0.3, 1.0, 12).psi,
+            evolve(_cfg(g=0.3, alpha_mag=1.0, theta=0.4, phi=0.7), cutoff=12).amplitudes,
         )
         for array in kept:
             assert not array.flags.writeable
@@ -307,6 +313,69 @@ class TestAgainstReferenceChain:
         self._assert_close(configs, [evolve(config, cutoff=cutoff) for config in configs])
 
 
+class TestFactoredRead:
+    """``moments`` reads each point from its real state's expectations and
+    two phase rotations; the reference reads the same state's amplitudes
+    densely (tests/reference.py).  The largest deviation measured was
+    3.4e-14, on the full grid."""
+
+    BOUND = 1e-13
+
+    def _assert_close(self, states):
+        for state in states:
+            report = moments(state)
+            factored = (report.x_mean, report.x_second_moment, report.photon_number)
+            deviation = np.abs(np.subtract(factored, dense_moments(state.amplitudes)))
+            assert np.all(deviation <= self.BOUND)
+
+    @pytest.mark.parametrize("preset", ["quick", "full"])
+    def test_grid_at_40(self, preset):
+        self._assert_close([evolve(config, cutoff=40) for config in grid_configs(preset)])
+
+    def test_cutoff_80_rung(self):
+        state = evolve(_cfg(**FAR_POINT))
+        assert state.cutoff == 80
+        self._assert_close([state])
+
+    @pytest.mark.parametrize("cutoff", [12, 25])
+    def test_seeded_configs(self, cutoff):
+        # ranges small enough that every state is reliable at its cutoff
+        g_max, alpha_sq_max = {12: (0.15, 0.5), 25: (0.4, 2.0)}[cutoff]
+        rng = np.random.default_rng(1500 + cutoff)
+        configs = [random_config(rng, g_max=g_max, alpha_sq_range=(0.0, alpha_sq_max)) for _ in range(40)]
+        self._assert_close([evolve(config, cutoff=cutoff) for config in configs])
+
+    def test_points_differing_in_rotations_share_one_real_state(self):
+        base = _cfg(g=0.3, ell=1, alpha_mag=1.2, theta=0.4, phi=0.7)
+        rotated = [
+            dataclasses.replace(base, theta=2.5),
+            dataclasses.replace(base, ell=3),
+            dataclasses.replace(base, phi=1.9),
+        ]
+        real = evolve(base, cutoff=40).real
+        assert all(evolve(config, cutoff=40).real is real for config in rotated)
+        assert evolve(dataclasses.replace(base, g=0.4), cutoff=40).real is not real
+        assert evolve(dataclasses.replace(base, alpha_mag=1.3), cutoff=40).real is not real
+
+    def test_warm_point_builds_no_dense_state(self):
+        # one dense cutoff-80 state holds 81^2 complex amplitudes, 105 kB; a
+        # warm point peaked at 576 bytes
+        config = _cfg(**FAR_POINT)
+        moments(evolve(config, cutoff=80))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            moments(evolve(config, cutoff=80))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 81**2 * 16 / 20
+
+
 class TestAgainstCouplerReference:
     """``moments`` reads the homodyne ahead of the coupler through
     ``X_out = (X_A + X_B)/sqrt2``; the reference carries the state through the
@@ -334,10 +403,7 @@ class TestAgainstCouplerReference:
 
     def test_wrong_sign_on_mode_b_is_caught(self, monkeypatch):
         # (X_A - X_B)/sqrt2; mode B is vacuum at g = 0, where the sign is moot
-        real = fock_oracle._quadrature
-        monkeypatch.setattr(
-            fock_oracle, "_quadrature", lambda psi, axis: -real(psi, axis) if axis else real(psi, axis)
-        )
+        flip_mode_b_ladder(monkeypatch)
         configs = [_cfg(g=0.3, ell=1, alpha_mag=1.0, theta=0.4, phi=0.7), _cfg(alpha_mag=1.0, theta=0.4)]
         wrong, moot = self._deviations(configs, 40)
         assert wrong[0] > 0.1 and wrong[1] > 0.1
@@ -353,13 +419,14 @@ class TestDirectExpectations:
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_quadrature_matches_the_dense_operator(self, axis):
-        # X_A = a + a^dag on the rows of psi[n_a, n_b], X_B on its columns
+        # X_A = a + a^dag is read through a on the rows of psi[n_a, n_b], X_B
+        # through b on its columns
         ops = build_operators(12)
         ladder = ops.a if axis == 0 else ops.b
         rng = np.random.default_rng(12 + axis)
         psi = rng.normal(size=(13, 13)) + 1j * rng.normal(size=(13, 13))
-        dense = ((ladder + ladder.T) @ psi.ravel()).reshape(13, 13)
-        assert np.max(np.abs(fock_oracle._quadrature(psi, axis) - dense)) <= 1e-14
+        dense = (ladder @ psi.ravel()).reshape(13, 13)
+        assert np.max(np.abs(fock_oracle._lowered(psi, axis) - dense)) <= 1e-14
 
     def test_coherent_state_quadrature_without_any_optics(self):
         # displaced vacuum alone: <X> = 2 for unit amplitude at zero phase
