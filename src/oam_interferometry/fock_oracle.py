@@ -1,54 +1,53 @@
 """Brute-force validator in a truncated two-mode Fock space.
 
 The state is the amplitude matrix ``psi[n_a, n_b]`` (``n <= cutoff`` per
-mode) ahead of the output coupler.  Each truncated element conserves a
-photon-number combination, so its unitary is exactly a direct sum of small
-blocks:
+mode) ahead of the output coupler, built from the untruncated chain's known
+Fock expansion:
 
-* the squeezer ``g (a^dag b^dag - a b)`` conserves ``d = n_a - n_b``: one
-  block per diagonal of ``psi``.  Mode B enters in vacuum, so block ``d``
-  meets one amplitude, at ``|d, 0>``, and only that column is kept;
+* the displaced vacuum ``D(|alpha|)|0>`` has amplitude
+  ``c_d = e^{-|alpha|^2/2} |alpha|^d / sqrt(d!)`` at ``|d, 0>``; mode B
+  enters in vacuum;
+* the squeezer ``exp(g (a^dag b^dag - a b))`` conserves ``d = n_a - n_b`` and
+  sends ``|d, 0>`` along diagonal d, with the SU(1,1) amplitude
+  ``s_{d,k} = cosh^{-(d+1)} g tanh^k g sqrt(C(d+k, k))`` at ``(d + k, k)``
+  (Perelomov, *Generalized Coherent States*, 1986; Gerry & Knight,
+  *Introductory Quantum Optics*, 2005);
 * the phase of alpha, ``e^{i theta n}`` on the input mode, is the phase
   ``e^{i theta d}`` on diagonal d after the squeezer, and the Dove-prism
   rotation is ``e^{i 2 l phi n_a}`` on each row.
 
-So ``psi = e^{i (theta + 2 l phi) n_a} e^{-i theta n_b} psi0``, where the real
-state psi0 depends on (g, |alpha|, cutoff) alone: every point with the same
-gain and amplitude shares one psi0, cached read-only with its tail mass and
-its expectations of the truncated monomials a, b, a^2, b^2, ab, a^dag b,
-a^dag a, a a^dag, b^dag b and b b^dag.  The truncated ladders obey
+So ``psi = e^{i (theta + 2 l phi) n_a} e^{-i theta n_b} psi0`` with the real
+``psi0[d + k, k] = c_d s_{d,k}``, cut to the box and normalised there.  The
+amplitudes are exponentials of sums built from one cumulative table of
+``log n!``, so a bright or strongly squeezed input underflows to 0 instead of
+overflowing.  psi0 depends on (g, |alpha|, cutoff) alone: every point with
+the same gain and amplitude shares one psi0, cached read-only with its tail
+mass and its expectations of the truncated monomials a, b, a^2, b^2, ab,
+a^dag b, a^dag a, a a^dag, b^dag b and b b^dag.  The truncated ladders obey
 ``e^{-i t n} a e^{i t n} = e^{i t} a`` exactly, so each moment is a sum of
 those expectations times cosines of the two phases.  The balanced coupler is
 linear, ``a -> (a + b)/sqrt2``, so the homodyne quadrature after it is
 ``X_out = (X_A + X_B)/sqrt2`` read on ``psi``, and the photon number, which
 the coupler conserves, is read on ``psi`` as well; the coupler is never
-built.  The squeezer's block columns, and the single-mode displacement
-``|alpha| (a^dag - a)``, are column 0 of the exponential of a real
-antisymmetric tridiagonal ladder matrix, which is ``-i J`` for a real
-symmetric tridiagonal J up to a diagonal phase change.  J is the gain g, or
-|alpha|, times a unit matrix fixed by the cutoff, so ``numpy.linalg.eigh``
-decomposes each unit matrix once per cutoff and every gain or amplitude
-after that is one real matrix-vector product per block
-(``_ladder_basis``).  This is the same truncated operator as the
-dense ``(cutoff+1)^2``-square ``expm`` (the test suite keeps that route, the
-chain through the coupler's blocks, and the dense read of the complex state,
-as its references), not an approximation.  The oracle shares nothing with
-the phase-space engine it checks.
+built.  The oracle shares nothing with the phase-space engine it checks, nor
+with the Heisenberg-picture algebra behind the closed forms.  The test suite
+pins psi0 against the truncated operators' exponentials at cutoffs where
+they have converged, and keeps the chain through the coupler's blocks and
+the dense read of the complex state as references.
 
-Reliability gauge: the probability sitting on the top two Fock layers of
-either mode ("tail mass").  A state whose tail mass reaches
-``DEFAULT_TAIL_TOLERANCE`` is flagged unreliable and refuses to report moments.
+Reliability gauge ("tail mass"): the exact probability outside the inner
+``(cutoff - 1)^2`` box, one minus the mass of the unnormalised amplitudes on
+it.  That is the mass on the box's top two Fock layers of either mode plus
+the mass the box drops.  A state whose tail mass reaches
+``DEFAULT_TAIL_TOLERANCE`` is flagged unreliable and refuses to report
+moments; one whose every amplitude underflows reads a tail mass of 1.
 
-Cost: per cutoff c, the squeezer's eigenbasis holds (c + 1)^3 reals (0.55,
-4.3 and 14 MB at cutoff 40, 80 and 120), built one block at a time so that a
-cold build holds little more than what it keeps; each gain's columns then
-hold (c + 1)^2 reals, the displacement one column, and each psi0 one
-(c + 1)^2 real matrix, read by a few passes once per (g, |alpha|, cutoff).
-Each point after that is a few cosines and no array: ``evolve`` and
-``moments`` are O(1) in the cutoff.  ``FockState.amplitudes`` builds the
-complex matrix only when read.  The README's "The Fock validator" section
-has the measured times and peaks; the dense route took 3.9 / 30 / 164 s at
-cutoff 40 / 60 / 80 and 0.4 GB per operator at 80.
+Cost: each psi0 is one (c + 1)^2 real matrix, built and read by a few passes
+once per (g, |alpha|, cutoff), with no per-cutoff state.  Each point after
+that is a few cosines and no array: ``evolve`` and ``moments`` are O(1) in
+the cutoff.  ``FockState.amplitudes`` builds the complex matrix only when
+read.  The README's "The Fock validator" section has the measured times and
+peaks.
 """
 
 from __future__ import annotations
@@ -82,103 +81,11 @@ class UnreliableStateError(RuntimeError):
     """Raised when moments are requested from a state with too much tail mass."""
 
 
-def _ladder_basis(weights: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenbasis behind column 0 of ``exp(s G_b)`` at any scale s, for the
-    real antisymmetric tridiagonal ``G_b[k+1, k] = w_k = -G_b[k, k+1]``, one
-    block per weight vector ``w = weights[b]``, zero-padded to the longest.
-
-    ``G = D (-i J) D^-1`` with ``D = diag(i^k)`` and J the real symmetric
-    tridiagonal matrix with the same weights, so with ``J = V diag(lam) V^T``,
-    ``exp(s G)[k, 0] = i^k (V cos(s lam) V^T - i V sin(s lam) V^T)[k, 0]``.  J
-    has a zero diagonal, so its even functions vanish at odd k and its odd
-    functions at even k: column 0 is ``V (cos(s lam) * V[0])`` at even k and
-    ``V (sin(s lam) * V[0])`` at odd k, signed +, +, -, - for
-    ``k mod 4 = 0, 1, 2, 3``.  Returns ``lam`` and ``modes[b, k, j] =
-    sign_k V[k, j] V[0, j]``, read-only.  Each block is decomposed alone,
-    over its ``len(w) + 1`` levels; the padding stays exactly 0.
-    """
-    dim = max(len(w) for w in weights) + 1
-    sign = np.where(np.arange(dim) % 4 < 2, 1.0, -1.0)[:, None]
-    lam = np.zeros((len(weights), dim))
-    modes = np.zeros((len(weights), dim, dim))
-    for w, lam_b, modes_b in zip(weights, lam, modes):
-        size = len(w) + 1
-        k = np.arange(size - 1)
-        j = np.zeros((size, size))
-        j[k + 1, k] = w
-        j[k, k + 1] = w
-        lam_b[:size], v = np.linalg.eigh(j)
-        np.multiply(v * sign[:size], v[0], out=modes_b[:size, :size])
-    lam.flags.writeable = modes.flags.writeable = False
-    return lam, modes
-
-
-def _ladder_columns(basis: tuple[np.ndarray, np.ndarray], scale: float) -> np.ndarray:
-    """Column 0 of ``exp(scale G_b)`` for every block of ``_ladder_basis``."""
-    lam, modes = basis
-    phase = scale * lam
-    cos = (modes @ np.cos(phase)[..., None])[..., 0]
-    sin = (modes @ np.sin(phase)[..., None])[..., 0]
-    return np.where(np.arange(lam.shape[-1]) % 2 == 1, sin, cos)
-
-
-# One entry per cutoff; the schedule has three.
-@lru_cache(maxsize=4)
-def _squeezer_basis(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    # block d steps (d + k, k) -> (d + k + 1, k + 1) with sqrt((d + k + 1)(k + 1))
-    # while d + k < cutoff: level 0 reaches only those cutoff - d + 1 levels
-    steps = (np.arange(cutoff - d) for d in range(cutoff + 1))
-    return _ladder_basis([np.sqrt((d + k + 1.0) * (k + 1)) for d, k in enumerate(steps)])
-
-
-@lru_cache(maxsize=4)
-def _displacement_basis(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    # a^dag - a steps n -> n + 1 with sqrt(n + 1)
-    return _ladder_basis([np.sqrt(np.arange(1.0, cutoff + 1))])
-
-
-@lru_cache(maxsize=6)
-def _squeezed_columns(g: float, cutoff: int) -> np.ndarray:
-    """exp(g (a^dag b^dag - a b)) |d, 0> for d = 0 .. cutoff: the two-mode
-    squeezer matching ``A = a cosh g + b^dag sinh g`` in the Heisenberg picture.
-
-    Row d is column 0 of the block of fixed ``n_a - n_b = d``, stepped by
-    ``(d + k, k) -> (d + k + 1, k + 1)`` with ``g sqrt((d + k + 1)(k + 1))``;
-    its entry k is the amplitude at ``(d + k, k)``, 0 where ``d + k > cutoff``.
-    """
-    columns = _ladder_columns(_squeezer_basis(cutoff), g)
-    columns.flags.writeable = False
-    return columns
-
-
-@lru_cache(maxsize=16)
-def _displacement_column(magnitude: float, cutoff: int) -> np.ndarray:
-    """D(|alpha|)|0> for a single mode (first column of the displacement
-    unitary); the phase of alpha is the rotation ``e^{i theta n}`` applied to it."""
-    [col] = _ladder_columns(_displacement_basis(cutoff), magnitude)
-    col.flags.writeable = False
-    return col
-
-
-class _IndexMaps(NamedTuple):
-    """Where each amplitude of psi's lower triangle sits and comes from, built
-    once per cutoff and read-only; flat indices run over the raveled
-    ``psi[n_a, n_b]``."""
-
-    slots: np.ndarray  # the flat slots n_a * dim + n_b of psi's lower triangle
-    sources: np.ndarray  # each slot's flat source d * dim + n_b in the squeezer columns
-    diagonal: np.ndarray  # each slot's d = n_a - n_b
-
-
-@lru_cache(maxsize=4)
-def _index_maps(cutoff: int) -> _IndexMaps:
-    dim = cutoff + 1
-    n_a, n_b = np.tril_indices(dim)
-    diagonal = n_a - n_b
-    maps = _IndexMaps(n_a * dim + n_b, diagonal * dim + n_b, diagonal)
-    for array in maps:
-        array.flags.writeable = False
-    return maps
+def _log_powers(x: float, dim: int) -> np.ndarray:
+    """``n log x`` for n = 0 .. dim - 1, whose exponential is ``x^n`` with
+    ``0^0 = 1``: -inf from n = 1 on where x is 0."""
+    log_x = math.log(x) if x > 0.0 else -math.inf
+    return np.concatenate(([0.0], log_x * np.arange(1.0, dim)))
 
 
 def _lowered(psi: np.ndarray, axis: int) -> np.ndarray:
@@ -218,23 +125,35 @@ class _RealState(NamedTuple):
 @lru_cache(maxsize=32)
 def _real_state(g: float, magnitude: float, cutoff: int) -> _RealState:
     dim = cutoff + 1
-    maps = _index_maps(cutoff)
-    # displaced vacuum |d, 0>, each squeezed along its diagonal: entry (d, k)
-    # of the columns is the amplitude at (d + k, k) of psi[n_a, n_b]
-    flat = np.zeros(dim * dim)
-    flat[maps.slots] = _squeezed_columns(g, cutoff).take(maps.sources) * _displacement_column(
-        magnitude, cutoff
-    ).take(maps.diagonal)
-    flat /= math.sqrt(flat.dot(flat))
-    psi = flat.reshape(dim, dim)
-    psi.flags.writeable = False
-    probs = psi * psi
-    rows, columns = probs.sum(axis=1), probs.sum(axis=0)
     n = np.arange(dim)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
+    log_cosh = g + math.log1p(math.exp(-2.0 * g)) - math.log(2.0)
+    # log(c_d s_{d,k}) at (n_a, n_b) = (d + k, k) splits into a term in d, one
+    # in n_a and one in n_b: d log(|alpha| / cosh g) - log d!, then
+    # log(n_a!)/2 - |alpha|^2/2 - log cosh g, then n_b log tanh g - log(n_b!)/2
+    per_d = _log_powers(magnitude, dim) - n * log_cosh - log_factorial
+    per_a = 0.5 * log_factorial - 0.5 * magnitude * magnitude - log_cosh
+    per_b = _log_powers(math.tanh(g), dim) - 0.5 * log_factorial
+    # row n_a of the sliding view over [-inf] * cutoff + per_d, reversed, reads
+    # per_d[n_a - n_b], and -inf above the diagonal, where psi holds nothing
+    padded = np.concatenate((np.full(cutoff, -np.inf), per_d))
+    exponent = np.lib.stride_tricks.sliding_window_view(padded, dim)[:, ::-1] + per_a[:, None]
+    exponent += per_b
+    psi = np.exp(exponent, out=exponent)
+    probs = psi * psi
+    # the exact mass outside the inner box, read before the box is
+    # normalised; a state whose every amplitude underflows reads 1 and stays 0
+    tail_mass = max(1.0 - float(probs[: cutoff - 1, : cutoff - 1].sum()), 0.0)
+    total = float(probs.sum())
+    if total > 0.0:
+        psi /= math.sqrt(total)
+        probs /= total
+    psi.flags.writeable = False
+    rows, columns = probs.sum(axis=1), probs.sum(axis=0)
     a_psi, b_psi = _lowered(psi, 0), _lowered(psi, 1)
     return _RealState(
         psi=psi,
-        tail_mass=float(max(1.0 - probs[: cutoff - 1, : cutoff - 1].sum(), 0.0)),
+        tail_mass=tail_mass,
         a=float(np.vdot(psi, a_psi)),
         b=float(np.vdot(psi, b_psi)),
         aa=float(np.vdot(psi, _lowered(a_psi, 0))),
@@ -274,12 +193,11 @@ class FockState:
         """The raveled complex ``psi[n_a, n_b]``, built on each read and
         read-only: ``e^{i theta d}`` per diagonal, then ``e^{i rotation n_a}``
         per row."""
-        dim = self.cutoff + 1
-        maps = _index_maps(self.cutoff)
-        n = np.arange(dim)
-        flat = np.zeros(dim * dim, dtype=complex)
-        flat[maps.slots] = self.real.psi.take(maps.slots) * np.exp(1j * self.theta * n)[maps.diagonal]
-        flat.reshape(dim, dim)[...] *= np.exp(1j * self.rotation * n)[:, None]
+        n = np.arange(self.cutoff + 1)
+        # e^{i theta d} on diagonal d = n_a - n_b; the upper triangle holds 0
+        psi = self.real.psi * np.exp(1j * self.theta * np.subtract.outer(n, n))
+        psi *= np.exp(1j * self.rotation * n)[:, None]
+        flat = psi.ravel()
         flat.flags.writeable = False
         return flat
 

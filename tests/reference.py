@@ -1,7 +1,8 @@
 """Reference routes the tests check the package against: the dense Fock
 operators, the dense-state blocked unitary, the one-shot ladder exponential,
-the general blocked squeezer, the balanced coupler's blocks and the oracle
-chain built on them with its homodyne read after the coupler, the dense read
+the displacement column, the general blocked squeezer and the balanced
+coupler's blocks built on it, the truncated-operator chain up to the coupler,
+the homodyne read after the coupler's blocks, the dense read
 of a state ahead of the coupler, a direct loss
 channel, a brute-force optimum scan, the optimal sensitivity in plain
 ``math``, and the asymptotic and SU(1,1) sensitivity forms.  None of them is
@@ -15,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from oam_interferometry import ExperimentConfig, GaussianState, omega
-from oam_interferometry.fock_oracle import _displacement_column
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -73,30 +73,43 @@ def apply_blocked(blocks: np.ndarray, index: np.ndarray, psi: np.ndarray) -> np.
     return out.T.reshape(psi.shape)
 
 
-def ladder_exp_one_shot(weights: np.ndarray) -> np.ndarray:
-    """exp(G) for the real antisymmetric tridiagonal ``G[k+1, k] = w_k =
-    -G[k, k+1]``, ``w = weights[..., k]``, every block in one batched ``eigh``
-    and two full-stack products; ``fock_oracle._ladder_basis`` decomposes one
-    block at a time and keeps only what column 0 needs at any scale."""
+def ladder_eigh(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of the real symmetric tridiagonal J with the off-diagonal
+    ``weights[..., k]``, every block in one batched call."""
     dim = weights.shape[-1] + 1
     j = np.zeros(weights.shape[:-1] + (dim, dim))
     k = np.arange(dim - 1)
     j[..., k + 1, k] = weights
     j[..., k, k + 1] = weights
-    lam, v = np.linalg.eigh(j)
+    return np.linalg.eigh(j)
+
+
+def ladder_exp(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(G) for the real antisymmetric tridiagonal ``G[k+1, k] = w_k =
+    -G[k, k+1]``, from the ``ladder_eigh`` of its weights: ``G = D (-i J)
+    D^-1`` with ``D = diag(i^k)``, so ``exp(G)`` is ``V cos(lam) V^T`` at even
+    and ``V sin(lam) V^T`` at odd ``k - l``, signed ``+, +, -, -`` for
+    ``(k - l) mod 4 = 0, 1, 2, 3``.  Scaling ``lam`` by s gives exp(s G)."""
+    level = np.arange(lam.shape[-1])
     vt = np.swapaxes(v, -1, -2)
     cos = (v * np.cos(lam)[..., None, :]) @ vt
     sin = (v * np.sin(lam)[..., None, :]) @ vt
-    offset = np.subtract.outer(np.arange(dim), np.arange(dim)) % 4
+    offset = np.subtract.outer(level, level) % 4
     return np.where(offset % 2 == 0, cos, sin) * np.where(offset < 2, 1.0, -1.0)
 
 
-@functools.lru_cache(maxsize=8)
-def squeezer_unitary(g: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp(g (a^dag b^dag - a b)) on any two-mode input, as ``2 cutoff + 1``
-    blocks of fixed ``n_a - n_b`` stepped by ``(n_a, n_b) -> (n_a + 1, n_b + 1)``
-    with ``sqrt((n_a + 1)(n_b + 1))``.  The oracle keeps only column 0 of the
-    blocks with ``n_a >= n_b``, the ones its vacuum mode B meets."""
+def ladder_exp_one_shot(weights: np.ndarray) -> np.ndarray:
+    """exp(G) for the real antisymmetric tridiagonal ``G[k+1, k] = w_k =
+    -G[k, k+1]``, ``w = weights[..., k]``, every block in one batched ``eigh``
+    and two full-stack products: the truncated operators' exponential, which
+    the oracle's closed-form amplitudes are pinned against."""
+    return ladder_exp(*ladder_eigh(weights))
+
+
+@functools.lru_cache(maxsize=4)
+def _squeezer_layout(cutoff: int) -> tuple[np.ndarray, list]:
+    """The slots of ``squeezer_unitary``'s blocks, and per block size the
+    blocks of that size with the ``ladder_eigh`` of their unit weights."""
     dim = cutoff + 1
     label = np.arange(2 * cutoff + 1)[:, None]
     step = np.arange(dim)[None, :]
@@ -106,7 +119,31 @@ def squeezer_unitary(g: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     index = np.where(valid, n_a * dim + n_b, dim * dim)
     linked = valid[:, :-1] & valid[:, 1:]
     weight = np.sqrt(np.where(linked, (n_a[:, :-1] + 1) * (n_b[:, :-1] + 1), 0))
-    return ladder_exp_one_shot(g * weight), index
+    size = valid.sum(axis=1)
+    sizes = []
+    for levels in range(1, dim + 1):
+        same = size == levels
+        sizes.append((same, levels, *ladder_eigh(weight[same, : levels - 1])))
+    return index, sizes
+
+
+@functools.lru_cache(maxsize=8)
+def squeezer_unitary(g: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(g (a^dag b^dag - a b)) on any two-mode input, as ``2 cutoff + 1``
+    blocks of fixed ``n_a - n_b`` stepped by ``(n_a, n_b) -> (n_a + 1, n_b + 1)``
+    with ``sqrt((n_a + 1)(n_b + 1))``.  Column 0 of the blocks with
+    ``n_a >= n_b``, the ones a vacuum mode B meets, tends to the oracle's
+    closed-form amplitudes as the cutoff grows.  Block ``n_a - n_b = L -
+    cutoff`` links only its first ``cutoff + 1 - |L - cutoff|`` levels, so
+    each size is exponentiated apart, from one ``eigh`` per cutoff scaled by
+    g, and the padding is left as identity."""
+    dim = cutoff + 1
+    index, sizes = _squeezer_layout(cutoff)
+    blocks = np.zeros((2 * cutoff + 1, dim, dim))
+    blocks[:] = np.eye(dim)
+    for same, levels, lam, v in sizes:
+        blocks[same, :levels, :levels] = ladder_exp(g * lam, v)
+    return blocks, index
 
 
 @functools.lru_cache(maxsize=4)
@@ -126,15 +163,25 @@ def bs_unitary(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return ladder_exp_one_shot(math.pi / 4.0 * weight), index
 
 
+@functools.lru_cache(maxsize=64)
+def displacement_column(magnitude: float, cutoff: int) -> np.ndarray:
+    """D(|alpha|)|0> at ``cutoff``: column 0 of the truncated displacement
+    ``exp(|alpha| (a^dag - a))``, whose ladder steps n -> n + 1 with
+    ``sqrt(n + 1)``."""
+    column = ladder_exp_one_shot(magnitude * np.sqrt(np.arange(1.0, cutoff + 1)))[:, 0]
+    column.flags.writeable = False
+    return column
+
+
 def pre_coupler_chain(configs: Sequence[ExperimentConfig], cutoff: int) -> np.ndarray:
-    """The oracle's normalised amplitude matrices at ``cutoff`` ahead of the
-    coupler, one per config, with the squeezer applied as ``apply_blocked`` to
-    the whole input state."""
+    """The normalised amplitude matrices at ``cutoff`` ahead of the coupler,
+    one per config, through the truncated operators: the displacement column,
+    then the squeezer applied as ``apply_blocked`` to the whole input state."""
     dim = cutoff + 1
     n = np.arange(dim)
     psi = np.zeros((len(configs), dim, dim), dtype=complex)
     for state, config in zip(psi, configs):
-        state[:, 0] = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
+        state[:, 0] = np.exp(1j * config.theta * n) * displacement_column(config.alpha_mag, cutoff)
     gains = np.array([config.g for config in configs])
     for g in np.unique(gains):
         psi[gains == g] = apply_blocked(*squeezer_unitary(float(g), cutoff), psi[gains == g])
@@ -142,12 +189,6 @@ def pre_coupler_chain(configs: Sequence[ExperimentConfig], cutoff: int) -> np.nd
         state *= np.exp(1j * 2.0 * config.ell * config.phi * n)[:, None]
         state /= np.linalg.norm(state)
     return psi
-
-
-def blocked_chain(configs: Sequence[ExperimentConfig], cutoff: int) -> np.ndarray:
-    """``pre_coupler_chain`` carried through the coupler's blocks: the
-    amplitude matrices after the whole interferometer."""
-    return apply_blocked(*bs_unitary(cutoff), pre_coupler_chain(configs, cutoff))
 
 
 def output_moments(psi: np.ndarray) -> np.ndarray:

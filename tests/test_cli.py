@@ -318,9 +318,8 @@ class TestValidateHarness:
         assert all(" cutoff=40 tail=" in line for line in oracle_lines)
 
     def test_cold_and_warm_caches_render_the_same_report(self):
-        # every cache of the oracle (its per-cutoff bases and index maps, and
-        # the columns per gain and amplitude) is read-only: a warm run reads
-        # exactly what the cold run built
+        # the oracle's one cache, the real state per gain, amplitude and
+        # cutoff, is read-only: a warm run reads exactly what the cold run built
         caches = [cache for cache in vars(fock_oracle).values() if hasattr(cache, "cache_clear")]
         assert caches
         for cache in caches:

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from oam_interferometry import (
@@ -17,27 +19,19 @@ from oam_interferometry import (
     moments,
 )
 from oam_interferometry import fock_oracle
-from oam_interferometry.fock_oracle import (
-    DEFAULT_TAIL_TOLERANCE,
-    _displacement_basis,
-    _displacement_column,
-    _index_maps,
-    _real_state,
-    _squeezed_columns,
-    _squeezer_basis,
-)
+from oam_interferometry.fock_oracle import DEFAULT_TAIL_TOLERANCE, _real_state
 from oam_interferometry.validation import ORACLE_TOL, grid_configs
 from helpers import flip_mode_b_ladder, random_config
 from reference import (
     annihilation,
     apply_blocked,
-    blocked_chain,
     bs_unitary,
     build_operators,
     dense_moments,
     ladder_exp_one_shot,
     output_moments,
     pre_coupler_chain,
+    squeezer_unitary,
 )
 
 
@@ -85,10 +79,16 @@ class TestLadderOperators:
         assert n[0] == 0.0 and n[-1] == 6.0
 
 
+def _boxed(column, cutoff):
+    """``column`` cut to levels ``0 .. cutoff`` and renormalised there."""
+    column = column[: cutoff + 1]
+    return column / np.linalg.norm(column)
+
+
 class TestBlockedUnitaries:
-    """The symmetry-blocked unitaries (the oracle's squeezer columns and the
-    reference coupler) against dense expm of the same truncated generators on
-    the (cutoff+1)^2-dimensional two-mode space."""
+    """The reference's symmetry-blocked squeezer and coupler against dense
+    expm of the same truncated generators on the (cutoff+1)^2-dimensional
+    two-mode space, and the slots the oracle puts its amplitudes in."""
 
     CUTOFF = 12
 
@@ -100,18 +100,12 @@ class TestBlockedUnitaries:
         return psi / np.linalg.norm(psi)
 
     @pytest.mark.parametrize("g", [0.3, 0.9])
-    def test_squeezer_matches_dense_expm(self, g):
-        # mode B enters in vacuum: the squeezer only ever acts on |d, 0>, and
-        # sends it along the diagonal (d + k, k) of psi[n_a, n_b]
+    def test_squeezer_matches_dense_expm(self, g, psi):
+        # the general blocked squeezer of the reference chain, on any input
         ops = build_operators(self.CUTOFF)
         dense = expm(g * (ops.a.T @ ops.b.T - ops.a @ ops.b))
-        columns = _squeezed_columns(g, self.CUTOFF)
-        dim = self.CUTOFF + 1
-        for d in range(dim):
-            k = np.arange(dim - d)
-            blocked = np.zeros((dim, dim))
-            blocked[d + k, k] = columns[d, k]
-            assert np.max(np.abs(blocked.ravel() - dense[:, d * dim])) <= 1e-12
+        blocked = apply_blocked(*squeezer_unitary(g, self.CUTOFF), psi)
+        assert np.max(np.abs(blocked.ravel() - dense @ psi.ravel())) <= 1e-12
 
     @pytest.mark.parametrize("mixing_angle", [math.pi / 4.0, 3.0 * math.pi / 4.0])
     def test_coupler_matches_dense_expm(self, mixing_angle, psi):
@@ -125,19 +119,20 @@ class TestBlockedUnitaries:
 
     @pytest.mark.parametrize("cutoff", [12, 40])
     def test_coupler_slots_read_the_squeezer_columns(self, cutoff):
-        # the coupler's input slot (n_a, n_b) holds squeezer entry
-        # (n_a - n_b, n_b), scaled by the displaced amplitude at n_a - n_b and
-        # rotated by e^{i 2 l phi n_a}; the upper triangle holds nothing
+        # the coupler's input slot (n_a, n_b) holds the squeezer's amplitude
+        # s_{d,k} at d = n_a - n_b, k = n_b, scaled by the displaced amplitude
+        # c_d and rotated by e^{i theta d} e^{i 2 l phi n_a}, each evaluated
+        # here as a plain product in math; the upper triangle holds nothing
         config = _cfg(g=0.3, ell=2, alpha_mag=1.2, theta=0.5, phi=0.7)
-        dim = cutoff + 1
-        n = np.arange(dim)
-        columns = _squeezed_columns(config.g, cutoff)
-        amplitude = np.exp(1j * config.theta * n) * _displacement_column(config.alpha_mag, cutoff)
-        phase = np.exp(1j * 2.0 * config.ell * config.phi * n)
+        g, magnitude, dim = config.g, config.alpha_mag, cutoff + 1
         expected = np.zeros((dim, dim), dtype=complex)
         for n_a in range(dim):
             for n_b in range(n_a + 1):
-                expected[n_a, n_b] = columns[n_a - n_b, n_b] * amplitude[n_a - n_b] * phase[n_a]
+                d = n_a - n_b
+                coherent = math.exp(-magnitude**2 / 2.0) * magnitude**d / math.sqrt(math.factorial(d))
+                squeezed = math.tanh(g) ** n_b * math.sqrt(math.comb(n_a, n_b)) / math.cosh(g) ** (d + 1)
+                phase = np.exp(1j * config.theta * d) * np.exp(1j * 2.0 * config.ell * config.phi * n_a)
+                expected[n_a, n_b] = coherent * squeezed * phase
         expected /= np.linalg.norm(expected)
         psi = evolve(config, cutoff=cutoff).amplitudes.reshape(dim, dim)
         assert np.max(np.abs(psi - expected)) <= 1e-15
@@ -145,92 +140,83 @@ class TestBlockedUnitaries:
 
 
 class TestLadderExponential:
-    """The reference coupler's blocks, the squeezer columns and the
-    displacement column at the schedule's cutoffs: orthogonal or of unit norm
-    to rounding, and the displacement column equal to dense expm."""
+    """The reference's squeezer and coupler blocks at the schedule's cutoffs
+    are orthogonal to rounding, and the oracle's displaced vacuum (g = 0)
+    equals dense expm at twice its cutoff, cut to its box and renormalised:
+    measured at most 8.9e-16."""
 
     @pytest.mark.parametrize("cutoff", [40, 60, 80])
     @pytest.mark.parametrize("element", ["squeezer", "coupler"])
     def test_blocks_are_orthogonal(self, element, cutoff):
-        if element == "squeezer":
-            # the one column of each block that the state meets has unit norm
-            defect = np.linalg.norm(_squeezed_columns(0.5, cutoff), axis=-1) - 1.0
-        else:
-            blocks = bs_unitary(cutoff)[0]
-            defect = blocks @ np.swapaxes(blocks, -1, -2) - np.eye(cutoff + 1)
+        blocks = (squeezer_unitary(0.5, cutoff) if element == "squeezer" else bs_unitary(cutoff))[0]
+        defect = blocks @ np.swapaxes(blocks, -1, -2) - np.eye(cutoff + 1)
         assert np.max(np.abs(defect)) <= 1e-14
 
     @pytest.mark.parametrize("cutoff", [40, 60, 80])
     @pytest.mark.parametrize("alpha_sq", [1.0, 2.5, 4.0])
     def test_displacement_column_matches_dense_expm(self, alpha_sq, cutoff):
-        a = annihilation(cutoff)
-        dense = expm(math.sqrt(alpha_sq) * (a.T - a))[:, 0]
-        column = _displacement_column(math.sqrt(alpha_sq), cutoff)
-        assert np.max(np.abs(column - dense)) <= 1e-14
+        a = annihilation(2 * cutoff)
+        dense = _boxed(expm(math.sqrt(alpha_sq) * (a.T - a))[:, 0], cutoff)
+        psi = _real_state(0.0, math.sqrt(alpha_sq), cutoff).psi
+        assert np.max(np.abs(psi[:, 0] - dense)) <= 2e-15
+        assert np.all(psi[:, 1:] == 0.0)
 
 
-def _squeezer_weights(cutoff):
-    d = np.arange(cutoff + 1)[:, None]
-    k = np.arange(cutoff)[None, :]
-    return np.sqrt(np.where(d + k < cutoff, (d + k + 1) * (k + 1), 0))
-
-
-def _displacement_weights(cutoff):
-    return np.sqrt(np.arange(1.0, cutoff + 1))
+def _converged(cutoff):
+    # the reference's ladder at 4 cutoff, and at least 48: at 12 the g = 1.1
+    # squeezer block is still 9.3e-5 off at cutoff 3
+    return max(4 * cutoff, 48)
 
 
 class TestBatchedBuild:
-    """The squeezer and displacement columns, read from one eigenbasis per
-    cutoff, against column 0 of the one-shot build of the whole weight stack
-    (tests/reference.py).  The basis rounds differently from the one-shot
-    build, so each cutoff has an absolute bound of about twice its measured
-    maximum: 5.6e-16, 1.1e-15, 2.5e-15 and 4.2e-15 at cutoffs 3, 12, 40
-    and 80, each at g = 1.1.  General weight stacks, with unlinked levels,
-    go through the same basis."""
+    """The oracle builds its state from two closed-form factors: the
+    displaced vacuum c_d (its state at g = 0) and the squeezer's column
+    s_{0,k} on the diagonal (its state at |alpha| = 0).  Each is pinned
+    against column 0 of the one-shot ladder exponential (tests/reference.py)
+    at a converged cutoff, cut to the oracle's box and renormalised; the
+    chain tests below pin their product.  The one-shot exponential itself is
+    checked against scipy's expm on general weight stacks."""
 
-    BOUNDS = {3: 1e-15, 12: 2e-15, 40: 5e-15, 80: 1e-14}
+    # measured at most 9.0e-16 (squeezer, g = 1.1, cutoff 12) and 7.8e-16
+    # (displacement, cutoff 3)
+    BOUND = 2e-15
 
     @pytest.mark.parametrize("shape", [(1, 11), (4, 11), (5, 11), (25, 11), (161, 11), (11,), (3, 5, 11)])
     def test_weight_stacks(self, shape):
         # level 0 links to levels 1 to 3 only, and the rest to one another;
-        # measured at most 2.2e-16
+        # scipy's scaling and squaring differs by at most 2.4e-14, at (161, 11)
         rng = np.random.default_rng(sum(shape))
         weights = rng.normal(size=shape)
         weights[..., 3::4] = 0.0
-        expected = ladder_exp_one_shot(weights)[..., 0]
-        basis = fock_oracle._ladder_basis(list(weights.reshape(-1, 11)))
-        kept = fock_oracle._ladder_columns(basis, 1.0).reshape(expected.shape)
-        assert np.max(np.abs(kept - expected)) <= 1e-15
+        one_shot = ladder_exp_one_shot(weights).reshape(-1, 12, 12)
+        for w, exp in zip(weights.reshape(-1, 11), one_shot):
+            generator = np.diag(w, -1) - np.diag(w, 1)
+            assert np.max(np.abs(exp - expm(generator))) <= 5e-14
 
     @pytest.mark.parametrize("cutoff", [3, 12, 40, 80])
     @pytest.mark.parametrize(
-        "build, scale, weights",
-        [
-            (_squeezed_columns, 0.0, _squeezer_weights),
-            (_squeezed_columns, 0.3, _squeezer_weights),
-            (_squeezed_columns, 1.1, _squeezer_weights),
-            (_displacement_column, 2.5, _displacement_weights),
-        ],
-        ids=["squeezer-0", "squeezer-0.3", "squeezer-1.1", "displacement"],
+        "g, magnitude",
+        [(0.0, 0.0), (0.3, 0.0), (0.9, 0.0), (1.1, 0.0), (0.0, 2.5)],
+        ids=["squeezer-0", "squeezer-0.3", "squeezer-0.9", "squeezer-1.1", "displacement"],
     )
-    def test_oracle_stacks(self, build, scale, weights, cutoff):
-        # the squeezer keeps column 0 of cutoff + 1 blocks and the
-        # displacement of one
-        kept = build.__wrapped__(scale, cutoff)
-        expected = ladder_exp_one_shot(scale * weights(cutoff))[..., 0]
-        assert kept.shape == expected.shape and kept.flags.c_contiguous
-        assert np.max(np.abs(kept - expected)) <= self.BOUNDS[cutoff]
+    def test_oracle_stacks(self, g, magnitude, cutoff):
+        # the squeezer steps (k, k) -> (k + 1, k + 1) with k + 1 and the
+        # displacement n -> n + 1 with sqrt(n + 1)
+        psi = _real_state(g, magnitude, cutoff).psi
+        level = np.arange(1.0, _converged(cutoff) + 1)
+        expected = np.zeros_like(psi)
+        if magnitude == 0.0:
+            column = ladder_exp_one_shot(g * level)[:, 0]
+            np.fill_diagonal(expected, _boxed(column, cutoff))
+        else:
+            column = ladder_exp_one_shot(magnitude * np.sqrt(level))[:, 0]
+            expected[:, 0] = _boxed(column, cutoff)
+        assert np.max(np.abs(psi - expected)) <= self.BOUND
 
     def test_cached_results_stay_read_only(self):
-        # the columns, the basis and index maps every later point reads, the
-        # real state every point of its gain and amplitude shares, and the
-        # amplitudes built from it
+        # the real state every point of its gain and amplitude shares, and
+        # the amplitudes built from it
         kept = (
-            _squeezed_columns(0.3, 12),
-            _displacement_column(1.0, 12),
-            *_squeezer_basis(12),
-            *_displacement_basis(12),
-            *_index_maps(12),
             _real_state(0.3, 1.0, 12).psi,
             evolve(_cfg(g=0.3, alpha_mag=1.0, theta=0.4, phi=0.7), cutoff=12).amplitudes,
         )
@@ -241,14 +227,11 @@ class TestBatchedBuild:
 
 
 class TestColdBuildMemory:
-    """A cold basis build holds only one block's temporaries beside what it
-    keeps, and a gain's columns, with the basis warm, a few (cutoff + 1)^2
-    arrays.  At cutoff 80 the basis keeps 4.1 MiB and peaked at 1.06 times
-    that, and the columns at 0.21 MiB (tracemalloc); built with every block
-    at once, the basis peaked at 12.3 MiB."""
+    """A cold real state holds a few (cutoff + 1)^2 arrays at its peak: at
+    cutoff 80 it peaked at 0.41 MiB (tracemalloc), about eight of them, and
+    keeps one, 51 KiB.  Nothing is kept per cutoff."""
 
-    @staticmethod
-    def _traced_peak(build, *args):
+    def test_real_state_peak_below_half_a_mib(self):
         # the builder behind the cache, so the build is cold whatever ran before
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -256,61 +239,57 @@ class TestColdBuildMemory:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            result = build.__wrapped__(*args)
-            return result, tracemalloc.get_traced_memory()[1] - before
+            _real_state.__wrapped__(0.3, 1.5, 80)
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
                 tracemalloc.stop()
-
-    def test_basis_peak_below_one_and_a_half_times_what_it_keeps(self):
-        basis, peak = self._traced_peak(_squeezer_basis, 80)
-        assert peak < 1.5 * sum(array.nbytes for array in basis)
-
-    def test_columns_peak_below_half_a_mib_with_the_basis_warm(self):
-        _squeezer_basis(80)
-        _, peak = self._traced_peak(_squeezed_columns, 0.3, 80)
         assert peak < 2**19
 
 
-# walks 40 -> 60 -> 80, with tails 4.9e-4, 9.9e-7 and 9.8e-10
+# walks 40 -> 60 -> 80, with tails 7.7e-4, 1.5e-6 and 1.4e-9
 FAR_POINT = dict(g=1.0, ell=1, alpha_mag=2.0, theta=0.3, phi=0.2)
 
 
 class TestAgainstReferenceChain:
-    """The oracle's states against the chain that applies the general blocked
-    squeezer (tests/reference.py) to the whole input state.  The oracle reads
-    its squeezer columns from one eigenbasis per cutoff, so they round
-    differently: the amplitudes below differed by at most 6.1e-16."""
+    """The oracle's closed-form states against the chain of truncated
+    operators (tests/reference.py): the displacement column, then the
+    general blocked squeezer on the whole input state, at a cutoff where the
+    chain has converged, cut to the oracle's box and renormalised.  The
+    amplitudes below differed by at most 1.1e-15; at twice cutoff 12 the
+    chain is still 1.1e-6 off."""
 
     BOUND = 2e-15
 
-    def _assert_close(self, configs, states):
-        expected = pre_coupler_chain(configs, states[0].cutoff)
+    def _assert_close(self, configs, states, chain_cutoff):
+        cutoff = states[0].cutoff
+        expected = pre_coupler_chain(configs, chain_cutoff)[:, : cutoff + 1, : cutoff + 1]
+        expected /= np.linalg.norm(expected, axis=(1, 2))[:, None, None]
         for state, matrix in zip(states, expected):
             assert np.max(np.abs(state.amplitudes - matrix.ravel())) <= self.BOUND
 
     def test_quick_grid_at_40(self):
         configs = grid_configs("quick")
-        self._assert_close(configs, [evolve(config, cutoff=40) for config in configs])
+        self._assert_close(configs, [evolve(config, cutoff=40) for config in configs], 80)
 
     def test_cutoff_80_rung(self):
         config = _cfg(**FAR_POINT)
         state = evolve(config)
         assert state.cutoff == 80
-        self._assert_close([config], [state])
+        self._assert_close([config], [state], 160)
 
     def test_full_grid_stays_at_40(self):
         configs = grid_configs("full")
         states = [evolve(config) for config in configs]
         assert {state.cutoff for state in states} == {40}
         for start in range(0, len(configs), 192):
-            self._assert_close(configs[start : start + 192], states[start : start + 192])
+            self._assert_close(configs[start : start + 192], states[start : start + 192], 80)
 
     @pytest.mark.parametrize("cutoff", [12, 25])
     def test_seeded_configs(self, cutoff):
         rng = np.random.default_rng(1400 + cutoff)
         configs = [random_config(rng, g_max=0.8, alpha_sq_range=(0.0, 5.0)) for _ in range(40)]
-        self._assert_close(configs, [evolve(config, cutoff=cutoff) for config in configs])
+        self._assert_close(configs, [evolve(config, cutoff=cutoff) for config in configs], 4 * cutoff)
 
 
 class TestFactoredRead:
@@ -378,19 +357,22 @@ class TestFactoredRead:
 
 class TestAgainstCouplerReference:
     """``moments`` reads the homodyne ahead of the coupler through
-    ``X_out = (X_A + X_B)/sqrt2``; the reference carries the state through the
-    coupler's blocks and reads ``X_A`` after them (tests/reference.py)."""
+    ``X_out = (X_A + X_B)/sqrt2``; the reference carries the oracle's own
+    state through the coupler's blocks and reads ``X_A`` after them
+    (tests/reference.py)."""
 
     # (mean, second moment, photon number); the full grid measured 8.2e-6,
-    # 6.9e-5, 3.6e-15 at 40 and 2.8e-10, 2.8e-9, 3.6e-15 at 60, where the
-    # reference's own truncation after the coupler dominates, and 3.6e-15,
-    # 5.3e-14, 3.6e-15 at 80
+    # 6.9e-5, 1.8e-15 at 40 and 2.8e-10, 2.8e-9, 2.7e-15 at 60, where the
+    # reference's own truncation after the coupler dominates, and 1.1e-14,
+    # 5.3e-14, 1.8e-15 at 80
     BOUNDS = {40: (2e-5, 2e-4, 1e-13), 60: (1e-9, 1e-8, 1e-13), 80: (1e-13, 1e-12, 1e-13)}
 
     def _deviations(self, configs, cutoff):
-        reports = [moments(evolve(config, cutoff=cutoff)) for config in configs]
+        states = [evolve(config, cutoff=cutoff) for config in configs]
+        reports = [moments(state) for state in states]
         oracle = np.array([(r.x_mean, r.x_second_moment, r.photon_number) for r in reports])
-        return np.abs(oracle - output_moments(blocked_chain(configs, cutoff)))
+        psi = np.stack([state.amplitudes for state in states]).reshape(-1, cutoff + 1, cutoff + 1)
+        return np.abs(oracle - output_moments(apply_blocked(*bs_unitary(cutoff), psi)))
 
     @pytest.mark.parametrize("cutoff", [40, 60, 80])
     def test_full_grid(self, cutoff):
@@ -511,6 +493,51 @@ class TestTruncationControl:
         with pytest.raises(UnreliableStateError):
             moments(state)
 
+    def test_bright_input_is_flagged_not_read(self):
+        # the truncated operators kept this state inside the box: they put it
+        # at cutoff 60 with a tail of 1.1e-16 and a photon number of 0.131,
+        # where the true value is 1020.09
+        state = evolve(_cfg(g=0.1, ell=1, alpha_mag=math.sqrt(1000.0), theta=0.1, phi=0.2))
+        assert not state.reliable
+        with pytest.raises(UnreliableStateError):
+            moments(state)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("g, alpha_sq", [(0.0, 1e12), (400.0, 10.0), (2.0, 0.0)])
+    def test_edge_inputs_evolve_unreliable_without_warnings(self, g, alpha_sq):
+        # every amplitude of the first two underflows; the squeezed vacuum at
+        # g = 2 spreads past cutoff 80
+        state = evolve(_cfg(g=g, ell=1, alpha_mag=math.sqrt(alpha_sq), theta=0.1, phi=0.2))
+        assert not state.reliable and state.tail_mass <= 1.0
+        with pytest.raises(UnreliableStateError):
+            moments(state)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vacuum_is_reliable_with_no_tail(self):
+        state = evolve(_cfg())
+        assert state.reliable and state.tail_mass == 0.0
+
+    @settings(max_examples=500, deadline=None)
+    @example(g=0.1, ell=1, alpha_sq=1000.0, theta=0.1, phi=0.2)
+    @given(
+        g=st.floats(0.0, 3.0),
+        ell=st.integers(1, 4),
+        alpha_sq=st.floats(0.0, 2000.0),
+        theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+        phi=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    )
+    def test_every_reliable_state_reads_the_closed_forms(self, g, ell, alpha_sq, theta, phi):
+        cfg = _cfg(g=g, ell=ell, alpha_mag=math.sqrt(alpha_sq), theta=theta, phi=phi)
+        state = evolve(cfg)
+        if not state.reliable:
+            with pytest.raises(UnreliableStateError):
+                moments(state)
+            return
+        report = moments(state)
+        assert abs(report.x_mean - homodyne_mean(cfg)) <= ORACLE_TOL
+        assert abs(report.x_second_moment - homodyne_second_moment(cfg)) <= ORACLE_TOL
+        assert abs(report.photon_number - mean_photon_number(cfg)) <= ORACLE_TOL
+
     def test_norm_is_preserved(self):
         state = evolve(_cfg(g=0.4, alpha_mag=1.2, theta=0.5, phi=0.7), cutoff=25)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
@@ -518,8 +545,8 @@ class TestTruncationControl:
 
     @pytest.mark.parametrize("schedule", [(60, 24), (40, 40)])
     def test_schedule_that_does_not_increase_is_rejected(self, schedule):
-        # (60, 24) would return the cutoff-24 state at FAR_POINT, tail 2.9e-2,
-        # after the cutoff-60 state, tail 9.9e-7, failed; (40, 40) evolves twice
+        # (60, 24) would return the cutoff-24 state at FAR_POINT, tail 5.0e-2,
+        # after the cutoff-60 state, tail 1.5e-6, failed; (40, 40) evolves twice
         message = f"cutoff schedule must strictly increase, got {schedule}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evolve(_cfg(**FAR_POINT), cutoff_schedule=schedule)
