@@ -1,6 +1,7 @@
 """Shared test utilities: seeded random configs and states."""
 
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -43,11 +44,12 @@ def random_two_mode_state(rng):
     return state
 
 
-def without_timestamp(csv_text):
-    """A CSV render with its one volatile line, ``# generated=``, dropped."""
-    return "".join(
-        line for line in csv_text.splitlines(keepends=True) if not line.startswith("# generated=")
-    )
+def without_timestamp(text):
+    """A CSV render with its one volatile line, ``# generated=``, dropped, and
+    a ``validate`` report with its run time, ``elapsed=``, masked."""
+    return re.sub(r"elapsed=\S+", "elapsed=*", "".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("# generated=")
+    ))
 
 
 def guarded_rel(actual, expected):
