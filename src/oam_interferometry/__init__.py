@@ -44,7 +44,6 @@ from .phase_space import (
     opa_matrix,
     photon_number,
     symplectic_defect,
-    trace_out,
     vacuum_state,
     virtual_bs_matrix,
 )

@@ -5,7 +5,7 @@ Both chains live in the 4-dimensional phase space of modes A and B.  The
 lossy chain is the lossless one with a loss stage (``phase_space.attenuate``)
 between the angular displacement and the output coupler: each arm mixes with
 a vacuum environment on a virtual beam splitter, and the environments are
-traced out at once.
+traced out at once, which keeps the 4x4 block of modes A and B.
 
 ``lossless_chain`` and ``lossy_chain`` run a whole grid of working points at
 once: the parameters are broadcast arrays, each element is one stacked
@@ -47,7 +47,7 @@ def _rotated(g, ell, alpha_mag, theta, phi) -> GaussianState:
     """The coherent input displaced into mode A, amplified and rotated: the
     two-mode state ahead of the loss stage and the coupler."""
     amplifier, rotation = opa_matrix(g), angular_displacement_matrix(ell, phi)
-    return apply(rotation, apply(amplifier, displace(vacuum_state(2), 0, alpha_mag, theta)))
+    return apply(rotation, apply(amplifier, displace(vacuum_state(), alpha_mag, theta)))
 
 
 def lossless_chain(g, ell, alpha_mag, theta, phi) -> GaussianState:

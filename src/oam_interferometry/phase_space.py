@@ -11,8 +11,8 @@ Conventions (fixed once, everything else is calibrated against them):
 Lossless elements are symplectic matrices ``S`` (``S @ Omega @ S.T == Omega``)
 applied as ``mean -> S mean``, ``cov -> S cov S^T``.  Photon loss
 (``attenuate``) is a virtual beam splitter against vacuum environment modes
-followed by a partial trace, which for Gaussian states is plain row/column
-deletion.
+followed by a partial trace over the environments, which for Gaussian states
+keeps the system's block of the mean and the covariance.
 
 Everything here broadcasts over leading axes.  An element built from arrays
 of parameters is a stack of matrices, shape ``(..., 2m, 2m)``, and a state
@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -66,7 +65,6 @@ __all__ = [
     "bs_matrix",
     "virtual_bs_matrix",
     "apply",
-    "trace_out",
     "attenuate",
     "photon_number",
 ]
@@ -148,7 +146,7 @@ class GaussianState:
     the symmetric ``2m x 2m`` covariance normalised so the vacuum is the
     identity.  Leading axes, the same on both, index a stack of states.
     Instances are immutable; the arrays are stored read-only because a
-    cached state, the vacuum of ``vacuum_state``, is shared by every caller
+    cached state, the two-mode vacuum of ``vacuum_state``, is shared by every caller
     (``SymplecticOp`` does the same for the cached coupler ``bs_matrix``).
     """
 
@@ -206,27 +204,23 @@ class SymplecticOp:
 
 
 @functools.cache
-def vacuum_state(modes: int) -> GaussianState:
-    """All-mode vacuum: zero mean, identity covariance.
+def vacuum_state() -> GaussianState:
+    """The vacuum of modes A and B: zero mean, identity covariance.
 
-    Built once per mode count; the state is immutable.
+    Built once; the state is immutable.
     """
-    if modes < 1:
-        raise ValueError("modes must be >= 1")
-    return GaussianState(np.zeros(2 * modes), np.eye(2 * modes))
+    return GaussianState(np.zeros(4), np.eye(4))
 
 
 # a shift past the double range is inf or nan, and the state rejects it
 @np.errstate(all="ignore")
-def displace(state: GaussianState, mode: int, magnitude, angle) -> GaussianState:
-    """Displace one mode by a coherent amplitude of given magnitude and phase.
+def displace(state: GaussianState, magnitude, angle) -> GaussianState:
+    """Displace mode A by a coherent amplitude of given magnitude and phase.
 
-    Shifts the mode's mean by ``(2 magnitude cos(angle), 2 magnitude
+    Shifts mode A's mean by ``(2 magnitude cos(angle), 2 magnitude
     sin(angle))`` and leaves the covariance untouched.  Arrays of magnitudes
     and angles give a stack of states.
     """
-    if not 0 <= mode < state.mode_count:
-        raise ValueError(f"mode {mode} out of range for {state.mode_count} modes")
     magnitude = np.float64(magnitude)
     if _any(magnitude < 0):
         raise ValueError("magnitude must be >= 0")
@@ -236,8 +230,8 @@ def displace(state: GaussianState, mode: int, magnitude, angle) -> GaussianState
     mean = np.empty(stack + state.mean.shape[-1:])
     cov = np.empty(stack + state.cov.shape[-2:])
     mean[...], cov[...] = state.mean, state.cov
-    mean[..., 2 * mode] += shift_x
-    mean[..., 2 * mode + 1] += shift_p
+    mean[..., 0] += shift_x
+    mean[..., 1] += shift_p
     return GaussianState(mean, cov)
 
 
@@ -325,29 +319,20 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
     return GaussianState((s @ state.mean[..., None])[..., 0], s @ state.cov @ s.swapaxes(-1, -2))
 
 
-def trace_out(state: GaussianState, modes: Iterable[int]) -> GaussianState:
-    """Discard the given modes (Gaussian partial trace by row/column deletion)."""
-    drop = sorted({int(m) for m in modes})
-    if any(m < 0 or m >= state.mode_count for m in drop):
-        raise ValueError("mode out of range")
-    keep = [m for m in range(state.mode_count) if m not in drop]
-    if not keep:
-        raise ValueError("cannot trace out every mode")
-    idx = np.array([d for m in keep for d in (2 * m, 2 * m + 1)])
-    return GaussianState(state.mean[..., idx], state.cov[..., idx[:, None], idx])
-
-
 def attenuate(state: GaussianState, transmissivity) -> GaussianState:
     """Photon loss of transmissivity T in both modes of a two-mode state, or
     of a stack of them: the state beside two vacuum environment modes, through
-    ``virtual_bs_matrix``, with the environments traced out."""
+    ``virtual_bs_matrix``, with the environments traced out: the partial
+    trace of a Gaussian state keeps the system's block of the mean and the
+    covariance."""
     if state.mode_count != 2:
         raise ValueError(f"attenuate acts on two-mode states, not {state.mode_count}")
     stack = state.mean.shape[:-1]
     mean = np.zeros(stack + (8,))
     cov = np.zeros(stack + (8, 8))
     mean[..., :4], cov[..., :4, :4], cov[..., 4:, 4:] = state.mean, state.cov, np.eye(4)
-    return trace_out(apply(virtual_bs_matrix(transmissivity), GaussianState(mean, cov)), (2, 3))
+    out = apply(virtual_bs_matrix(transmissivity), GaussianState(mean, cov))
+    return GaussianState(out.mean[..., :4], out.cov[..., :4, :4])
 
 
 @np.errstate(over="ignore")

@@ -120,8 +120,9 @@ def grid_configs(preset: str) -> list[ExperimentConfig]:
     ]
 
 
-def random_lossy_configs(count: int, seed: int = _LOSS_SEED) -> list[ExperimentConfig]:
-    rng = default_rng(seed)
+def random_lossy_configs(count: int) -> list[ExperimentConfig]:
+    """``count`` seeded draws of lossy working points, the same on every run."""
+    rng = default_rng(_LOSS_SEED)
     out = []
     for _ in range(count):
         out.append(

@@ -33,8 +33,7 @@ def random_config(rng, g_max=2.5, ell_max=5, alpha_sq_range=(0.25, 100.0), lossy
 
 def random_two_mode_state(rng):
     """A valid (pure) Gaussian state from random element draws."""
-    state = vacuum_state(2)
-    state = displace(state, 0, float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, TWO_PI)))
+    state = displace(vacuum_state(), float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, TWO_PI)))
     state = apply(opa_matrix(float(rng.uniform(0.0, 1.5))), state)
     state = apply(
         angular_displacement_matrix(int(rng.integers(1, 4)), float(rng.uniform(0.0, TWO_PI))),

@@ -17,7 +17,6 @@ from oam_interferometry import (
     opa_matrix,
     photon_number,
     symplectic_defect,
-    trace_out,
     vacuum_state,
     virtual_bs_matrix,
 )
@@ -29,35 +28,30 @@ TOL = 1e-10
 
 
 class TestVacuumAndDisplacement:
-    @pytest.mark.parametrize("modes", [1, 2, 4])
-    def test_vacuum_is_zero_mean_identity_cov(self, modes):
-        state = vacuum_state(modes)
-        assert np.array_equal(state.mean, np.zeros(2 * modes))
-        assert np.array_equal(state.cov, np.eye(2 * modes))
+    def test_vacuum_is_zero_mean_identity_cov(self):
+        state = vacuum_state()
+        assert np.array_equal(state.mean, np.zeros(4))
+        assert np.array_equal(state.cov, np.eye(4))
 
     def test_zero_magnitude_is_noop(self):
-        state = vacuum_state(2)
-        out = displace(state, 0, 0.0, 1.3)
+        state = vacuum_state()
+        out = displace(state, 0.0, 1.3)
         assert np.array_equal(out.mean, state.mean)
         assert np.array_equal(out.cov, state.cov)
 
     def test_unit_amplitude_mean(self):
-        out = displace(vacuum_state(1), 0, 1.0, 0.0)
-        assert out.mean == pytest.approx([2.0, 0.0], abs=1e-15)
-        assert np.array_equal(out.cov, np.eye(2))
+        out = displace(vacuum_state(), 1.0, 0.0)
+        assert out.mean == pytest.approx([2.0, 0.0, 0.0, 0.0], abs=1e-15)
+        assert np.array_equal(out.cov, np.eye(4))
 
     def test_rotated_amplitude_mean(self):
-        out = displace(vacuum_state(1), 0, math.sqrt(10.0), math.pi / 2.0)
+        out = displace(vacuum_state(), math.sqrt(10.0), math.pi / 2.0)
         assert out.mean[0] == pytest.approx(0.0, abs=1e-15)
         assert out.mean[1] == pytest.approx(2.0 * math.sqrt(10.0))
 
-    def test_mode_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            displace(vacuum_state(2), 2, 1.0, 0.0)
-
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
-            displace(vacuum_state(1), 0, -0.5, 0.0)
+            displace(vacuum_state(), -0.5, 0.0)
 
 
 class TestElementMatrices:
@@ -77,7 +71,7 @@ class TestElementMatrices:
         assert np.allclose(opa_matrix(1.0).matrix, expected, atol=1e-15)
 
     def test_opa_then_inverse_returns_vacuum(self):
-        state = apply(opa_matrix(1.3), vacuum_state(2))
+        state = apply(opa_matrix(1.3), vacuum_state())
         state = apply(opa_matrix(-1.3), state)
         assert np.max(np.abs(state.mean)) < TOL
         assert np.max(np.abs(state.cov - np.eye(4))) < TOL
@@ -112,7 +106,8 @@ class TestElementMatrices:
         assert np.max(np.abs(m[:4, 4:])) == 0.0
 
     def test_virtual_bs_zero_transmission_swaps_into_environment(self):
-        state = displace(vacuum_state(4), 0, 1.0, 0.0)
+        # four vacuum modes, mode 0 displaced by a unit amplitude
+        state = GaussianState(2.0 * np.eye(8)[0], np.eye(8))
         out = apply(virtual_bs_matrix(0.0), state)
         # the system amplitude now lives in the environment block
         assert np.max(np.abs(out.mean[:4])) < 1e-15
@@ -152,7 +147,7 @@ class TestApplyAndTrace:
 
     def test_two_mode_squeezed_vacuum_spectrum(self):
         g = 0.8
-        state = apply(opa_matrix(g), vacuum_state(2))
+        state = apply(opa_matrix(g), vacuum_state())
         eig = np.sort(np.linalg.eigvalsh(state.cov))
         expected = np.sort([math.exp(-2 * g)] * 2 + [math.exp(2 * g)] * 2)
         assert np.allclose(eig, expected, rtol=1e-12)
@@ -169,34 +164,21 @@ class TestApplyAndTrace:
 
     def test_apply_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            apply(virtual_bs_matrix(0.5), vacuum_state(2))
-
-    def test_trace_nothing_is_noop(self):
-        state = random_two_mode_state(np.random.default_rng(1))
-        out = trace_out(state, [])
-        assert np.array_equal(out.mean, state.mean)
-        assert np.array_equal(out.cov, state.cov)
+            apply(virtual_bs_matrix(0.5), vacuum_state())
 
     def test_trace_after_lossless_virtual_bs_keeps_system(self):
-        state = apply(opa_matrix(0.6), displace(vacuum_state(2), 0, 1.1, 0.7))
+        state = apply(opa_matrix(0.6), displace(vacuum_state(), 1.1, 0.7))
         out = attenuate(state, 1.0)
         assert np.allclose(out.mean, state.mean, atol=1e-12)
         assert np.allclose(out.cov, state.cov, atol=1e-12)
 
     def test_reduced_two_mode_squeezed_vacuum_is_thermal(self):
         g = 0.45
-        state = apply(opa_matrix(g), vacuum_state(2))
-        reduced = trace_out(state, [1])
-        assert np.allclose(reduced.cov, math.cosh(2 * g) * np.eye(2), rtol=1e-12)
-        assert np.max(np.abs(reduced.mean)) == 0.0
-
-    def test_trace_everything_fails(self):
-        with pytest.raises(ValueError, match="every mode"):
-            trace_out(vacuum_state(2), [0, 1])
-
-    def test_trace_out_of_range(self):
-        with pytest.raises(ValueError):
-            trace_out(vacuum_state(2), [5])
+        state = apply(opa_matrix(g), vacuum_state())
+        # each mode's reduced state is its 2x2 block: thermal, cosh 2g times the vacuum
+        for block in (state.cov[:2, :2], state.cov[2:, 2:]):
+            assert np.allclose(block, math.cosh(2 * g) * np.eye(2), rtol=1e-12)
+        assert np.max(np.abs(state.mean)) == 0.0
 
 
 class TestStateValidation:
@@ -211,7 +193,7 @@ class TestStateValidation:
             GaussianState(np.zeros(3), np.eye(3))
 
     def test_states_are_immutable(self):
-        state = vacuum_state(1)
+        state = vacuum_state()
         with pytest.raises(ValueError):
             state.mean[0] = 1.0
 
@@ -222,7 +204,7 @@ class TestStateValidation:
             photon_number(state)
 
     def test_photon_number_of_displaced_vacuum(self):
-        state = displace(vacuum_state(2), 0, 2.0, 0.4)
+        state = displace(vacuum_state(), 2.0, 0.4)
         assert photon_number(state) == pytest.approx(4.0, rel=1e-12)
 
 
@@ -249,7 +231,7 @@ class TestLossChannel:
             LossChannel(-0.2)
 
     def test_uncertainty_relation_of_vacuum(self):
-        assert min_uncertainty_eigenvalue(vacuum_state(3)) >= -1e-14
+        assert min_uncertainty_eigenvalue(vacuum_state()) >= -1e-14
         w = omega(2)
         assert np.array_equal(w[:2, :2], np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -263,8 +245,8 @@ class TestAttenuate:
 
     def test_zero_transmission_returns_the_two_mode_vacuum(self):
         out = attenuate(random_two_mode_state(np.random.default_rng(4)), 0.0)
-        assert np.array_equal(out.mean, vacuum_state(2).mean)
-        assert np.array_equal(out.cov, vacuum_state(2).cov)
+        assert np.array_equal(out.mean, vacuum_state().mean)
+        assert np.array_equal(out.cov, vacuum_state().cov)
 
     def test_stack_equals_its_points_bit_for_bit(self):
         rng = np.random.default_rng(5)
@@ -282,7 +264,7 @@ class TestAttenuate:
     @pytest.mark.parametrize("modes", [1, 3, 4])
     def test_rejects_a_state_that_is_not_two_mode(self, modes):
         with pytest.raises(ValueError, match="two-mode"):
-            attenuate(vacuum_state(modes), 0.5)
+            attenuate(GaussianState(np.zeros(2 * modes), np.eye(2 * modes)), 0.5)
 
 
 class TestFastPathsMatchReferences:
