@@ -76,6 +76,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("sweep = phi 0 1 0", "line 1: sweep count must be >= 1"),
+            ("g = inf", "line 1: g must be finite"),
+            ("ell = 1.5", "line 1: ell must be an integer, got '1.5'"),
+            ("quantity = signal\nquantity = snl", "line 2: duplicate key quantity"),
+            ("g = 1\nsweep = phi 0 1", "line 2: sweep needs '<param> <start> <stop> <count>'"),
+        ],
+    )
+    def test_rejections_pin_the_whole_message(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+
     def test_error_carries_line_number(self):
         with pytest.raises(ConfigError, match="line 3"):
             parse_config("g = 1\nell = 2\ntransmissivity = 7\n")
@@ -155,6 +169,12 @@ class TestRunSweep:
         assert len(result.rows) == 5
         flagged = [r for r in result.rows if r[2] == "divergent"]
         assert flagged and all(math.isinf(r[1]) for r in flagged)
+
+    def test_hand_built_spec_with_an_unknown_quantity_is_rejected(self):
+        spec = parse_config("quantity = signal\nsweep = phi 0 1 3")
+        spec = SweepSpec(base=spec.base, axes=spec.axes, quantity="banana")
+        with pytest.raises(ConfigError, match="^unknown quantity 'banana'$"):
+            run_sweep(spec)
 
     def test_errors_are_annotated_with_coordinates(self):
         spec = parse_config("alpha_sq=0\nquantity = visibility\nsweep = phi 0 1 3")
@@ -504,6 +524,25 @@ class TestMainEntry:
     def test_eval_rejects_sweep_config(self, tmp_path):
         path = self._write(tmp_path, "alpha_sq=1\nquantity = snl\nsweep = g 0 1 3")
         assert main(["eval", "--config", path]) == 1
+
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            ("sweep", FIG3_TEXT, "error: sweep expects a config with sweep axes and a quantity"),
+            (
+                "max-loss",
+                "alpha_sq=1\nquantity = snl\nsweep = g 0 1 3",
+                "error: max-loss expects a plain configuration, not sweep axes",
+            ),
+        ],
+    )
+    def test_command_given_the_other_kind_of_config_is_one_error_line(
+        self, tmp_path, capsys, command, text, message
+    ):
+        assert main([command, "--config", self._write(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
 
     def test_sweep_writes_file(self, tmp_path, capsys):
         path = self._write(tmp_path, "alpha_sq=1\nquantity = snl\nsweep = g 0 1 3")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ class TestStateValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GaussianState(np.zeros(3), np.eye(3))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: omega(0), "modes must be >= 1"),
+            (
+                lambda: GaussianState(np.zeros(4), np.eye(2)),
+                "cov must be square and match the mean vector",
+            ),
+            (lambda: SymplecticOp(np.eye(3), "X"), "matrix must be square with even dimension"),
+        ],
+        ids=["omega", "state", "op"],
+    )
+    def test_shape_rejections_pin_the_whole_message(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_states_are_immutable(self):
         state = vacuum_state()
