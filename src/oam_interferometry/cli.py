@@ -240,6 +240,14 @@ def render_config(config: ExperimentConfig) -> str:
     )
 
 
+def render_sweep(spec: SweepSpec) -> str:
+    """Canonical text of a whole sweep: the base config, the quantity and one
+    line per axis; parse_config(render_sweep(s)) == s wherever render_config
+    round-trips the base."""
+    axes = [f"sweep = {a.name} {a.start!r} {a.stop!r} {a.count}" for a in spec.axes]
+    return "\n".join([render_config(spec.base), f"quantity = {spec.quantity}", *axes])
+
+
 def _flags(values, quantity: str = "") -> list[str]:
     """Flag column for numeric results: inf is divergent, nan non-finite, and
     a max_loss of 0 means no loss keeps the optimum below the shot-noise limit."""
@@ -311,8 +319,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows = _grid_rows(axis_values, value, flags)
 
     metadata = {
-        **_metadata(spec.quantity, render_config(spec.base)),
-        "axes": ";".join(f"{a.name}[{a.start:g}:{a.stop:g}:{a.count}]" for a in axes),
+        **_metadata(spec.quantity, render_sweep(spec)),
+        "axes": ";".join(f"{a.name}[{a.start!r}:{a.stop!r}:{a.count}]" for a in axes),
     }
     undefined = np.flatnonzero(np.isnan(value))  # row indices: rows are in C order
     if undefined.size:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -25,6 +26,7 @@ from oam_interferometry.cli import (
     main,
     parse_config,
     render_config,
+    render_sweep,
     reproduce,
     run_sweep,
     to_csv,
@@ -205,6 +207,22 @@ class TestCsv:
         header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         assert lines[header_idx] == "g,value,flag"
         assert len(lines) == header_idx + 1 + 3
+
+    def test_sweep_header_reproduces_its_sweep(self):
+        spec = parse_config("g = 1\nalpha_sq = 10\nquantity = signal\nsweep = phi 0 6.123456789 7")
+        metadata = run_sweep(spec).metadata
+        assert metadata["axes"] == "phi[0.0:6.123456789:7]"
+        text = render_sweep(spec)
+        assert parse_config(text) == spec
+        assert metadata["config_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_sweeps_differing_only_in_an_axis_stop_hash_differently(self):
+        base = "alpha_sq = 1\nquantity = snl\nsweep = g 0.1234567 "
+        hashes = {
+            run_sweep(parse_config(base + stop)).metadata["config_sha256"]
+            for stop in ("1.00000001 3", "1.00000002 3")
+        }
+        assert len(hashes) == 2
 
     def test_timestamp_is_the_only_unstable_line(self):
         spec = parse_config("alpha_sq=1\nquantity = snl\nsweep = g 0 1 3")
