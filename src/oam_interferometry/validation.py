@@ -34,8 +34,16 @@ from .phase_space import photon_number
 ORACLE_TOL = 1e-5
 ENGINE_TOL = 1e-9
 LOSS_LAW_TOL = 1e-9
-# the grid_configs names, which the CLI offers as --preset
-PRESETS = ("quick", "full")
+
+_TURN_3, _TURN_8 = (tuple(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)) for n in (3, 8))
+# preset -> its grid's (g, alpha_sq, ell, theta, phi) values, each grid small
+# enough for the Fock validator to reach, and its count of seeded loss draws
+_PRESET_TABLE = {
+    "quick": (((0.0, 0.3), (1.0, 2.0), (1, 2), _TURN_3, (0.3, 1.4, 2.5)), 30),
+    "full": (((0.1, 0.3, 0.5), (1.0, 2.5, 4.0), (1, 2, 3), _TURN_8, _TURN_8), 100),
+}
+# the preset names, which the CLI offers as --preset
+PRESETS = tuple(_PRESET_TABLE)
 
 _LOSS_SEED = 20260809
 
@@ -99,24 +107,13 @@ def _describe(config: ExperimentConfig) -> str:
 
 
 def grid_configs(preset: str) -> list[ExperimentConfig]:
-    """Deterministic small-parameter grid reachable by the Fock validator."""
-    if preset == "quick":
-        gs = (0.0, 0.3)
-        alpha_sqs = (1.0, 2.0)
-        ells = (1, 2)
-        thetas = np.linspace(0.0, 2.0 * math.pi, 3, endpoint=False)
-        phis = (0.3, 1.4, 2.5)
-    elif preset == "full":
-        gs = (0.1, 0.3, 0.5)
-        alpha_sqs = (1.0, 2.5, 4.0)
-        ells = (1, 2, 3)
-        thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-        phis = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-    else:
+    """The preset's grid, one config per point."""
+    if preset not in _PRESET_TABLE:
         raise ValueError(f"unknown preset {preset!r} (expected {PRESETS[0]!r} or {PRESETS[1]!r})")
+    axes, _ = _PRESET_TABLE[preset]
     return [
         ExperimentConfig(g=g, ell=ell, alpha_mag=math.sqrt(asq), theta=float(th), phi=float(ph))
-        for g, asq, ell, th, ph in itertools.product(gs, alpha_sqs, ells, thetas, phis)
+        for g, asq, ell, th, ph in itertools.product(*axes)
     ]
 
 
@@ -177,7 +174,8 @@ def run_validation(preset: str = "quick") -> ValidationReport:
     loss-law draws; nonzero worst deviation above tolerance fails the report."""
     start = time.perf_counter()
     configs = grid_configs(preset)
-    draws = random_lossy_configs(30 if preset == "quick" else 100)
+    _, draw_count = _PRESET_TABLE[preset]
+    draws = random_lossy_configs(draw_count)
 
     g, ell, alpha_mag, theta, phi, _ = _columns(configs)
     mean_cf = metrology.signal_table(g, ell, alpha_mag, theta, phi, 1.0)

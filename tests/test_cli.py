@@ -417,7 +417,8 @@ class TestValidateHarness:
         assert check.passed
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
+        message = "unknown preset 'leisurely' (expected 'quick' or 'full')"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_validation("leisurely")
 
 
