@@ -146,8 +146,9 @@ class GaussianState:
     the symmetric ``2m x 2m`` covariance normalised so the vacuum is the
     identity.  Leading axes, the same on both, index a stack of states.
     Instances are immutable; the arrays are stored read-only because a
-    cached state, the two-mode vacuum of ``vacuum_state``, is shared by every caller
-    (``SymplecticOp`` does the same for the cached coupler ``bs_matrix``).
+    cached state, the two-mode vacuum of ``vacuum_state``, is shared by
+    every caller (``SymplecticOp`` does the same for the cached coupler
+    ``bs_matrix``).
     """
 
     mean: np.ndarray

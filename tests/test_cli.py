@@ -72,24 +72,15 @@ class TestParseConfig:
                 "quantity=signal\nsweep = phi 0 1 3\nsweep = theta 0 1 3\nsweep = g 0 1 3",
                 "at most 2",
             ),
+            ("sweep = phi 0 1 0", "^line 1: sweep count must be >= 1$"),
+            ("g = inf", "^line 1: g must be finite$"),
+            ("ell = 1.5", r"^line 1: ell must be an integer, got '1\.5'$"),
+            ("quantity = signal\nquantity = snl", "^line 2: duplicate key quantity$"),
+            ("g = 1\nsweep = phi 0 1", "^line 2: sweep needs '<param> <start> <stop> <count>'$"),
         ],
     )
     def test_rejections_name_the_problem(self, text, fragment):
         with pytest.raises(ConfigError, match=fragment):
-            parse_config(text)
-
-    @pytest.mark.parametrize(
-        "text,message",
-        [
-            ("sweep = phi 0 1 0", "line 1: sweep count must be >= 1"),
-            ("g = inf", "line 1: g must be finite"),
-            ("ell = 1.5", "line 1: ell must be an integer, got '1.5'"),
-            ("quantity = signal\nquantity = snl", "line 2: duplicate key quantity"),
-            ("g = 1\nsweep = phi 0 1", "line 2: sweep needs '<param> <start> <stop> <count>'"),
-        ],
-    )
-    def test_rejections_pin_the_whole_message(self, text, message):
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(text)
 
     def test_error_carries_line_number(self):
