@@ -1,16 +1,28 @@
 """The interferometer chain: parametric-amplifier entry, angular displacement,
 balanced-beam-splitter exit, with an optional loss stage in both arms.
 
-Both chains live in the 4-dimensional phase space of modes A and B.  The
-lossy chain is the lossless one with a loss stage (``phase_space.attenuate``)
-between the angular displacement and the output coupler: each arm mixes with
-a vacuum environment on a virtual beam splitter, and the environments are
-traced out at once, which keeps the 4x4 block of modes A and B.
+Both chains live in the 4-dimensional phase space of modes A and B and run
+in one pass.  The elements are built first, in the order of the chain, each a
+checked ``SymplecticOp``: the amplifier ``opa_matrix(g)``, the rotation
+``angular_displacement_matrix(ell, phi)`` and the cached coupler
+``bs_matrix()``.  The coherent input is then checked (a magnitude >= 0, a
+finite displaced mean) and pushed through them on raw arrays, from the
+vacuum, whose covariance is the identity:
+
+* lossless, ``S = BS AD OPA`` and the output is ``(S d, S S^T)``;
+* lossy, ``R = AD OPA``, then the pure-loss channel in both arms
+  (``(sqrt(T) R d, T R R^T + (1 - T) I)``, after its range check on T),
+  then the coupler.
+
+Only the output is built as a ``GaussianState``, checked finite and
+symmetric.  The stages are ``phase_space``'s own, the ones ``displace``,
+``apply`` and ``attenuate`` wrap, so a chain equals those calls made one
+after another up to rounding.
 
 ``lossless_chain`` and ``lossy_chain`` run a whole grid of working points at
 once: the parameters are broadcast arrays, each element is one stacked
-product over them, and every element and state is checked per point.
-``run_lossless`` and ``run_lossy`` are the same chains at one point.
+product over them, and every element and the output state are checked per
+point.  ``run_lossless`` and ``run_lossy`` are the same chains at one point.
 ``ExperimentConfig`` and ``mean_photon_number`` live in ``metrology`` and are
 re-exported here.
 """
@@ -22,13 +34,12 @@ import numpy as np
 from .metrology import ExperimentConfig, mean_photon_number
 from .phase_space import (
     GaussianState,
+    _attenuated,
+    _evolved,
+    _shifted,
     angular_displacement_matrix,
-    apply,
-    attenuate,
     bs_matrix,
-    displace,
     opa_matrix,
-    vacuum_state,
 )
 
 __all__ = [
@@ -42,25 +53,31 @@ __all__ = [
     "quadrature_second_moment",
 ]
 
+_VACUUM_MEAN = np.zeros(4)
 
-def _rotated(g, ell, alpha_mag, theta, phi) -> GaussianState:
-    """The coherent input displaced into mode A, amplified and rotated: the
-    two-mode state ahead of the loss stage and the coupler."""
-    amplifier, rotation = opa_matrix(g), angular_displacement_matrix(ell, phi)
-    return apply(rotation, apply(amplifier, displace(vacuum_state(), alpha_mag, theta)))
+
+def _rotated(g, ell, alpha_mag, theta, phi):
+    """``R = AD OPA`` and the displaced input mean ``d``: the elements are
+    built and checked before the input, the amplifier first."""
+    amplifier = opa_matrix(g).matrix
+    rotation = angular_displacement_matrix(ell, phi).matrix
+    return rotation @ amplifier, _shifted(_VACUUM_MEAN, alpha_mag, theta)
 
 
 def lossless_chain(g, ell, alpha_mag, theta, phi) -> GaussianState:
     """Two-mode chain over broadcast parameter arrays: displace input A,
     amplify, rotate, recombine.  The inputs must lie in ExperimentConfig's
     domain; the result is a stack of states over their broadcast shape."""
-    return apply(bs_matrix(), _rotated(g, ell, alpha_mag, theta, phi))
+    r, d = _rotated(g, ell, alpha_mag, theta, phi)
+    return GaussianState(*_evolved(bs_matrix().matrix @ r, d, None))
 
 
 def lossy_chain(g, ell, alpha_mag, theta, phi, transmissivity) -> GaussianState:
     """The lossless chain over broadcast parameter arrays, with loss of
     transmissivity T in both arms between the rotation and the coupler."""
-    return apply(bs_matrix(), attenuate(_rotated(g, ell, alpha_mag, theta, phi), transmissivity))
+    r, d = _rotated(g, ell, alpha_mag, theta, phi)
+    lossy = _attenuated(*_evolved(r, d, None), transmissivity)
+    return GaussianState(*_evolved(bs_matrix().matrix, *lossy))
 
 
 def run_lossless(config: ExperimentConfig) -> GaussianState:

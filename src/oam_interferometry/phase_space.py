@@ -9,10 +9,18 @@ Conventions (fixed once, everything else is calibrated against them):
   by ``(2 r cos(theta), 2 r sin(theta))``.
 
 Lossless elements are symplectic matrices ``S`` (``S @ Omega @ S.T == Omega``)
-applied as ``mean -> S mean``, ``cov -> S cov S^T``.  Photon loss
-(``attenuate``) is a virtual beam splitter against vacuum environment modes
-followed by a partial trace over the environments, which for Gaussian states
-keeps the system's block of the mean and the covariance.
+applied as ``mean -> S mean``, ``cov -> S cov S^T``.  Photon loss of
+transmissivity ``T`` (``attenuate``) is the pure-loss channel on the moments,
+``mean -> sqrt(T) mean``, ``cov -> T cov + (1 - T) I``: a virtual beam
+splitter against vacuum environment modes (``virtual_bs_matrix``) followed by
+the partial trace over the environments, in closed form.
+
+Each stage is defined once, on raw ``(mean, cov)`` arrays: ``_shifted`` (the
+coherent input, with its checks), ``_evolved`` (one element) and
+``_attenuated`` (the loss channel, with the range check on ``T``).
+``displace``, ``apply`` and ``attenuate`` wrap them in a checked
+``GaussianState``; the interferometer chains run them back to back and check
+only the state they return.
 
 Everything here broadcasts over leading axes.  An element built from arrays
 of parameters is a stack of matrices, shape ``(..., 2m, 2m)``, and a state
@@ -24,10 +32,10 @@ the states built one point at a time, bit for bit.  One-variable factors
 differ from libm in the last place on some inputs, and numpy's ``x**2`` is
 ``x*x``, not ``pow``.
 
-Every element and every state is checked when it is built, each matrix of a
-stack on its own, with tolerances that scale with the entries, because
-rounding in ``S Omega S^T`` grows like ``max|S|^2`` (``cosh^2 g`` for the
-amplifier) and in ``S cov S^T`` like ``max|cov|`` (``cosh 2g``):
+Every element and every ``GaussianState`` is checked when it is built, each
+matrix of a stack on its own, with tolerances that scale with the entries,
+because rounding in ``S Omega S^T`` grows like ``max|S|^2`` (``cosh^2 g`` for
+the amplifier) and in ``S cov S^T`` like ``max|cov|`` (``cosh 2g``):
 
 * an element is symplectic when ``symplectic_defect(S) <= SYMPLECTIC_TOL *
   max(1, max|S|^2)``;
@@ -115,6 +123,11 @@ def _first(values, bad) -> float:
     return float(np.asarray(values)[bad][0])
 
 
+def _check_mean(mean: np.ndarray) -> None:
+    if not np.abs(mean).max() < math.inf:
+        raise ValueError("mean must be finite")
+
+
 @functools.cache
 def omega(modes: int) -> np.ndarray:
     """Symplectic form for ``modes`` modes: block diagonal [[0, 1], [-1, 0]].
@@ -162,8 +175,7 @@ class GaussianState:
             raise ValueError("mean must be a vector of length 2 * mode_count")
         if cov.shape != mean.shape + mean.shape[-1:]:
             raise ValueError("cov must be square and match the mean vector")
-        if not np.abs(mean).max() < math.inf:
-            raise ValueError("mean must be finite")
+        _check_mean(mean)
         peak = np.abs(cov).max(axis=(-2, -1))
         if _any(~(peak < math.inf)):
             raise ValueError("cov must be finite")
@@ -213,8 +225,48 @@ def vacuum_state() -> GaussianState:
     return GaussianState(np.zeros(4), np.eye(4))
 
 
-# a shift past the double range is inf or nan, and the state rejects it
+# a shift past the double range is inf or nan, and the check rejects it
 @np.errstate(all="ignore")
+def _shifted(mean: np.ndarray, magnitude, angle) -> np.ndarray:
+    """``mean`` with mode A shifted by a coherent amplitude: a new array over
+    the broadcast stack.  Raises on a negative magnitude, then on a shifted
+    mean that is not finite."""
+    magnitude = np.float64(magnitude)
+    if _any(magnitude < 0):
+        raise ValueError("magnitude must be >= 0")
+    shift_x = 2.0 * magnitude * _libm(math.cos, angle)
+    shift_p = 2.0 * magnitude * _libm(math.sin, angle)
+    out = np.empty(np.broadcast(mean[..., 0], shift_x, shift_p).shape + mean.shape[-1:])
+    out[...] = mean
+    out[..., 0] += shift_x
+    out[..., 1] += shift_p
+    _check_mean(out)
+    return out
+
+
+def _evolved(s: np.ndarray, mean: np.ndarray, cov: np.ndarray | None):
+    """``(S mean, S cov S^T)`` over broadcast stacks; ``cov=None`` stands for
+    the vacuum's identity, giving ``S S^T``."""
+    s_t = s.swapaxes(-1, -2)
+    cov = s @ s_t if cov is None else s @ cov @ s_t
+    return (s @ mean[..., None])[..., 0], cov
+
+
+def _transmissivity(transmissivity) -> np.ndarray:
+    t = np.float64(transmissivity)
+    if _any(~((t >= 0.0) & (t <= 1.0))):
+        raise ValueError("transmissivity must lie in [0, 1]")
+    return t
+
+
+def _attenuated(mean: np.ndarray, cov: np.ndarray, transmissivity):
+    """The pure-loss channel in every mode: ``(sqrt(T) mean, T cov + (1 - T)
+    I)`` over broadcast stacks; raises first if T lies outside [0, 1]."""
+    t = _transmissivity(transmissivity)
+    eye = np.eye(cov.shape[-1])
+    return np.sqrt(t)[..., None] * mean, t[..., None, None] * cov + (1.0 - t)[..., None, None] * eye
+
+
 def displace(state: GaussianState, magnitude, angle) -> GaussianState:
     """Displace mode A by a coherent amplitude of given magnitude and phase.
 
@@ -222,17 +274,9 @@ def displace(state: GaussianState, magnitude, angle) -> GaussianState:
     sin(angle))`` and leaves the covariance untouched.  Arrays of magnitudes
     and angles give a stack of states.
     """
-    magnitude = np.float64(magnitude)
-    if _any(magnitude < 0):
-        raise ValueError("magnitude must be >= 0")
-    shift_x = 2.0 * magnitude * _libm(math.cos, angle)
-    shift_p = 2.0 * magnitude * _libm(math.sin, angle)
-    stack = np.broadcast(state.mean[..., 0], shift_x, shift_p).shape
-    mean = np.empty(stack + state.mean.shape[-1:])
-    cov = np.empty(stack + state.cov.shape[-2:])
-    mean[...], cov[...] = state.mean, state.cov
-    mean[..., 0] += shift_x
-    mean[..., 1] += shift_p
+    mean = _shifted(state.mean, magnitude, angle)
+    cov = np.empty(mean.shape + mean.shape[-1:])
+    cov[...] = state.cov
     return GaussianState(mean, cov)
 
 
@@ -295,11 +339,10 @@ def virtual_bs_matrix(transmissivity) -> SymplecticOp:
 
     Mode A mixes with environment mode 3 and mode B with environment mode 4,
     both at the same transmissivity; an array of transmissivities gives a
-    stack.
+    stack.  Tracing the environments out of its output leaves the channel
+    ``attenuate`` applies; the tests check the two against each other.
     """
-    t = np.float64(transmissivity)
-    if _any(~((t >= 0.0) & (t <= 1.0))):
-        raise ValueError("transmissivity must lie in [0, 1]")
+    t = _transmissivity(transmissivity)
     rt, rr = np.sqrt(t)[..., None, None], np.sqrt(1.0 - t)[..., None, None]
     eye4 = np.eye(4)
     m = np.empty(t.shape + (8, 8))
@@ -316,24 +359,16 @@ def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
             f"dimension mismatch: op acts on {op.mode_count} modes, "
             f"state has {state.mode_count}"
         )
-    s = op.matrix
-    return GaussianState((s @ state.mean[..., None])[..., 0], s @ state.cov @ s.swapaxes(-1, -2))
+    return GaussianState(*_evolved(op.matrix, state.mean, state.cov))
 
 
 def attenuate(state: GaussianState, transmissivity) -> GaussianState:
     """Photon loss of transmissivity T in both modes of a two-mode state, or
-    of a stack of them: the state beside two vacuum environment modes, through
-    ``virtual_bs_matrix``, with the environments traced out: the partial
-    trace of a Gaussian state keeps the system's block of the mean and the
-    covariance."""
+    of a stack of them: ``mean -> sqrt(T) mean``, ``cov -> T cov + (1 - T)
+    I``, the pure-loss channel on the moments."""
     if state.mode_count != 2:
         raise ValueError(f"attenuate acts on two-mode states, not {state.mode_count}")
-    stack = state.mean.shape[:-1]
-    mean = np.zeros(stack + (8,))
-    cov = np.zeros(stack + (8, 8))
-    mean[..., :4], cov[..., :4, :4], cov[..., 4:, 4:] = state.mean, state.cov, np.eye(4)
-    out = apply(virtual_bs_matrix(transmissivity), GaussianState(mean, cov))
-    return GaussianState(out.mean[..., :4], out.cov[..., :4, :4])
+    return GaussianState(*_attenuated(state.mean, state.cov, transmissivity))
 
 
 @np.errstate(over="ignore")

@@ -100,9 +100,12 @@ class ValidationReport:
 
 
 def _describe(config: ExperimentConfig) -> str:
+    """The point as it re-runs: every field by ``repr``, and ``alpha_sq`` as
+    ``alpha_mag * alpha_mag``, whose square root is ``alpha_mag`` again
+    wherever the square is a normal double (as in ``cli.render_config``)."""
     return (
-        f"g={config.g:g},ell={config.ell},alpha_sq={config.alpha_mag**2:g},"
-        f"theta={config.theta:.3f},phi={config.phi:.3f},T={config.transmissivity:g}"
+        f"g={config.g!r},ell={config.ell!r},alpha_sq={config.alpha_mag * config.alpha_mag!r},"
+        f"theta={config.theta!r},phi={config.phi!r},T={config.transmissivity!r}"
     )
 
 
@@ -176,7 +179,18 @@ def run_validation(preset: str = "quick") -> ValidationReport:
     configs = grid_configs(preset)
     _, draw_count = _PRESET_TABLE[preset]
     draws = random_lossy_configs(draw_count)
+    checks = _grid_checks(configs) + _loss_checks(draws)
+    return ValidationReport(
+        preset=preset,
+        point_count=len(configs),
+        loss_draws=len(draws),
+        elapsed_seconds=time.perf_counter() - start,
+        checks=checks,
+    )
 
+
+def _grid_checks(configs: list[ExperimentConfig]) -> list[CheckResult]:
+    """The oracle and engine checks over the lossless grid ``configs``."""
     g, ell, alpha_mag, theta, phi, _ = _columns(configs)
     mean_cf = metrology.signal_table(g, ell, alpha_mag, theta, phi, 1.0)
     second_cf = metrology.second_moment_table(g, ell, alpha_mag, theta, phi, 1.0)
@@ -188,13 +202,7 @@ def run_validation(preset: str = "quick") -> ValidationReport:
         [(r.x_mean, r.x_second_moment, r.photon_number, r.cutoff_used, r.tail_mass) for r in oracle]
     ).T
     gauge = (cutoffs, tails)
-
-    columns = _columns(draws)
-    lossy = lossy_chain(*columns)
-    mean_law = metrology.signal_table(*columns)
-    second_law = metrology.second_moment_table(*columns)
-
-    checks = [
+    return [
         _record("signal mean: oracle vs closed form", ORACLE_TOL,
                 np.abs(mean_oracle - mean_cf), configs, *gauge),
         _record("second moment: oracle vs closed form", ORACLE_TOL,
@@ -207,15 +215,18 @@ def run_validation(preset: str = "quick") -> ValidationReport:
                 _rel(quadrature_second_moment(state), second_cf), configs),
         _record("photon number: engine vs closed form", ENGINE_TOL,
                 _rel(photon_number(state), photon_cf), configs),
+    ]
+
+
+def _loss_checks(draws: list[ExperimentConfig]) -> list[CheckResult]:
+    """The loss laws checked against the lossy chain over the ``draws``."""
+    columns = _columns(draws)
+    lossy = lossy_chain(*columns)
+    mean_law = metrology.signal_table(*columns)
+    second_law = metrology.second_moment_table(*columns)
+    return [
         _record("loss scaling of mean: engine vs law", LOSS_LAW_TOL,
                 _rel(quadrature_mean(lossy), mean_law), draws),
         _record("loss scaling of second moment: engine vs law", LOSS_LAW_TOL,
                 _rel(quadrature_second_moment(lossy), second_law), draws),
     ]
-    return ValidationReport(
-        preset=preset,
-        point_count=len(configs),
-        loss_draws=len(draws),
-        elapsed_seconds=time.perf_counter() - start,
-        checks=checks,
-    )

@@ -3,7 +3,8 @@ operators, the dense-state blocked unitary, the one-shot ladder exponential,
 the displacement column, the general blocked squeezer and the balanced
 coupler's blocks built on it, the truncated-operator chain up to the coupler,
 the homodyne read after the coupler's blocks, the dense read
-of a state ahead of the coupler, a direct loss
+of a state ahead of the coupler, the engine's chains one checked stage at a
+time with loss as the 8x8 dilation, a direct loss
 channel, a brute-force optimum scan, the optimal sensitivity in plain
 ``math``, and the asymptotic and SU(1,1) sensitivity forms.  None of them is
 on the package's product path."""
@@ -15,7 +16,18 @@ from typing import Sequence
 
 import numpy as np
 
-from oam_interferometry import ExperimentConfig, GaussianState, omega
+from oam_interferometry import (
+    ExperimentConfig,
+    GaussianState,
+    angular_displacement_matrix,
+    apply,
+    bs_matrix,
+    displace,
+    omega,
+    opa_matrix,
+    vacuum_state,
+    virtual_bs_matrix,
+)
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -248,6 +260,34 @@ def dense_moments(amplitudes: np.ndarray) -> tuple[float, float, float]:
     return x_mean, x_second, n_total
 
 
+# --- the engine's chains, stage by stage ---------------------------------------
+
+
+def dilated_attenuate(state: GaussianState, transmissivity) -> GaussianState:
+    """Loss of transmissivity T in both modes of a two-mode state, or a stack
+    of them, by its dilation: the state beside two vacuum environment modes,
+    through ``virtual_bs_matrix``, then the partial trace, which keeps the
+    system's block of the mean and the covariance."""
+    stack = state.mean.shape[:-1]
+    mean = np.zeros(stack + (8,))
+    cov = np.zeros(stack + (8, 8))
+    mean[..., :4], cov[..., :4, :4], cov[..., 4:, 4:] = state.mean, state.cov, np.eye(4)
+    out = apply(virtual_bs_matrix(transmissivity), GaussianState(mean, cov))
+    return GaussianState(out.mean[..., :4], out.cov[..., :4, :4])
+
+
+def stage_by_stage_chain(g, ell, alpha_mag, theta, phi, transmissivity=None) -> GaussianState:
+    """The interferometer chain as a checked state per stage: the elements
+    built first, then ``displace`` of the vacuum, ``apply`` of the amplifier
+    and of the rotation, with a ``transmissivity`` the ``dilated_attenuate``
+    loss stage, and ``apply`` of the coupler; broadcast over arrays."""
+    amplifier, rotation = opa_matrix(g), angular_displacement_matrix(ell, phi)
+    state = apply(rotation, apply(amplifier, displace(vacuum_state(), alpha_mag, theta)))
+    if transmissivity is not None:
+        state = dilated_attenuate(state, transmissivity)
+    return apply(bs_matrix(), state)
+
+
 # --- direct loss channel -------------------------------------------------------
 
 
@@ -269,7 +309,7 @@ def apply_loss(channel: LossChannel, state: GaussianState, modes: Sequence[int])
     relax toward vacuum as ``T cov + (1 - T)``.
 
     Closed-form equivalent of a virtual beam splitter against vacuum followed
-    by tracing the environment out, the route the engine takes.
+    by tracing the environment out, on any subset of the modes.
     """
     modes = tuple(int(m) for m in modes)
     if any(m < 0 or m >= state.mode_count for m in modes):

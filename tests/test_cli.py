@@ -31,7 +31,15 @@ from oam_interferometry.cli import (
     run_sweep,
     to_csv,
 )
-from oam_interferometry.validation import _describe, _record, run_validation
+from oam_interferometry.validation import (
+    _describe,
+    _grid_checks,
+    _loss_checks,
+    _record,
+    grid_configs,
+    random_lossy_configs,
+    run_validation,
+)
 from helpers import flip_mode_b_ladder, without_timestamp
 
 FIG3_TEXT = "g=2\nell=1\nalpha_sq=100"
@@ -406,6 +414,30 @@ class TestValidateHarness:
         check = _record("x", 1e-9, np.zeros(3), configs, np.full(3, 40.0), np.zeros(3))
         assert (check.worst, check.worst_at, check.cutoff, check.tail_mass) == (0.0, "", None, None)
         assert check.passed
+
+    def test_every_worst_point_of_full_reruns_to_its_deviation(self):
+        # each printed point rebuilds its config exactly, and that one point
+        # alone gives the reported deviation bit for bit
+        report = run_validation("full")
+        for check in report.checks:
+            field = dict(item.split("=") for item in check.worst_at.split(","))
+            config = ExperimentConfig(
+                g=float(field["g"]),
+                ell=int(field["ell"]),
+                alpha_mag=math.sqrt(float(field["alpha_sq"])),
+                theta=float(field["theta"]),
+                phi=float(field["phi"]),
+                transmissivity=float(field["T"]),
+            )
+            lossy = check.name.startswith("loss scaling")
+            assert _describe(config) == check.worst_at
+            assert config in (random_lossy_configs(100) if lossy else grid_configs("full"))
+            rerun = {c.name: c for c in (_loss_checks if lossy else _grid_checks)([config])}
+            assert rerun[check.name].worst == check.worst, check.name
+            assert (rerun[check.name].cutoff, rerun[check.name].tail_mass) == (
+                check.cutoff,
+                check.tail_mass,
+            )
 
     def test_unknown_preset(self):
         message = "unknown preset 'leisurely' (expected 'quick' or 'full')"

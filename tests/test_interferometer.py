@@ -36,7 +36,7 @@ from oam_interferometry.validation import (
     random_lossy_configs,
 )
 from helpers import guarded_rel, random_config
-from reference import LossChannel, apply_loss
+from reference import LossChannel, apply_loss, stage_by_stage_chain
 
 
 def _cfg(**kw):
@@ -317,3 +317,103 @@ class TestBatchedChains:
         alone = _error(lambda: run(_cfg(g=400.0, alpha_mag=3.0, transmissivity=0.7)))
         assert alone.startswith("g = 400.0 is outside the engine's range")
         assert _error(lambda: chain(g, 1, 3.0, 0.0, 0.0, *loss)) == alone
+
+
+def _draws(rng, count):
+    """Seeded columns g, ell, alpha_mag, theta, phi, T: half the gains up to
+    3, half up to MAX_GAIN, and T at 0, at 1 and inside."""
+    g = np.concatenate([rng.uniform(0.0, 3.0, count - count // 2), rng.uniform(0.0, MAX_GAIN, count // 2)])
+    t = rng.uniform(0.0, 1.0, count)
+    t[: count // 8], t[count // 8 : count // 4] = 0.0, 1.0
+    return (
+        g,
+        rng.integers(1, 6, count).astype(float),
+        np.sqrt(rng.uniform(0.0, 1e4, count)),
+        rng.uniform(0.0, 2.0 * math.pi, count),
+        rng.uniform(0.0, 2.0 * math.pi, count),
+        t,
+    )
+
+
+def _assert_near(state, reference):
+    """Every entry within 1e-14 of its state's largest entry."""
+    scale = np.maximum(np.abs(reference.mean).max(-1), np.abs(reference.cov).max((-2, -1)))
+    assert np.all(np.abs(state.mean - reference.mean).max(-1) <= 1e-14 * scale)
+    assert np.all(np.abs(state.cov - reference.cov).max((-2, -1)) <= 1e-14 * scale)
+
+
+class TestAgainstStageByStageChain:
+    """The one-pass chains against a checked state per stage, loss by the
+    8x8 dilation and its partial trace (``reference.stage_by_stage_chain``)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stacks(self, seed):
+        columns = _draws(np.random.default_rng(seed), 400)
+        _assert_near(lossless_chain(*columns[:5]), stage_by_stage_chain(*columns[:5]))
+        _assert_near(lossy_chain(*columns), stage_by_stage_chain(*columns))
+
+    def test_points(self):
+        g, ell, alpha_mag, theta, phi, t = _draws(np.random.default_rng(3), 48)
+        for point in zip(g, ell, alpha_mag, theta, phi, t):
+            config = ExperimentConfig(*point)
+            _assert_near(run_lossless(config), stage_by_stage_chain(*point[:5]))
+            _assert_near(run_lossy(config), stage_by_stage_chain(*point))
+
+
+class TestOneStatePerChain:
+    """Each chain checks one GaussianState, its output, and no state per stage."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_lossless(_cfg(g=0.7, ell=2, alpha_mag=1.5, theta=0.3, phi=1.1)),
+            lambda: run_lossy(_cfg(g=0.7, ell=2, alpha_mag=1.5, theta=0.3, phi=1.1, transmissivity=0.4)),
+            lambda: lossless_chain(*_columns(grid_configs("quick"))[:5]),
+            lambda: lossy_chain(*_columns(random_lossy_configs(30))),
+        ],
+        ids=["run_lossless", "run_lossy", "lossless_chain", "lossy_chain"],
+    )
+    def test_one_state_is_built(self, run, monkeypatch):
+        built = []
+        check = GaussianState.__post_init__
+
+        def counted(state):
+            built.append(state)
+            check(state)
+
+        monkeypatch.setattr(GaussianState, "__post_init__", counted)
+        state = run()
+        assert built == [state]
+
+
+# each case has the bad inputs of the next one and one more, which is named
+_BAD = [
+    ("g", 400.0, r"^g = 400\.0 is outside the engine's range"),
+    ("ell", 0, r"^ell must be a positive integer$"),
+    ("alpha_mag", np.array([-1.0, 1e308]), r"^magnitude must be >= 0$"),
+    ("alpha_mag", np.array([1.0, 1e308]), r"^mean must be finite$"),
+    ("transmissivity", 1.5, r"^transmissivity must lie in \[0, 1\]$"),
+]
+
+
+class TestErrorOrder:
+    """With several bad inputs the chains name the first in the order g,
+    ell, a negative magnitude, a displaced mean that is not finite, T."""
+
+    @pytest.mark.parametrize(
+        "lossy,first",
+        [
+            pytest.param(lossy, first, id=f"{'lossy' if lossy else 'lossless'}-{first}")
+            for lossy in (False, True)
+            # the lossless chain takes no T
+            for first in range(len(_BAD) if lossy else len(_BAD) - 1)
+        ],
+    )
+    def test_first_bad_input_is_named(self, lossy, first):
+        inputs = dict(g=1.0, ell=1, alpha_mag=np.array([1.0, 2.0]), theta=0.1, phi=0.2, transmissivity=0.5)
+        for name, value, _ in reversed(_BAD[first:]):
+            inputs[name] = value
+        if not lossy:
+            del inputs["transmissivity"]
+        with pytest.raises(ValueError, match=_BAD[first][2]):
+            (lossy_chain if lossy else lossless_chain)(**inputs)

@@ -23,7 +23,7 @@ from oam_interferometry import (
 )
 from oam_interferometry.phase_space import MAX_GAIN, attenuate
 from helpers import random_two_mode_state
-from reference import LossChannel, apply_loss, min_uncertainty_eigenvalue
+from reference import LossChannel, apply_loss, dilated_attenuate, min_uncertainty_eigenvalue
 
 TOL = 1e-10
 
@@ -236,12 +236,17 @@ class TestLossChannel:
     @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 1.0, allow_nan=False))
     @settings(max_examples=50)
     def test_direct_channel_matches_virtual_bs_route(self, seed, t):
+        # attenuate is the channel in closed form; the reference lifts the
+        # state to 8 modes, through virtual_bs_matrix, and traces out
         rng = np.random.default_rng(seed)
         sys_state = random_two_mode_state(rng)
-        direct = apply_loss(LossChannel(t), sys_state, (0, 1))
-        routed = attenuate(sys_state, t)
+        direct = attenuate(sys_state, t)
+        routed = dilated_attenuate(sys_state, t)
         assert np.allclose(direct.mean, routed.mean, atol=1e-12)
         assert np.allclose(direct.cov, routed.cov, atol=1e-12)
+        other = apply_loss(LossChannel(t), sys_state, (0, 1))
+        assert np.allclose(direct.mean, other.mean, atol=1e-12)
+        assert np.allclose(direct.cov, other.cov, atol=1e-12)
 
     def test_channel_range_validation(self):
         with pytest.raises(ValueError):
@@ -277,6 +282,15 @@ class TestAttenuate:
                 point = attenuate(state, t[i])
                 assert stacked.mean[i].tobytes() == point.mean.tobytes()
                 assert stacked.cov[i].tobytes() == point.cov.tobytes()
+
+    @pytest.mark.parametrize("t", [-0.1, 1.2, math.nan, np.array([0.5, 1.5])])
+    def test_rejects_a_transmissivity_outside_the_unit_interval(self, t):
+        # the same text as virtual_bs_matrix, whose traced output it is
+        message = "^transmissivity must lie in \\[0, 1\\]$"
+        with pytest.raises(ValueError, match=message):
+            attenuate(random_two_mode_state(np.random.default_rng(6)), t)
+        with pytest.raises(ValueError, match=message):
+            virtual_bs_matrix(t)
 
     @pytest.mark.parametrize("modes", [1, 3, 4])
     def test_rejects_a_state_that_is_not_two_mode(self, modes):
