@@ -8,11 +8,12 @@ loss scaling laws (mean shrinks by sqrt(T), second moment relaxes as
 sits between the rotation and the coupler, on seeded random configurations.
 
 The engine side is one batched pass: ``lossless_chain`` runs the whole grid
-and ``lossy_chain`` all loss draws as stacked products, each element and
-state checked per point.  Every check is an array of deviations, from the
+and ``lossy_chain`` all loss draws as stacked products, each element and the
+output state checked per point.  Every check is an array of deviations, from the
 engine or from the oracle (which evolves one point at a time), against
 ``metrology``'s broadcast closed forms; its first worst point, a nan first
-of all, is the one reported.
+of all, is the one reported, with every field printed by ``repr`` so that the
+point re-runs to the same deviation.
 """
 
 from __future__ import annotations

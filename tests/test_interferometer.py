@@ -322,7 +322,8 @@ class TestBatchedChains:
 def _draws(rng, count):
     """Seeded columns g, ell, alpha_mag, theta, phi, T: half the gains up to
     3, half up to MAX_GAIN, and T at 0, at 1 and inside."""
-    g = np.concatenate([rng.uniform(0.0, 3.0, count - count // 2), rng.uniform(0.0, MAX_GAIN, count // 2)])
+    low, high = count - count // 2, count // 2
+    g = np.concatenate([rng.uniform(0.0, 3.0, low), rng.uniform(0.0, MAX_GAIN, high)])
     t = rng.uniform(0.0, 1.0, count)
     t[: count // 8], t[count // 8 : count // 4] = 0.0, 1.0
     return (
@@ -367,7 +368,9 @@ class TestOneStatePerChain:
         "run",
         [
             lambda: run_lossless(_cfg(g=0.7, ell=2, alpha_mag=1.5, theta=0.3, phi=1.1)),
-            lambda: run_lossy(_cfg(g=0.7, ell=2, alpha_mag=1.5, theta=0.3, phi=1.1, transmissivity=0.4)),
+            lambda: run_lossy(
+                _cfg(g=0.7, ell=2, alpha_mag=1.5, theta=0.3, phi=1.1, transmissivity=0.4)
+            ),
             lambda: lossless_chain(*_columns(grid_configs("quick"))[:5]),
             lambda: lossy_chain(*_columns(random_lossy_configs(30))),
         ],
@@ -386,13 +389,14 @@ class TestOneStatePerChain:
         assert built == [state]
 
 
-# each case has the bad inputs of the next one and one more, which is named
+# (case, input, bad value, error): each case has the bad inputs of the next
+# one and one more, which is the one named
 _BAD = [
-    ("g", 400.0, r"^g = 400\.0 is outside the engine's range"),
-    ("ell", 0, r"^ell must be a positive integer$"),
-    ("alpha_mag", np.array([-1.0, 1e308]), r"^magnitude must be >= 0$"),
-    ("alpha_mag", np.array([1.0, 1e308]), r"^mean must be finite$"),
-    ("transmissivity", 1.5, r"^transmissivity must lie in \[0, 1\]$"),
+    ("g", "g", 400.0, r"^g = 400\.0 is outside the engine's range"),
+    ("ell", "ell", 0, r"^ell must be a positive integer$"),
+    ("magnitude", "alpha_mag", np.array([-1.0, 1e308]), r"^magnitude must be >= 0$"),
+    ("mean", "alpha_mag", np.array([1.0, 1e308]), r"^mean must be finite$"),
+    ("T", "transmissivity", 1.5, r"^transmissivity must lie in \[0, 1\]$"),
 ]
 
 
@@ -403,17 +407,19 @@ class TestErrorOrder:
     @pytest.mark.parametrize(
         "lossy,first",
         [
-            pytest.param(lossy, first, id=f"{'lossy' if lossy else 'lossless'}-{first}")
+            pytest.param(lossy, first, id=f"{'lossy' if lossy else 'lossless'}-{_BAD[first][0]}")
             for lossy in (False, True)
             # the lossless chain takes no T
             for first in range(len(_BAD) if lossy else len(_BAD) - 1)
         ],
     )
     def test_first_bad_input_is_named(self, lossy, first):
-        inputs = dict(g=1.0, ell=1, alpha_mag=np.array([1.0, 2.0]), theta=0.1, phi=0.2, transmissivity=0.5)
-        for name, value, _ in reversed(_BAD[first:]):
+        inputs = dict(
+            g=1.0, ell=1, alpha_mag=np.array([1.0, 2.0]), theta=0.1, phi=0.2, transmissivity=0.5
+        )
+        for _, name, value, _ in reversed(_BAD[first:]):
             inputs[name] = value
         if not lossy:
             del inputs["transmissivity"]
-        with pytest.raises(ValueError, match=_BAD[first][2]):
+        with pytest.raises(ValueError, match=_BAD[first][3]):
             (lossy_chain if lossy else lossless_chain)(**inputs)
