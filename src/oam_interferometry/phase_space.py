@@ -246,10 +246,16 @@ def _shifted(mean: np.ndarray, magnitude, angle) -> np.ndarray:
 
 def _evolved(s: np.ndarray, mean: np.ndarray, cov: np.ndarray | None):
     """``(S mean, S cov S^T)`` over broadcast stacks; ``cov=None`` stands for
-    the vacuum's identity, giving ``S S^T``."""
+    the vacuum's identity, giving ``S S^T`` over the output mean's stack."""
     s_t = s.swapaxes(-1, -2)
-    cov = s @ s_t if cov is None else s @ cov @ s_t
-    return (s @ mean[..., None])[..., 0], cov
+    out = (s @ mean[..., None])[..., 0]
+    if cov is not None:
+        return out, s @ cov @ s_t
+    cov = s @ s_t
+    if cov.shape[:-2] != out.shape[:-1]:
+        # the mean's stack reaches past the elements'
+        cov = np.broadcast_to(cov, out.shape + out.shape[-1:])
+    return out, cov
 
 
 def _transmissivity(transmissivity) -> np.ndarray:

@@ -431,7 +431,8 @@ class TestValidateHarness:
             )
             lossy = check.name.startswith("loss scaling")
             assert _describe(config) == check.worst_at
-            assert config in (random_lossy_configs(100) if lossy else grid_configs("full"))
+            drawn = random_lossy_configs(report.loss_draws) if lossy else grid_configs("full")
+            assert config in drawn
             rerun = {c.name: c for c in (_loss_checks if lossy else _grid_checks)([config])}
             assert rerun[check.name].worst == check.worst, check.name
             assert (rerun[check.name].cutoff, rerun[check.name].tail_mass) == (

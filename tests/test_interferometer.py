@@ -360,6 +360,33 @@ class TestAgainstStageByStageChain:
             _assert_near(run_lossless(config), stage_by_stage_chain(*point[:5]))
             _assert_near(run_lossy(config), stage_by_stage_chain(*point))
 
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            # the input alone is a stack; every element is one matrix
+            lambda g, ell, alpha_mag, theta, phi, t: (
+                g[0], ell[0], alpha_mag, theta, phi[0], t[0]
+            ),
+            # only T is a stack
+            lambda g, ell, alpha_mag, theta, phi, t: (
+                g[0], ell[0], alpha_mag[0], theta[0], phi[0], t
+            ),
+            # the gains cross the input magnitudes, the rest broadcast along
+            lambda g, ell, alpha_mag, theta, phi, t: (
+                g[:, None], ell[0], alpha_mag[None, :], theta[0], phi[:, None], t[None, :]
+            ),
+        ],
+        ids=["input-stack", "loss-stack", "crossed"],
+    )
+    def test_parameters_broadcast(self, stack):
+        columns = stack(*_draws(np.random.default_rng(4), 6))
+        for state, reference in [
+            (lossless_chain(*columns[:5]), stage_by_stage_chain(*columns[:5])),
+            (lossy_chain(*columns), stage_by_stage_chain(*columns)),
+        ]:
+            assert state.cov.shape == reference.cov.shape
+            _assert_near(state, reference)
+
 
 class TestOneStatePerChain:
     """Each chain checks one GaussianState, its output, and no state per stage."""
