@@ -37,15 +37,11 @@ from .phase_space import (
     GaussianState,
     SymplecticOp,
     angular_displacement_matrix,
-    apply,
     bs_matrix,
-    displace,
     omega,
     opa_matrix,
     photon_number,
     symplectic_defect,
-    vacuum_state,
-    virtual_bs_matrix,
 )
 from .validation import ValidationReport, run_validation
 

@@ -6,8 +6,8 @@ in one pass.  The elements are built first, in the order of the chain, each a
 checked ``SymplecticOp``: the amplifier ``opa_matrix(g)``, the rotation
 ``angular_displacement_matrix(ell, phi)`` and the cached coupler
 ``bs_matrix()``.  The coherent input is then checked (a magnitude >= 0, a
-finite displaced mean) and pushed through them on raw arrays, from the
-vacuum, whose covariance is the identity:
+finite angle, a finite displaced mean) and pushed through them on raw
+arrays, from the vacuum, whose covariance is the identity:
 
 * lossless, ``S = BS AD OPA`` and the output is ``(S d, S S^T)``;
 * lossy, ``R = AD OPA``, then the pure-loss channel in both arms
@@ -15,9 +15,9 @@ vacuum, whose covariance is the identity:
   then the coupler.
 
 Only the output is built as a ``GaussianState``, checked finite and
-symmetric.  The stages are ``phase_space``'s own, the ones ``displace``,
-``apply`` and ``attenuate`` wrap, so a chain equals those calls made one
-after another up to rounding.
+symmetric.  The stages are ``phase_space``'s raw-array ones; the tests check
+each chain against a reference that builds a checked state per stage, with
+loss as the 8x8 dilation.
 
 ``lossless_chain`` and ``lossy_chain`` run a whole grid of working points at
 once: the parameters are broadcast arrays, each element is one stacked
@@ -53,15 +53,12 @@ __all__ = [
     "quadrature_second_moment",
 ]
 
-_VACUUM_MEAN = np.zeros(4)
-
-
 def _rotated(g, ell, alpha_mag, theta, phi):
     """``R = AD OPA`` and the displaced input mean ``d``: the elements are
     built and checked before the input, the amplifier first."""
     amplifier = opa_matrix(g).matrix
     rotation = angular_displacement_matrix(ell, phi).matrix
-    return rotation @ amplifier, _shifted(_VACUUM_MEAN, alpha_mag, theta)
+    return rotation @ amplifier, _shifted(alpha_mag, theta)
 
 
 def lossless_chain(g, ell, alpha_mag, theta, phi) -> GaussianState:

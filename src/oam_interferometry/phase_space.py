@@ -10,22 +10,20 @@ Conventions (fixed once, everything else is calibrated against them):
 
 Lossless elements are symplectic matrices ``S`` (``S @ Omega @ S.T == Omega``)
 applied as ``mean -> S mean``, ``cov -> S cov S^T``.  Photon loss of
-transmissivity ``T`` (``attenuate``) is the pure-loss channel on the moments,
-``mean -> sqrt(T) mean``, ``cov -> T cov + (1 - T) I``: a virtual beam
-splitter against vacuum environment modes (``virtual_bs_matrix``) followed by
-the partial trace over the environments, in closed form.
+transmissivity ``T`` is the pure-loss channel on the moments, ``mean ->
+sqrt(T) mean``, ``cov -> T cov + (1 - T) I``: a virtual beam splitter against
+vacuum environment modes followed by the partial trace over the environments,
+in closed form (the tests keep that 8x8 dilation as their reference).
 
-Each stage is defined once, on raw ``(mean, cov)`` arrays: ``_shifted`` (the
-coherent input, with its checks), ``_evolved`` (one element) and
-``_attenuated`` (the loss channel, with the range check on ``T``).
-``displace``, ``apply`` and ``attenuate`` wrap them in a checked
-``GaussianState``; the interferometer chains run them back to back and check
-only the state they return.
+The interferometer chains run three stages on raw ``(mean, cov)`` arrays:
+``_shifted`` (the coherent input on the vacuum, with its checks),
+``_evolved`` (one element) and ``_attenuated`` (the loss channel, with the
+range check on ``T``); they check only the state they return.
 
 Everything here broadcasts over leading axes.  An element built from arrays
 of parameters is a stack of matrices, shape ``(..., 2m, 2m)``, and a state
 may hold a stack of means ``(..., 2m)`` and covariances ``(..., 2m, 2m)``;
-``apply`` is then one stacked product, and each matrix of a stack goes
+each stage is then one stacked product, and each matrix of a stack goes
 through the same arithmetic as a single element, so a stack of states equals
 the states built one point at a time, bit for bit.  One-variable factors
 (cosh, sinh, cos, sin and squares) go through ``math``: numpy's cosh and sinh
@@ -45,9 +43,11 @@ the amplifier) and in ``S cov S^T`` like ``max|cov|`` (``cosh 2g``):
 ``symplectic_defect`` itself stays absolute.  Both comparisons fail on NaN,
 and a mean or covariance with an infinite or NaN entry is rejected as not finite.
 The amplifier accepts ``|g| <= MAX_GAIN`` and raises a ``ValueError`` naming
-``g`` beyond it; near ``g = 355.2`` ``cosh 2g`` leaves the double range.  A
-stack with one failing matrix, state or gain raises the error that point
-raises on its own.
+``g`` beyond it; near ``g = 355.2`` ``cosh 2g`` leaves the double range.  The
+rotation names ``phi`` where it is not finite, and ``2 ell phi`` where that
+product leaves the double range; the coherent input names ``alpha_mag`` where
+it is negative and ``theta`` where it is not finite.  A stack with one failing
+matrix, state or parameter raises the error that point raises on its own.
 """
 
 from __future__ import annotations
@@ -66,14 +66,9 @@ __all__ = [
     "SymplecticOp",
     "omega",
     "symplectic_defect",
-    "vacuum_state",
-    "displace",
     "opa_matrix",
     "angular_displacement_matrix",
     "bs_matrix",
-    "virtual_bs_matrix",
-    "apply",
-    "attenuate",
     "photon_number",
 ]
 
@@ -158,10 +153,9 @@ class GaussianState:
     ``mean`` has length ``2 m`` in ``(x1, p1, ..., xm, pm)`` order; ``cov`` is
     the symmetric ``2m x 2m`` covariance normalised so the vacuum is the
     identity.  Leading axes, the same on both, index a stack of states.
-    Instances are immutable; the arrays are stored read-only because a
-    cached state, the two-mode vacuum of ``vacuum_state``, is shared by
-    every caller (``SymplecticOp`` does the same for the cached coupler
-    ``bs_matrix``).
+    Instances are immutable, and the arrays are stored read-only, as
+    ``SymplecticOp`` stores its matrix, which for the cached coupler
+    ``bs_matrix`` every caller shares.
     """
 
     mean: np.ndarray
@@ -211,33 +205,29 @@ class SymplecticOp:
             raise ValueError(f"{self.label}: not symplectic (defect {_first(defect, bad):.3e})")
         object.__setattr__(self, "matrix", _readonly(m))
 
-    @property
-    def mode_count(self) -> int:
-        return self.matrix.shape[-1] // 2
 
-
-@functools.cache
-def vacuum_state() -> GaussianState:
-    """The vacuum of modes A and B: zero mean, identity covariance.
-
-    Built once; the state is immutable.
-    """
-    return GaussianState(np.zeros(4), np.eye(4))
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is finite; one value goes through ``math``."""
+    return math.isfinite(x) if not x.ndim else bool(np.isfinite(x).all())
 
 
 # a shift past the double range is inf or nan, and the check rejects it
 @np.errstate(all="ignore")
-def _shifted(mean: np.ndarray, magnitude, angle) -> np.ndarray:
-    """``mean`` with mode A shifted by a coherent amplitude: a new array over
-    the broadcast stack.  Raises on a negative magnitude, then on a shifted
-    mean that is not finite."""
+def _shifted(magnitude, angle) -> np.ndarray:
+    """The two-mode vacuum's mean with mode A shifted by a coherent
+    amplitude: a new array over the broadcast stack.  Raises on a negative
+    magnitude, then on an angle that is not finite, then on a shifted mean
+    that is not finite."""
     magnitude = np.float64(magnitude)
     if _any(magnitude < 0):
-        raise ValueError("magnitude must be >= 0")
+        raise ValueError("alpha_mag must be >= 0")
+    angle = np.float64(angle)
+    if not _all_finite(angle):
+        raise ValueError("theta must be finite")
     shift_x = 2.0 * magnitude * _libm(math.cos, angle)
     shift_p = 2.0 * magnitude * _libm(math.sin, angle)
-    out = np.empty(np.broadcast(mean[..., 0], shift_x, shift_p).shape + mean.shape[-1:])
-    out[...] = mean
+    # added to zeros, so a -0.0 shift reads +0.0
+    out = np.zeros(shift_x.shape + (4,))
     out[..., 0] += shift_x
     out[..., 1] += shift_p
     _check_mean(out)
@@ -258,32 +248,14 @@ def _evolved(s: np.ndarray, mean: np.ndarray, cov: np.ndarray | None):
     return out, cov
 
 
-def _transmissivity(transmissivity) -> np.ndarray:
-    t = np.float64(transmissivity)
-    if _any(~((t >= 0.0) & (t <= 1.0))):
-        raise ValueError("transmissivity must lie in [0, 1]")
-    return t
-
-
 def _attenuated(mean: np.ndarray, cov: np.ndarray, transmissivity):
     """The pure-loss channel in every mode: ``(sqrt(T) mean, T cov + (1 - T)
     I)`` over broadcast stacks; raises first if T lies outside [0, 1]."""
-    t = _transmissivity(transmissivity)
+    t = np.float64(transmissivity)
+    if _any(~((t >= 0.0) & (t <= 1.0))):
+        raise ValueError("transmissivity must lie in [0, 1]")
     eye = np.eye(cov.shape[-1])
     return np.sqrt(t)[..., None] * mean, t[..., None, None] * cov + (1.0 - t)[..., None, None] * eye
-
-
-def displace(state: GaussianState, magnitude, angle) -> GaussianState:
-    """Displace mode A by a coherent amplitude of given magnitude and phase.
-
-    Shifts mode A's mean by ``(2 magnitude cos(angle), 2 magnitude
-    sin(angle))`` and leaves the covariance untouched.  Arrays of magnitudes
-    and angles give a stack of states.
-    """
-    mean = _shifted(state.mean, magnitude, angle)
-    cov = np.empty(mean.shape + mean.shape[-1:])
-    cov[...] = state.cov
-    return GaussianState(mean, cov)
 
 
 def opa_matrix(g) -> SymplecticOp:
@@ -313,7 +285,12 @@ def angular_displacement_matrix(ell, phi) -> SymplecticOp:
     ell = np.float64(ell)
     if _any(~((ell >= 1) & (ell % 1 == 0))):
         raise ValueError("ell must be a positive integer")
-    delta = 2.0 * ell * np.float64(phi)
+    phi = np.float64(phi)
+    with np.errstate(over="ignore"):
+        delta = 2.0 * ell * phi
+    if not _all_finite(delta):
+        # a finite phi can still take 2 ell phi past the double range
+        raise ValueError(f"{'2 ell phi' if _all_finite(phi) else 'phi'} must be finite")
     c, s = _libm(math.cos, delta), _libm(math.sin, delta)
     m = np.zeros(delta.shape + (4, 4))
     m[..., 0, 0] = m[..., 1, 1] = c
@@ -338,43 +315,6 @@ def bs_matrix() -> SymplecticOp:
         ]
     ) / math.sqrt(2.0)
     return SymplecticOp(m, "BS")
-
-
-def virtual_bs_matrix(transmissivity) -> SymplecticOp:
-    """Virtual beam splitters coupling both system modes to vacuum environments.
-
-    Mode A mixes with environment mode 3 and mode B with environment mode 4,
-    both at the same transmissivity; an array of transmissivities gives a
-    stack.  Tracing the environments out of its output leaves the channel
-    ``attenuate`` applies; the tests check the two against each other.
-    """
-    t = _transmissivity(transmissivity)
-    rt, rr = np.sqrt(t)[..., None, None], np.sqrt(1.0 - t)[..., None, None]
-    eye4 = np.eye(4)
-    m = np.empty(t.shape + (8, 8))
-    m[..., :4, :4], m[..., :4, 4:] = rt * eye4, rr * eye4
-    m[..., 4:, :4], m[..., 4:, 4:] = rr * eye4, -rt * eye4
-    return SymplecticOp(m, "VBS")
-
-
-def apply(op: SymplecticOp, state: GaussianState) -> GaussianState:
-    """Evolve a state through a symplectic element: ``S mean``, ``S cov S^T``;
-    stacks broadcast over their leading axes."""
-    if op.matrix.shape[-1] != state.mean.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: op acts on {op.mode_count} modes, "
-            f"state has {state.mode_count}"
-        )
-    return GaussianState(*_evolved(op.matrix, state.mean, state.cov))
-
-
-def attenuate(state: GaussianState, transmissivity) -> GaussianState:
-    """Photon loss of transmissivity T in both modes of a two-mode state, or
-    of a stack of them: ``mean -> sqrt(T) mean``, ``cov -> T cov + (1 - T)
-    I``, the pure-loss channel on the moments."""
-    if state.mode_count != 2:
-        raise ValueError(f"attenuate acts on two-mode states, not {state.mode_count}")
-    return GaussianState(*_attenuated(state.mean, state.cov, transmissivity))
 
 
 @np.errstate(over="ignore")

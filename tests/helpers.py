@@ -6,16 +6,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from oam_interferometry import (
-    ExperimentConfig,
-    angular_displacement_matrix,
-    apply,
-    bs_matrix,
-    displace,
-    opa_matrix,
-    vacuum_state,
-)
+from oam_interferometry import ExperimentConfig
 from oam_interferometry import fock_oracle
+from reference import stage_by_stage_chain
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,15 +25,12 @@ def random_config(rng, g_max=2.5, ell_max=5, alpha_sq_range=(0.25, 100.0), lossy
 
 
 def random_two_mode_state(rng):
-    """A valid (pure) Gaussian state from random element draws."""
-    state = displace(vacuum_state(), float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, TWO_PI)))
-    state = apply(opa_matrix(float(rng.uniform(0.0, 1.5))), state)
-    state = apply(
-        angular_displacement_matrix(int(rng.integers(1, 4)), float(rng.uniform(0.0, TWO_PI))),
-        state,
-    )
-    state = apply(bs_matrix(), state)
-    return state
+    """A valid (pure) Gaussian state from random element draws: the lossless
+    chain, stage by stage, at a drawn input, gain and rotation."""
+    alpha_mag, theta = float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, TWO_PI))
+    g = float(rng.uniform(0.0, 1.5))
+    ell, phi = int(rng.integers(1, 4)), float(rng.uniform(0.0, TWO_PI))
+    return stage_by_stage_chain(g, ell, alpha_mag, theta, phi)
 
 
 def without_timestamp(text):

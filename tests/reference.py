@@ -4,8 +4,8 @@ the displacement column, the general blocked squeezer and the balanced
 coupler's blocks built on it, the truncated-operator chain up to the coupler,
 the homodyne read after the coupler's blocks, the dense read
 of a state ahead of the coupler, the engine's chains one checked stage at a
-time with loss as the 8x8 dilation, a direct loss
-channel, a brute-force optimum scan, the optimal sensitivity in plain
+time on their own stage arithmetic with loss as the 8x8 dilation, a direct
+loss channel, a brute-force optimum scan, the optimal sensitivity in plain
 ``math``, and the asymptotic and SU(1,1) sensitivity forms.  None of them is
 on the package's product path."""
 
@@ -19,14 +19,11 @@ import numpy as np
 from oam_interferometry import (
     ExperimentConfig,
     GaussianState,
+    SymplecticOp,
     angular_displacement_matrix,
-    apply,
     bs_matrix,
-    displace,
     omega,
     opa_matrix,
-    vacuum_state,
-    virtual_bs_matrix,
 )
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
@@ -263,6 +260,40 @@ def dense_moments(amplitudes: np.ndarray) -> tuple[float, float, float]:
 # --- the engine's chains, stage by stage ---------------------------------------
 
 
+def displaced_vacuum(alpha_mag, theta) -> GaussianState:
+    """The two-mode vacuum with mode A shifted by a coherent amplitude: mean
+    ``(2 |alpha| cos theta, 2 |alpha| sin theta, 0, 0)`` and identity
+    covariance, through numpy's cos and sin; broadcast over arrays."""
+    shift_x = 2.0 * np.multiply(alpha_mag, np.cos(theta))
+    shift_p = 2.0 * np.multiply(alpha_mag, np.sin(theta))
+    mean = np.zeros(np.broadcast(shift_x, shift_p).shape + (4,))
+    mean[..., 0], mean[..., 1] = shift_x, shift_p
+    return GaussianState(mean, np.broadcast_to(np.eye(4), mean.shape + (4,)))
+
+
+def apply_element(op: SymplecticOp, state: GaussianState) -> GaussianState:
+    """A state through one element, ``(S mean, S cov S^T)``, as a checked
+    state; stacks broadcast over their leading axes."""
+    s = op.matrix
+    return GaussianState((s @ state.mean[..., None])[..., 0], s @ state.cov @ s.swapaxes(-1, -2))
+
+
+def virtual_bs_matrix(transmissivity) -> SymplecticOp:
+    """Virtual beam splitters coupling both system modes to vacuum
+    environments: mode A mixes with environment mode 3 and mode B with mode
+    4, both at the same transmissivity; an array gives a stack.  Tracing the
+    environments out of its output leaves the engine's pure-loss channel."""
+    t = np.float64(transmissivity)
+    if not np.all((t >= 0.0) & (t <= 1.0)):
+        raise ValueError("transmissivity must lie in [0, 1]")
+    rt, rr = np.sqrt(t)[..., None, None], np.sqrt(1.0 - t)[..., None, None]
+    eye4 = np.eye(4)
+    m = np.empty(t.shape + (8, 8))
+    m[..., :4, :4], m[..., :4, 4:] = rt * eye4, rr * eye4
+    m[..., 4:, :4], m[..., 4:, 4:] = rr * eye4, -rt * eye4
+    return SymplecticOp(m, "VBS")
+
+
 def dilated_attenuate(state: GaussianState, transmissivity) -> GaussianState:
     """Loss of transmissivity T in both modes of a two-mode state, or a stack
     of them, by its dilation: the state beside two vacuum environment modes,
@@ -272,20 +303,22 @@ def dilated_attenuate(state: GaussianState, transmissivity) -> GaussianState:
     mean = np.zeros(stack + (8,))
     cov = np.zeros(stack + (8, 8))
     mean[..., :4], cov[..., :4, :4], cov[..., 4:, 4:] = state.mean, state.cov, np.eye(4)
-    out = apply(virtual_bs_matrix(transmissivity), GaussianState(mean, cov))
+    out = apply_element(virtual_bs_matrix(transmissivity), GaussianState(mean, cov))
     return GaussianState(out.mean[..., :4], out.cov[..., :4, :4])
 
 
 def stage_by_stage_chain(g, ell, alpha_mag, theta, phi, transmissivity=None) -> GaussianState:
     """The interferometer chain as a checked state per stage: the elements
-    built first, then ``displace`` of the vacuum, ``apply`` of the amplifier
-    and of the rotation, with a ``transmissivity`` the ``dilated_attenuate``
-    loss stage, and ``apply`` of the coupler; broadcast over arrays."""
+    built first, then the ``displaced_vacuum``, ``apply_element`` of the
+    amplifier and of the rotation, with a ``transmissivity`` the
+    ``dilated_attenuate`` loss stage, and ``apply_element`` of the coupler;
+    broadcast over arrays."""
     amplifier, rotation = opa_matrix(g), angular_displacement_matrix(ell, phi)
-    state = apply(rotation, apply(amplifier, displace(vacuum_state(), alpha_mag, theta)))
+    state = apply_element(amplifier, displaced_vacuum(alpha_mag, theta))
+    state = apply_element(rotation, state)
     if transmissivity is not None:
         state = dilated_attenuate(state, transmissivity)
-    return apply(bs_matrix(), state)
+    return apply_element(bs_matrix(), state)
 
 
 # --- direct loss channel -------------------------------------------------------

@@ -21,7 +21,6 @@ from oam_interferometry import (
     quantum_cramer_rao_bound,
     run_lossy,
     symplectic_defect,
-    virtual_bs_matrix,
     visibility,
 )
 from oam_interferometry.cli import reproduce
@@ -32,6 +31,7 @@ from reference import (
     hybrid_phase_sensitivity,
     optimal_sensitivity_asymptotic,
     su11_phase_sensitivity,
+    virtual_bs_matrix,
 )
 
 SYMPLECTIC_TOL = 1e-10

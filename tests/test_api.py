@@ -50,15 +50,11 @@ ROOT_NAMES = {
     "GaussianState",
     "SymplecticOp",
     "angular_displacement_matrix",
-    "apply",
     "bs_matrix",
-    "displace",
     "omega",
     "opa_matrix",
     "photon_number",
     "symplectic_defect",
-    "vacuum_state",
-    "virtual_bs_matrix",
     # validation
     "ValidationReport",
     "run_validation",
@@ -73,8 +69,11 @@ ROOT_NAMES = {
 # squeezer_unitary), BlockUnitary became the coupler's slot maps (its dense
 # apply is tests/reference.py's apply_blocked), and the rest, the coupler's
 # blocks (bs_unitary) too, moved to tests/reference.py; trace_out had one
-# caller, attenuate, which always dropped the two environment modes and now
-# keeps the system's 4x4 block by slicing
+# caller, attenuate, which always dropped the two environment modes.  The
+# per-stage route (vacuum_state, displace, apply, attenuate) had no caller
+# outside the tests once the interferometer chains ran phase_space's raw-array
+# stages in one pass, and virtual_bs_matrix, the 8x8 loss dilation, served only
+# the tests: tests/reference.py keeps both, on its own stage arithmetic
 REMOVED = {
     "TwoModeOperators": fock_oracle,
     "build_operators": fock_oracle,
@@ -96,6 +95,11 @@ REMOVED = {
     "min_uncertainty_eigenvalue": phase_space,
     "extend_with_environment": phase_space,
     "trace_out": phase_space,
+    "vacuum_state": phase_space,
+    "displace": phase_space,
+    "apply": phase_space,
+    "attenuate": phase_space,
+    "virtual_bs_matrix": phase_space,
     "Pipeline": interferometer,
     "build_lossless": interferometer,
     "build_lossy": interferometer,
@@ -112,10 +116,7 @@ REMOVED_PARAMETERS = [
     (metrology.optimal_operating_point, "g"),
     (metrology.optimal_operating_point, "alpha_mag"),
     (cli.to_csv, "timestamp"),
-    # one value in use outside the tests: displace always displaces mode A,
-    # the vacuum always has two modes, and the loss draws take one seed
-    (phase_space.displace, "mode"),
-    (phase_space.vacuum_state, "modes"),
+    # one value in use outside the tests: the loss draws take one seed
     (validation.random_lossy_configs, "seed"),
 ]
 
@@ -130,7 +131,7 @@ def _root_names():
 
 def test_root_exports_exactly_the_used_api():
     assert _root_names() == ROOT_NAMES
-    assert len(ROOT_NAMES) == 39
+    assert len(ROOT_NAMES) == 35
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))

@@ -5,15 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oam_interferometry import (
     ExperimentConfig,
     GaussianState,
     SymplecticOp,
     angular_displacement_matrix,
-    apply,
     bs_matrix,
-    displace,
     homodyne_mean,
     homodyne_second_moment,
     mean_photon_number,
@@ -24,7 +24,6 @@ from oam_interferometry import (
     quadrature_second_moment,
     run_lossless,
     run_lossy,
-    vacuum_state,
 )
 from oam_interferometry.interferometer import lossless_chain, lossy_chain
 from oam_interferometry.phase_space import MAX_GAIN
@@ -36,7 +35,13 @@ from oam_interferometry.validation import (
     random_lossy_configs,
 )
 from helpers import guarded_rel, random_config
-from reference import LossChannel, apply_loss, stage_by_stage_chain
+from reference import (
+    LossChannel,
+    apply_element,
+    apply_loss,
+    displaced_vacuum,
+    stage_by_stage_chain,
+)
 
 
 def _cfg(**kw):
@@ -72,7 +77,7 @@ class TestConfigValidation:
 class TestPipelines:
     def test_zero_gain_zero_rotation_is_a_bare_coupler(self):
         cfg = _cfg(g=0.0, phi=0.0, alpha_mag=1.4, theta=0.6)
-        manual = apply(bs_matrix(), displace(vacuum_state(), 1.4, 0.6))
+        manual = apply_element(bs_matrix(), displaced_vacuum(1.4, 0.6))
         auto = run_lossless(cfg)
         assert np.allclose(auto.mean, manual.mean, atol=1e-15)
         assert np.allclose(auto.cov, manual.cov, atol=1e-15)
@@ -93,11 +98,11 @@ class TestPipelines:
     def test_loss_placement_matches_direct_channel_after_rotation(self):
         # loss acts between the rotation and the output coupler
         cfg = _cfg(g=0.9, ell=3, alpha_mag=2.0, theta=1.1, phi=0.5, transmissivity=0.63)
-        lossless_before_bs = displace(vacuum_state(), cfg.alpha_mag, cfg.theta)
+        lossless_before_bs = displaced_vacuum(cfg.alpha_mag, cfg.theta)
         for op in (opa_matrix(cfg.g), angular_displacement_matrix(cfg.ell, cfg.phi)):
-            lossless_before_bs = apply(op, lossless_before_bs)
+            lossless_before_bs = apply_element(op, lossless_before_bs)
         attenuated = apply_loss(LossChannel(0.63), lossless_before_bs, (0, 1))
-        expected = apply(bs_matrix(), attenuated)
+        expected = apply_element(bs_matrix(), attenuated)
         actual = run_lossy(cfg)
         assert np.allclose(actual.mean, expected.mean, atol=1e-12)
         assert np.allclose(actual.cov, expected.cov, atol=1e-12)
@@ -421,7 +426,9 @@ class TestOneStatePerChain:
 _BAD = [
     ("g", "g", 400.0, r"^g = 400\.0 is outside the engine's range"),
     ("ell", "ell", 0, r"^ell must be a positive integer$"),
-    ("magnitude", "alpha_mag", np.array([-1.0, 1e308]), r"^magnitude must be >= 0$"),
+    ("phi", "phi", math.nan, r"^phi must be finite$"),
+    ("magnitude", "alpha_mag", np.array([-1.0, 1e308]), r"^alpha_mag must be >= 0$"),
+    ("theta", "theta", math.inf, r"^theta must be finite$"),
     ("mean", "alpha_mag", np.array([1.0, 1e308]), r"^mean must be finite$"),
     ("T", "transmissivity", 1.5, r"^transmissivity must lie in \[0, 1\]$"),
 ]
@@ -429,7 +436,8 @@ _BAD = [
 
 class TestErrorOrder:
     """With several bad inputs the chains name the first in the order g,
-    ell, a negative magnitude, a displaced mean that is not finite, T."""
+    ell, phi, a negative alpha_mag, theta, a displaced mean that is not
+    finite, T."""
 
     @pytest.mark.parametrize(
         "lossy,first",
@@ -450,3 +458,59 @@ class TestErrorOrder:
             del inputs["transmissivity"]
         with pytest.raises(ValueError, match=_BAD[first][3]):
             (lossy_chain if lossy else lossless_chain)(**inputs)
+
+
+class TestBadAngles:
+    """A non-finite angle is named by its field, with ExperimentConfig's
+    text, before any arithmetic can warn on it."""
+
+    @pytest.mark.parametrize(
+        "point,text",
+        [
+            ((1.0, 1, 1.0, 0.0, math.inf), "phi must be finite"),
+            ((1.0, 1, 1.0, 0.0, -math.inf), "phi must be finite"),
+            ((1.0, 1, 1.0, 0.0, math.nan), "phi must be finite"),
+            ((1.0, 1, 1.0, math.inf, 0.0), "theta must be finite"),
+            ((1.0, 1, 1.0, math.nan, 0.0), "theta must be finite"),
+            ((1.0, 1, 0.0, math.nan, 0.0), "theta must be finite"),
+            # phi is finite, but 2 ell phi leaves the double range
+            ((1.0, 5, 1.0, 0.0, 1e308), "2 ell phi must be finite"),
+            ((1.0, 1, 1.0, 0.0, np.array([0.1, math.nan])), "phi must be finite"),
+            ((1.0, 1, 1.0, np.array([0.1, -math.inf]), 0.0), "theta must be finite"),
+        ],
+    )
+    def test_both_chains_name_the_field(self, point, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in (lambda: lossless_chain(*point), lambda: lossy_chain(*point, 0.5)):
+                assert _error(call) == text
+
+    def test_a_config_whose_2_ell_phi_overflows_names_phi(self):
+        # ExperimentConfig accepts the finite phi; the engine names the product
+        cfg = _cfg(ell=5, phi=1e308, transmissivity=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for run in (run_lossless, run_lossy):
+                assert _error(lambda: run(cfg)) == "2 ell phi must be finite"
+
+
+class TestSuperResolutionPeriod:
+    """The engine's output repeats when phi moves by pi / ell: the rotation
+    imprints 2 ell phi, so the signal has 2 ell fringes per turn."""
+
+    @given(
+        g=st.floats(0.0, 3.0),
+        ell=st.integers(1, 5),
+        alpha_sq=st.floats(0.0, 100.0),
+        theta=st.floats(0.0, 2.0 * math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        t=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_chains_repeat_after_pi_over_ell(self, g, ell, alpha_sq, theta, phi, t):
+        args = (g, ell, math.sqrt(alpha_sq), theta)
+        for chain, loss in ((lossless_chain, ()), (lossy_chain, (t,))):
+            state, moved = chain(*args, phi, *loss), chain(*args, phi + math.pi / ell, *loss)
+            scale = max(np.abs(state.mean).max(), np.abs(state.cov).max())
+            assert np.abs(moved.mean - state.mean).max() <= 1e-12 * scale
+            assert np.abs(moved.cov - state.cov).max() <= 1e-12 * scale
