@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage/parse error or a sweep with no defined point,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -36,8 +37,8 @@ _MAX_LOSS_AXES = ("g", "ell", "alpha_sq")
 
 # Largest sweep grid (product of the axis counts), checked at parse time before
 # anything is allocated.  A grid is evaluated and formatted at once: the peak
-# resident memory at the cap is about 180 bytes per point after run_sweep and
-# 390 after to_csv, so the cap keeps a sweep under about 1 GB.
+# resident memory at the cap is about 95 bytes per point after run_sweep and
+# 295 after to_csv (562 MB), so the cap keeps a sweep under about 1 GB.
 MAX_SWEEP_POINTS = 2_000_000
 
 # the config-file fields, in metrology.TABLE's argument order, and their defaults
@@ -99,11 +100,39 @@ class SweepSpec:
     quantity: str
 
 
+# One CSV column over a result's rows, ``(entries, inner, outer)``: the
+# entries, each repeated ``inner`` times in a row, and that whole run ``outer``
+# times.  An open grid's axis is its values, repeated over the inner axes and
+# outer times over the outer ones; a value or flag column has one entry per
+# row.  The entries are all ``float`` or all ``str``.
+Column = tuple[list, int, int]
+
+
+def _expand(items: list, inner: int, outer: int) -> list:
+    """``items`` laid out over the rows as a column lays out its entries, the
+    same objects repeated; the list itself where nothing repeats."""
+    if inner > 1:
+        items = np.repeat(np.array(items, dtype=object), inner).tolist()
+    return items * outer if outer > 1 else items
+
+
 @dataclass(frozen=True)
 class SweepResult:
+    """A CSV's column names, each column's ``Column`` data and the header
+    metadata.
+
+    ``to_csv`` formats each column from its entries; ``rows`` is derived.
+    """
+
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    data: tuple[Column, ...]
     metadata: dict
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple, ...]:
+        """The row tuples, built on first read: each is ``(*coordinates,
+        value, flag)`` for a sweep, its entries the columns' own objects."""
+        return tuple(zip(*(_expand(*column) for column in self.data)))
 
 
 def _parse_float(key: str, text: str, line_no: int) -> float:
@@ -248,26 +277,33 @@ def render_sweep(spec: SweepSpec) -> str:
     return "\n".join([render_config(spec.base), f"quantity = {spec.quantity}", *axes])
 
 
+# the flag of each code: 1 inf, 2 nan, 3 a max_loss of 0
+_FLAG_TEXTS = np.array(["", "divergent", "non-finite", "no-sub-snl-region"], dtype=object)
+
+
 def _flags(values, quantity: str = "") -> list[str]:
     """Flag column for numeric results: inf is divergent, nan non-finite, and
     a max_loss of 0 means no loss keeps the optimum below the shot-noise limit."""
-    values = np.asarray(values)
-    flags = np.where(np.isinf(values), "divergent", np.where(np.isnan(values), "non-finite", ""))
+    values = np.ravel(values)
+    codes = np.isinf(values) + 2 * np.isnan(values)
     if quantity == "max_loss":
-        flags = np.where(values == 0.0, "no-sub-snl-region", flags)
-    return flags.ravel().tolist()
+        codes[values == 0.0] = 3
+    return _FLAG_TEXTS[codes].tolist()
 
 
-def _grid_rows(axis_values: Sequence[np.ndarray], value, flags: Sequence[str]) -> tuple:
-    """Rows ``(*coordinates, value, flag)`` of an open grid, in C order."""
-    # each axis's Python values, each repeated over the inner axes and the
-    # whole repeated over the outer ones: rows share their coordinate objects
+def _grid_columns(axis_values: Sequence[np.ndarray]) -> list[Column]:
+    """The coordinate columns of an open grid, in C order: each axis's Python
+    values, repeated over the inner axes and outer times over the outer ones."""
     shape = [len(v) for v in axis_values]
-    coords = []
-    for i, values in enumerate(axis_values):
-        inner = range(math.prod(shape[i + 1 :]))
-        coords.append([v for v in values.tolist() for _ in inner] * math.prod(shape[:i]))
-    return tuple(zip(*coords, np.ravel(value).tolist(), flags))
+    return [
+        (values.tolist(), math.prod(shape[i + 1 :]), math.prod(shape[:i]))
+        for i, values in enumerate(axis_values)
+    ]
+
+
+def _value_columns(value, quantity: str = "") -> list[Column]:
+    """The value and flag columns of a grid's values, in C order."""
+    return [(np.ravel(value).tolist(), 1, 1), (_flags(value, quantity), 1, 1)]
 
 
 def _table_inputs(base: ExperimentConfig, axes: Sequence[SweepAxis], values) -> list:
@@ -303,7 +339,7 @@ def _metadata(quantity: str, params: str) -> dict:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the grid; rows come back in lexicographic axis order.
+    """Evaluate the grid; its rows are in lexicographic axis order.
 
     The grid is one broadcast call of the quantity's table function on
     open-grid axis arrays.  Divergent and undefined (nan) values are flagged,
@@ -315,8 +351,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     axes = spec.axes
     axis_values = [axis.values() for axis in axes]
     value = metrology.TABLE[spec.quantity](*_table_inputs(spec.base, axes, np.ix_(*axis_values)))
-    flags = _flags(value, spec.quantity)
-    rows = _grid_rows(axis_values, value, flags)
 
     metadata = {
         **_metadata(spec.quantity, render_sweep(spec)),
@@ -324,25 +358,32 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     }
     undefined = np.flatnonzero(np.isnan(value))  # row indices: rows are in C order
     if undefined.size:
-        error = _failed_at(spec, rows[undefined[0]][:-2])
-        if undefined.size == len(rows):
+        index = np.unravel_index(undefined[0], value.shape)
+        error = _failed_at(spec, [float(v[i]) for v, i in zip(axis_values, index)])
+        if undefined.size == value.size:
             raise error
-        metadata["undefined"] = f"{undefined.size} of {len(rows)}; {error}"
+        metadata["undefined"] = f"{undefined.size} of {value.size}; {error}"
     columns = tuple(a.name for a in axes) + ("value", "flag")
-    return SweepResult(columns=columns, rows=rows, metadata=metadata)
+    data = (*_grid_columns(axis_values), *_value_columns(value, spec.quantity))
+    return SweepResult(columns=columns, data=data, metadata=metadata)
 
 
-def _column_texts(column: tuple) -> list[str]:
-    """``str`` of each entry, called once per distinct entry.
+def _column_texts(column: Column) -> list[str]:
+    """The text of each row's entry: ``str`` called once per distinct entry,
+    a ``str`` entry taken as it is, then laid out over the rows.
 
     0.0 and -0.0 are one key with two texts, so a zero is formatted by
     itself; each nan object is its own key, found by identity.
     """
-    distinct = set(column)
-    if len(distinct) == len(column):
-        return list(map(str, column))
-    text = {v: str(v) for v in distinct}
-    return [text[v] if v else str(v) for v in column]
+    entries, inner, outer = column
+    if entries and not isinstance(entries[0], str):
+        distinct = set(entries)
+        if len(distinct) == len(entries):
+            entries = list(map(str, entries))
+        else:
+            text = {v: str(v) for v in distinct}
+            entries = [text[v] if v else str(v) for v in entries]
+    return _expand(entries, inner, outer)
 
 
 def to_csv(result: SweepResult) -> str:
@@ -350,9 +391,10 @@ def to_csv(result: SweepResult) -> str:
 
     The generated-at line is the only non-deterministic one; everything else
     is byte-stable for identical inputs.  Each entry is its ``str``, the
-    shortest round-tripping repr for a float; a column is formatted once per
-    distinct entry.  That is exact because every row holds only ``float``
-    and ``str`` entries (a dict would take 1, 1.0 and True for one key).
+    shortest round-tripping repr for a float, formatted from its column's
+    entries once per distinct entry; the rows are never built.  That is
+    exact because a column holds only ``float`` or only ``str`` entries (a
+    dict would take 1, 1.0 and True for one key).
     """
     lines = [f"# oam-interferometry {__version__}"]
     for key, value in result.metadata.items():
@@ -362,7 +404,7 @@ def to_csv(result: SweepResult) -> str:
     lines.append(",".join(result.columns))
     # the column texts are freed before the join, and the final newline ends
     # an empty last line instead of copying the whole text
-    lines.extend(map(",".join, zip(*[_column_texts(c) for c in zip(*result.rows)])))
+    lines.extend(map(",".join, zip(*[_column_texts(c) for c in result.data])))
     lines.append("")
     return "\n".join(lines)
 
@@ -388,9 +430,10 @@ def _figure_metadata(figure_id: str, quantity: str, params: str) -> dict:
 def _max_loss_result(g: float, ell: int, alpha_mag: float, metadata: dict) -> SweepResult:
     """The one-row maximum allowable loss at a working point."""
     loss = metrology.max_allowable_loss(g, ell, alpha_mag)
+    row = (g, float(ell), alpha_mag * alpha_mag, loss)
     return SweepResult(
         ("g", "ell", "alpha_sq", "value", "flag"),
-        ((g, float(ell), alpha_mag * alpha_mag, loss, _flags([loss], "max_loss")[0]),),
+        (*(([entry], 1, 1) for entry in row), (_flags(loss, "max_loss"), 1, 1)),
         metadata,
     )
 
@@ -404,7 +447,7 @@ def reproduce(figure_id: str) -> SweepResult:
         value = metrology.signal_table(1.0, 3, math.sqrt(10.0), theta, phi, 1.0)
         return SweepResult(
             ("phi", "theta", "value", "flag"),
-            _grid_rows((phis, thetas), value, _flags(value)),
+            (*_grid_columns((phis, thetas)), *_value_columns(value)),
             _figure_metadata("fig2", "signal", "g=1,ell=3,alpha_sq=10"),
         )
 
@@ -419,7 +462,7 @@ def reproduce(figure_id: str) -> SweepResult:
         value = np.stack([values, snl], axis=-1)
         return SweepResult(
             ("phi", "quantity", "value", "flag"),
-            _grid_rows((phis, np.array([quantity, "snl"])), value, _flags(value)),
+            (*_grid_columns((phis, np.array([quantity, "snl"]))), *_value_columns(value)),
             _figure_metadata(figure_id, quantity, f"g=2,ell=1,alpha_sq=100,theta=pi/2,T={t}"),
         )
 
@@ -434,10 +477,11 @@ def reproduce(figure_id: str) -> SweepResult:
         }
         # the quantity is a third, innermost axis, so each g has its two rows in turn
         value = np.stack([form(*point) for form in forms.values()], axis=-1)
-        rows = _grid_rows((alpha_sqs, gs, np.array(list(forms))), value, _flags(value))
+        asq, g, quantity = _grid_columns((alpha_sqs, gs, np.array(list(forms))))
+        # g is written before alpha_sq
         return SweepResult(
             ("g", "alpha_sq", "quantity", "value", "flag"),
-            tuple((g, asq, quantity, v, flag) for asq, g, quantity, v, flag in rows),
+            (g, asq, quantity, *_value_columns(value)),
             _figure_metadata("fig4", "sensitivity_opt+qcrb", "ell=1,alpha_sq=10|100|1000"),
         )
 
@@ -450,10 +494,11 @@ def reproduce(figure_id: str) -> SweepResult:
         gs = np.linspace(0.5, 4.0, 36)
         alpha_sq_grid, g_grid = np.ix_(alpha_sqs, gs)
         value = metrology.max_loss_table(g_grid, 1, np.sqrt(alpha_sq_grid), 0.0, 0.0, 1.0)
-        rows = _grid_rows((alpha_sqs, gs), value, _flags(value, "max_loss"))
+        asq, g = _grid_columns((alpha_sqs, gs))
+        # g is written before alpha_sq
         return SweepResult(
             ("g", "alpha_sq", "value", "flag"),
-            tuple((g, asq, v, flag) for asq, g, v, flag in rows),
+            (g, asq, *_value_columns(value, "max_loss")),
             _figure_metadata("fig8", "max_loss", "ell=1,alpha_sq=10|100|1000"),
         )
 
@@ -515,7 +560,7 @@ def _cmd_eval(args) -> int:
     )
     result = SweepResult(
         ("g", "ell", "alpha_sq", "theta", "phi", "transmissivity", *values, "flag"),
-        (row,),
+        tuple(([entry], 1, 1) for entry in row),
         _metadata("report", render_config(config)),
     )
     _emit(to_csv(result), args.out)

@@ -12,9 +12,9 @@ maps each name to its function, and ``sensitivity`` is ``sensitivity_lossy``
 at T = 1.  ``fluctuation_table`` (the noise ``eval`` reports),
 ``second_moment_table`` and ``photon_number_table`` (the moments ``validate``
 checks) and ``optimal_sensitivity_table`` (fig4's optimum) are more such
-forms.  Where a formula fails (zero photon number or amplitude, a hyperbolic
-or a photon number that overflows), scalar inputs raise its error and array
-inputs give nan.  Every scalar entry point, ``optimal_sensitivity``
+forms.  Where a formula fails (zero photon number or amplitude, a rotation
+phase 2 l phi, a hyperbolic or a photon number that overflows), scalar inputs
+raise its error and array inputs give nan.  Every scalar entry point, ``optimal_sensitivity``
 and ``max_allowable_loss`` included, reads one form at one working point
 through ``_at``, so a row and a direct call agree bit for bit.  The maximum
 allowable loss is the exact root of a quadratic in the transmissivity, not a
@@ -178,16 +178,25 @@ def _square(x: float) -> float:
     return x**2
 
 
-def _noise(steps: _Steps, g, ell, phi, where=True):
-    """Var X_A of the lossless chain, ``cosh 2g + sinh 2g cos(2 l phi)``."""
+def _rotation(steps: _Steps, ell, phi):
+    """The rotation phase ``2 l phi``; fails where a finite phi takes it past
+    the double range.  Every form that reads the phase takes this step first,
+    before any hyperbolic."""
+    angle = 2.0 * ell * phi
+    return steps.fail(np.isinf(angle), ValueError("2 ell phi must be finite"), angle)
+
+
+def _noise(steps: _Steps, g, angle, where=True):
+    """Var X_A of the lossless chain, ``cosh 2g + sinh 2g cos(2 l phi)``, at
+    the rotation phase ``angle``."""
     cosh, sinh = steps.libm(math.cosh, 2.0 * g, where), steps.libm(math.sinh, 2.0 * g, where)
-    return cosh + sinh * np.cos(2.0 * ell * phi)
+    return cosh + sinh * np.cos(angle)
 
 
-def _fluctuation(steps: _Steps, g, ell, phi, transmissivity, where=True):
+def _fluctuation(steps: _Steps, g, angle, transmissivity, where=True):
     """Delta X_A with arm transmissivity T: the variance relaxes toward the
     vacuum unit as ``T (Var X_A - 1) + 1``."""
-    return np.sqrt(transmissivity * (_noise(steps, g, ell, phi, where) - 1.0) + 1.0)
+    return np.sqrt(transmissivity * (_noise(steps, g, angle, where) - 1.0) + 1.0)
 
 
 def _photon_number(steps: _Steps, g, alpha_mag):
@@ -208,7 +217,7 @@ def signal_table(g, ell, alpha_mag, theta, phi, transmissivity):
     also where the bracket overflows (from g = 710 at theta = phi = 0).
     """
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
-    delta = theta + 2.0 * ell * phi
+    delta = theta + _rotation(steps, ell, phi)
     cosh_g = steps.libm(math.cosh, g)
     mean = _SQRT2 * alpha_mag * (np.cos(delta) * cosh_g + np.cos(theta) * steps.libm(math.sinh, g))
     value = np.sqrt(transmissivity) * mean
@@ -234,7 +243,8 @@ def sensitivity_lossy_table(g, ell, alpha_mag, theta, phi, transmissivity):
     ``signal_table`` scales by sqrt(T) and this denominator by T, so this is
     ``fluctuation_table / |d signal_table / dphi|`` divided by sqrt(T)."""
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
-    delta = theta + 2.0 * ell * phi
+    angle = _rotation(steps, ell, phi)
+    delta = theta + angle
     denom = (
         transmissivity
         * _TWO_SQRT2
@@ -244,7 +254,7 @@ def sensitivity_lossy_table(g, ell, alpha_mag, theta, phi, transmissivity):
         * np.abs(np.sin(delta))
     )
     live = ~(np.abs(denom) < DERIVATIVE_FLOOR)
-    value = _fluctuation(steps, g, ell, phi, transmissivity, where=live) / denom
+    value = _fluctuation(steps, g, angle, transmissivity, where=live) / denom
     return steps.result(np.where(live, value, np.inf))
 
 
@@ -259,7 +269,8 @@ def fluctuation_table(g, ell, alpha_mag, theta, phi, transmissivity):
     Fails where cosh 2g overflows (g above about 355.2).
     """
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
-    return steps.result(_fluctuation(steps, g, ell, phi, transmissivity))
+    angle = _rotation(steps, ell, phi)
+    return steps.result(_fluctuation(steps, g, angle, transmissivity))
 
 
 @np.errstate(all="ignore")
@@ -270,16 +281,17 @@ def second_moment_table(g, ell, alpha_mag, theta, phi, transmissivity):
     + (cosh 2g + cos(2 l phi) sinh 2g) (|alpha|^2 + 1)
     + cos(2 theta + 2 l phi) sinh 2g |alpha|^2``.
 
-    Fails where |alpha|^2 or a hyperbolic overflows, in that order.
+    Fails where 2 l phi, |alpha|^2 or a hyperbolic overflows, in that order.
     """
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
+    angle = _rotation(steps, ell, phi)
     a2 = steps.libm(_square, alpha_mag)
-    noise = _noise(steps, g, ell, phi)
+    noise = _noise(steps, g, angle)
     moment = (
         np.cos(2.0 * theta + 4.0 * ell * phi) * steps.libm(lambda x: math.cosh(x) ** 2, g) * a2
         + np.cos(2.0 * theta) * steps.libm(lambda x: math.sinh(x) ** 2, g) * a2
         + noise * (a2 + 1.0)
-        + np.cos(2.0 * theta + 2.0 * ell * phi) * steps.libm(math.sinh, 2.0 * g) * a2
+        + np.cos(2.0 * theta + angle) * steps.libm(math.sinh, 2.0 * g) * a2
     )
     return steps.result(transmissivity * moment + (1.0 - transmissivity))
 
@@ -380,7 +392,7 @@ def optimal_sensitivity_table(g, ell, alpha_mag, theta, phi, transmissivity):
 def _slope_table(g, ell, alpha_mag, theta, phi, transmissivity):
     """d<X_A>/dphi of the lossless chain."""
     steps = _Steps(g, ell, alpha_mag, theta, phi, transmissivity)
-    delta = theta + 2.0 * ell * phi
+    delta = theta + _rotation(steps, ell, phi)
     return steps.result(-_TWO_SQRT2 * ell * alpha_mag * steps.libm(math.cosh, g) * np.sin(delta))
 
 

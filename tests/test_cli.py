@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oam_interferometry
@@ -17,11 +17,13 @@ from oam_interferometry import homodyne_mean, quantum_cramer_rao_bound, sensitiv
 from oam_interferometry import quadrature_mean, run_lossless
 from oam_interferometry.cli import (
     EVAL_COLUMNS,
+    FIGURE_IDS,
     ConfigError,
     SweepError,
     SweepResult,
     SweepSpec,
-    _grid_rows,
+    _flags,
+    _grid_columns,
     entry,
     main,
     parse_config,
@@ -241,7 +243,10 @@ class TestCsv:
         )
         assert nan is not other_nan
         assert all(len(set(column)) < len(column) for column in zip(*rows))
-        text = to_csv(SweepResult(("a", "b", "c", "d"), rows, {"quantity": "hand-built"}))
+        data = tuple((list(column), 1, 1) for column in zip(*rows))
+        result = SweepResult(("a", "b", "c", "d"), data, {"quantity": "hand-built"})
+        text = to_csv(result)
+        assert result.rows == rows
         assert text.splitlines()[-6:] == [
             "a,b,c,d",
             "0.0,-0.0,nan,x",
@@ -259,7 +264,8 @@ class TestCsv:
             axes[-1] = np.array(["sensitivity_opt", "qcrb"])
         value = np.arange(math.prod(shape), dtype=float).reshape(shape) / 7.0
         flags = [f"flag{i}" for i in range(value.size)]
-        rows = _grid_rows(axes, value, flags)
+        data = (*_grid_columns(axes), (value.ravel().tolist(), 1, 1), (flags, 1, 1))
+        rows = SweepResult(tuple(f"c{k}" for k in range(len(data))), data, {}).rows
         expected = tuple(
             (*point, v, flag)
             for point, v, flag in zip(
@@ -271,6 +277,79 @@ class TestCsv:
         # rows share their coordinate objects: one per axis value
         for k in range(len(shape)):
             assert len({id(row[k]) for row in rows}) == shape[k]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_csv_of_a_drawn_grid_is_the_text_of_its_rows(self, data):
+        # values meet the text map's edges: both zeros, a nan object repeated
+        # and nan objects of their own, both infinities and repeated finites
+        nan = float("nan")
+        cells = st.one_of(
+            st.sampled_from([0.0, -0.0, nan, math.inf, -math.inf, 1.5, -2.25, 1e-300]),
+            st.builds(float, st.just("nan")),
+            st.floats(width=64),
+        )
+        shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        text_axis = data.draw(st.sampled_from([None, *range(len(shape))]))
+        axes = [
+            np.array(data.draw(st.lists(
+                st.text("abc_", min_size=1, max_size=3) if k == text_axis else cells,
+                min_size=n, max_size=n,
+            )))
+            for k, n in enumerate(shape)
+        ]
+        values = data.draw(st.lists(cells, min_size=math.prod(shape), max_size=math.prod(shape)))
+        flags = _flags(np.array(values))
+        names = tuple(f"c{k}" for k in range(len(shape))) + ("value", "flag")
+        result = SweepResult(names, (*_grid_columns(axes), (values, 1, 1), (flags, 1, 1)), {})
+
+        body = to_csv(result).splitlines()
+        assert "rows" not in vars(result)  # the CSV is written from the columns
+        assert body[body.index(",".join(names)) + 1 :] == [
+            ",".join(v if isinstance(v, str) else repr(v) for v in row) for row in result.rows
+        ]
+        # the rows are the product of the axes in C order, with the value
+        # and flag columns' own objects
+        product = list(itertools.product(*(a.tolist() for a in axes)))
+        assert [tuple(map(repr, row[:-2])) for row in result.rows] == [
+            tuple(map(repr, point)) for point in product
+        ]
+        assert [tuple(map(type, row[:-2])) for row in result.rows] == [
+            tuple(map(type, point)) for point in product
+        ]
+        assert all(row[-2] is v for row, v in zip(result.rows, values))
+        assert [row[-1] for row in result.rows] == flags
+
+    @pytest.mark.parametrize(
+        "command", ["eval", "sweep", "max-loss", *(f"reproduce {f}" for f in FIGURE_IDS)]
+    )
+    def test_the_cli_writes_its_csv_without_building_rows(self, command, tmp_path, monkeypatch):
+        sweep = "\nquantity = signal\nsweep = phi 0 1 3\nsweep = theta 0 1 2"
+        configs = {"eval": FIG3_TEXT, "max-loss": FIG3_TEXT, "sweep": FIG3_TEXT + sweep}
+        args = command.split()
+        if command in configs:
+            (tmp_path / "config.txt").write_text(configs[command])
+            args += ["--config", str(tmp_path / "config.txt")]
+
+        def csv():
+            assert main([*args, "--out", str(tmp_path / "out.csv")]) == 0
+            return without_timestamp((tmp_path / "out.csv").read_text())
+
+        expected = csv()
+
+        def unbuilt(result):
+            raise AssertionError("the CLI read SweepResult.rows")
+
+        monkeypatch.setattr(SweepResult, "rows", property(unbuilt))
+        assert csv() == expected
+
+    def test_run_sweep_and_to_csv_leave_rows_unbuilt(self):
+        text = "alpha_sq = 10\nquantity = signal\nsweep = phi 0 1 4\nsweep = g 0 1 3"
+        result = run_sweep(parse_config(text))
+        to_csv(result)
+        assert "rows" not in vars(result)
+        assert len(result.rows) == 12 and "rows" in vars(result)  # derived once, then cached
+        assert result.rows is result.rows
 
 
 class TestReproduce:

@@ -18,6 +18,7 @@ from oam_interferometry import (
     metrology,
     optimal_sensitivity,
     quantum_cramer_rao_bound,
+    run_lossless,
     sensitivity,
     sensitivity_lossy,
     shot_noise_limit,
@@ -493,6 +494,70 @@ class TestVisibilityIsExact:
         cfg = ExperimentConfig(g=800.0, ell=1, alpha_mag=2.0, theta=0.0, phi=0.0, transmissivity=0.0)
         with pytest.raises(ValueError, match="^visibility undefined: signal is identically zero$"):
             visibility(cfg)
+
+
+@pytest.mark.filterwarnings("error")
+class TestRotationPhaseOverflow:
+    """A finite phi whose 2 l phi leaves the double range: each form that
+    reads the phase names it, as the engine does, instead of returning nan."""
+
+    FORMS = [
+        metrology.homodyne_mean,
+        metrology.homodyne_mean_slope,
+        metrology.homodyne_second_moment,
+        metrology.homodyne_mean_lossy,
+        metrology.homodyne_second_moment_lossy,
+        sensitivity,
+        sensitivity_lossy,
+    ]
+    TABLES = [
+        metrology.signal_table,
+        metrology.sensitivity_table,
+        metrology.sensitivity_lossy_table,
+        metrology.fluctuation_table,
+        metrology.second_moment_table,
+        metrology._slope_table,
+    ]
+
+    @pytest.mark.parametrize("fn", FORMS, ids=lambda fn: fn.__name__)
+    def test_scalar_form_names_the_phase(self, fn):
+        cfg = ExperimentConfig(g=1.0, ell=5, alpha_mag=1.0, theta=0.0, phi=1e308)
+        with pytest.raises(ValueError, match="^2 ell phi must be finite$"):
+            fn(cfg)
+        with pytest.raises(ValueError, match="^2 ell phi must be finite$"):
+            run_lossless(cfg)
+
+    @pytest.mark.parametrize("fn", FORMS, ids=lambda fn: fn.__name__)
+    def test_the_phase_fails_before_a_hyperbolic(self, fn):
+        # at g = 800 cosh g and cosh 2g overflow: with a finite phase every
+        # form fails there, and with an overflowing one it names the phase
+        hot = dict(g=800.0, ell=5, alpha_mag=1.0, theta=1.0, transmissivity=0.5)
+        with pytest.raises(OverflowError):
+            fn(ExperimentConfig(**hot, phi=0.1))
+        with pytest.raises(ValueError, match="^2 ell phi must be finite$"):
+            fn(ExperimentConfig(**hot, phi=1e308))
+
+    @pytest.mark.parametrize("table", TABLES, ids=lambda fn: fn.__name__)
+    def test_array_inputs_stay_nan(self, table):
+        phi = np.array([1e308, 0.1, -1e308])
+        values = table(1.0, 5, 1.0, 0.3, phi, 0.5)
+        assert [math.isnan(v) for v in values] == [True, False, True]
+        assert values[1] == table(1.0, 5, 1.0, 0.3, 0.1, 0.5)
+        with pytest.raises(ValueError, match="^2 ell phi must be finite$"):
+            table(1.0, 5, 1.0, 0.3, -1e308, 0.5)
+
+    @pytest.mark.parametrize("quantity", ["signal", "sensitivity", "sensitivity_lossy"])
+    def test_sweep_names_the_phase(self, quantity):
+        text = f"g = 1\nell = 5\nalpha_sq = 1\nquantity = {quantity}\nsweep = phi 1e307 9e307 5\n"
+        result = assert_matches_per_point(text)
+        assert result.metadata["undefined"] == (
+            f"4 of 5; {quantity} failed at (phi=3e+307): 2 ell phi must be finite"
+        )
+
+    def test_a_form_without_the_phase_is_defined(self):
+        cfg = ExperimentConfig(g=1.0, ell=5, alpha_mag=1.0, theta=0.0, phi=1e308)
+        for name in ("qcrb", "snl", "hl", "visibility"):
+            assert math.isfinite(SCALAR[name](cfg))
 
 
 def test_table_broadcasts_and_names_the_failing_point():
