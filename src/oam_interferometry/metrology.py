@@ -453,9 +453,10 @@ def sensitivity(config: ExperimentConfig) -> float:
     the lossless chain: ``sensitivity_lossy`` at T = 1, whatever the config's T.
 
     Returns ``inf`` when the slope magnitude is below DERIVATIVE_FLOOR (the
-    working point carries no first-order signal).  Raises OverflowError where
-    cosh 2g overflows (g above about 355.2) unless the slope is below the
-    floor, and where cosh g overflows (above about 710.5) at any point.
+    working point carries no first-order signal).  Raises ValueError where
+    2 l phi leaves the double range, and OverflowError where cosh 2g
+    overflows (g above about 355.2) unless the slope is below the floor, and
+    where cosh g overflows (above about 710.5) at any point.
     """
     return _at(sensitivity_lossy_table, config, transmissivity=1.0)
 
