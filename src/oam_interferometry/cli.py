@@ -116,17 +116,29 @@ def _expand(items: list, inner: int, outer: int) -> list:
     return items * outer if outer > 1 else items
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepResult:
     """A CSV's column names, each column's ``Column`` data and the header
     metadata.
 
     ``to_csv`` formats each column from its entries; ``rows`` is derived.
+    A result made with ``rows=`` takes its columns from those row tuples, one
+    entry per row, in place of ``data``, so ``dataclasses.replace(result,
+    rows=...)`` is the result of the new rows.
     """
 
     columns: tuple[str, ...]
     data: tuple[Column, ...]
     metadata: dict
+
+    def __init__(self, columns, data=(), metadata=None, *, rows=None):
+        if rows is not None:
+            rows = tuple(rows)
+            data = tuple((list(column), 1, 1) for column in zip(*rows))
+            self.__dict__["rows"] = rows  # the cached view is the rows given
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
 
     @functools.cached_property
     def rows(self) -> tuple[tuple, ...]:

@@ -118,9 +118,6 @@ REMOVED_PARAMETERS = [
     (cli.to_csv, "timestamp"),
     # one value in use outside the tests: the loss draws take one seed
     (validation.random_lossy_configs, "seed"),
-    # a result stores its columns and derives its rows on first read, so the
-    # CSV is written without building a tuple per row
-    (cli.SweepResult, "rows"),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -350,6 +351,20 @@ class TestCsv:
         assert "rows" not in vars(result)
         assert len(result.rows) == 12 and "rows" in vars(result)  # derived once, then cached
         assert result.rows is result.rows
+
+    def test_a_result_replaced_with_rows_is_the_result_of_those_rows(self):
+        text = "alpha_sq = 10\nquantity = signal\nsweep = phi 0 1 4\nsweep = g 0 1 3"
+        result = run_sweep(parse_config(text))
+        rows = list(result.rows)
+        rows[5] = (*rows[5][:-2], rows[5][-2] * (1.0 + 1e-9), "")
+        rows[7] = (*rows[7][:-2], math.nan, "nan")
+        replaced = dataclasses.replace(result, rows=tuple(rows))
+        assert replaced.rows == tuple(rows) and replaced.rows[5] != result.rows[5]
+        assert replaced.columns == result.columns and replaced.metadata == result.metadata
+        assert replaced.data == tuple((list(column), 1, 1) for column in zip(*rows))
+        body = to_csv(replaced).splitlines()[-len(rows) :]
+        assert body == [",".join(map(str, row)) for row in rows]
+        assert body[5] != to_csv(result).splitlines()[-len(rows) :][5]
 
 
 class TestReproduce:
