@@ -45,9 +45,11 @@ moments; one whose every amplitude underflows reads a tail mass of 1.
 Cost: each psi0 is one (c + 1)^2 real matrix, built and read by a few passes
 once per (g, |alpha|, cutoff), with no per-cutoff state.  Each point after
 that is a few cosines and no array: ``evolve`` and ``moments`` are O(1) in
-the cutoff.  ``FockState.amplitudes`` builds the complex matrix only when
-read.  The README's "The Fock validator" section has the measured times and
-peaks.
+the cutoff.  ``grid_moments`` reads a whole grid at once: it walks the
+schedule once per (g, |alpha|) pair and takes the cosines once per (ell,
+theta, phi) point, in one broadcast pass of ``moments``' formula.
+``FockState.amplitudes`` builds the complex matrix only when read.  The
+README's "The Fock validator" section has the measured times and peaks.
 """
 
 from __future__ import annotations
@@ -70,9 +72,11 @@ __all__ = [
     "OracleReport",
     "evolve",
     "moments",
+    "grid_moments",
 ]
 
 DEFAULT_TAIL_TOLERANCE = 1e-8
+_SQRT2 = math.sqrt(2.0)
 # automatic escalation path; an explicit cutoff argument bypasses it
 CUTOFF_SCHEDULE = (40, 60, 80)
 
@@ -134,10 +138,11 @@ def _real_state(g: float, magnitude: float, cutoff: int) -> _RealState:
     per_d = _log_powers(magnitude, dim) - n * log_cosh - log_factorial
     per_a = 0.5 * log_factorial - 0.5 * magnitude * magnitude - log_cosh
     per_b = _log_powers(math.tanh(g), dim) - 0.5 * log_factorial
-    # row n_a of the sliding view over [-inf] * cutoff + per_d, reversed, reads
-    # per_d[n_a - n_b], and -inf above the diagonal, where psi holds nothing
+    # one Toeplitz index into [-inf] * cutoff + per_d reads per_d[n_a - n_b] on
+    # and below the diagonal, and -inf above it, where psi holds nothing
     padded = np.concatenate((np.full(cutoff, -np.inf), per_d))
-    exponent = np.lib.stride_tricks.sliding_window_view(padded, dim)[:, ::-1] + per_a[:, None]
+    exponent = padded[np.subtract.outer(n, n) + cutoff]
+    exponent += per_a[:, None]
     exponent += per_b
     psi = np.exp(exponent, out=exponent)
     probs = psi * psi
@@ -205,13 +210,58 @@ class FockState:
 @dataclass(frozen=True)
 class OracleReport:
     """Homodyne moments after the coupler and the photon number, read from
-    the truncated state ahead of it."""
+    the truncated state ahead of it.  From ``grid_moments`` each field is an
+    array over the grid."""
 
     x_mean: float
     x_second_moment: float
     photon_number: float
     cutoff_used: int
     tail_mass: float
+
+
+def _walk(g: float, magnitude: float, schedule: tuple[int, ...]) -> tuple[int, _RealState]:
+    """The first cutoff of ``schedule`` whose real state passes the
+    tail-mass criterion, and that state; the last of both if none passes."""
+    for cutoff in schedule:
+        real = _real_state(g, magnitude, cutoff)
+        if real.tail_mass < DEFAULT_TAIL_TOLERANCE:
+            break
+    return cutoff, real
+
+
+def _check_reliable(tail_mass: float) -> None:
+    if not tail_mass < DEFAULT_TAIL_TOLERANCE:
+        raise UnreliableStateError(
+            f"tail mass {tail_mass:.3e} exceeds tolerance {DEFAULT_TAIL_TOLERANCE:.1e}"
+        )
+
+
+def _read(real: _RealState, theta, rotation):
+    """``<X_out>``, ``<X_out^2>`` and the photon number of the real state's
+    expectations ``real`` under the phases ``theta`` and ``rotation = 2 l
+    phi``; every argument may be an array, and the results broadcast.
+
+    The coupler sends ``a -> (a + b)/sqrt2``, so the homodyne quadrature is
+    ``X_out = (X_A + X_B)/sqrt2`` on the state ahead of it, and it conserves
+    ``n_a + n_b``.  That state is ``e^{i t_a n_a} e^{i t_b n_b}`` times the
+    real state, with ``t_a = theta + 2 l phi`` and ``t_b = -theta``, and the
+    truncated ladders obey ``e^{-i t n} a e^{i t n} = e^{i t} a`` exactly, so
+    each moment is a sum of the real state's expectations times cosines:
+    ``<X_out> = sqrt2 (cos t_a <a> + cos t_b <b>)`` and ``<X_out^2> =
+    cos 2t_a <a^2> + cos 2t_b <b^2> + (<a^dag a> + <a a^dag> + <b^dag b> +
+    <b b^dag>)/2 + 2 cos(t_a + t_b) <ab> + 2 cos(t_a - t_b) <a^dag b>``.
+    """
+    angle_a = theta + rotation
+    x_mean = _SQRT2 * (np.cos(angle_a) * real.a + np.cos(theta) * real.b)
+    x_second = (
+        np.cos(2.0 * angle_a) * real.aa
+        + np.cos(2.0 * theta) * real.bb
+        + 0.5 * (real.adag_a + real.a_adag + real.bdag_b + real.b_bdag)
+        + 2.0 * np.cos(rotation) * real.ab
+        + 2.0 * np.cos(angle_a + theta) * real.adag_b
+    )
+    return x_mean, x_second, real.adag_a + real.bdag_b
 
 
 def evolve(
@@ -244,47 +294,51 @@ def evolve(
         raise ValueError("cutoff must be >= 2")
     if any(lo >= hi for lo, hi in zip(schedule, schedule[1:])):
         raise ValueError(f"cutoff schedule must strictly increase, got {schedule!r}")
-    rotation = 2.0 * config.ell * config.phi
-    state = None
-    for c in schedule:
-        state = FockState(c, _real_state(config.g, config.alpha_mag, c), config.theta, rotation)
-        if state.reliable:
-            return state
-    return state
+    cutoff, real = _walk(config.g, config.alpha_mag, schedule)
+    return FockState(cutoff, real, config.theta, 2.0 * config.ell * config.phi)
 
 
 def moments(state: FockState) -> OracleReport:
     """<X_A>, <X_A^2> after the coupler, and the total photon number; raises
-    UnreliableStateError when the state's tail mass reaches DEFAULT_TAIL_TOLERANCE.
+    UnreliableStateError when the state's tail mass reaches
+    DEFAULT_TAIL_TOLERANCE.  ``grid_moments`` reads the same formula over a
+    grid."""
+    _check_reliable(state.tail_mass)
+    x_mean, x_second, photons = _read(state.real, state.theta, state.rotation)
+    return OracleReport(float(x_mean), float(x_second), photons, state.cutoff, state.tail_mass)
 
-    The coupler sends ``a -> (a + b)/sqrt2``, so the homodyne quadrature is
-    ``X_out = (X_A + X_B)/sqrt2`` on the state ahead of it, and it conserves
-    ``n_a + n_b``.  That state is ``e^{i t_a n_a} e^{i t_b n_b}`` times the
-    real state, with ``t_a = theta + 2 l phi`` and ``t_b = -theta``, and the
-    truncated ladders obey ``e^{-i t n} a e^{i t n} = e^{i t} a`` exactly, so
-    each moment is a sum of the real state's expectations times cosines:
-    ``<X_out> = sqrt2 (cos t_a <a> + cos t_b <b>)`` and ``<X_out^2> =
-    cos 2t_a <a^2> + cos 2t_b <b^2> + (<a^dag a> + <a a^dag> + <b^dag b> +
-    <b b^dag>)/2 + 2 cos(t_a + t_b) <ab> + 2 cos(t_a - t_b) <a^dag b>``.
+
+def grid_moments(g, alpha_mag, ell, theta, phi) -> OracleReport:
+    """``moments(evolve(config))`` at every point of broadcast parameter
+    arrays, typically an open grid from ``np.ix_``; each field of the report
+    is an array over the broadcast shape, equal to the per-point value bit
+    for bit.
+
+    The real state depends on (g, |alpha|) alone, so the default schedule is
+    walked once per element of the broadcast of ``g`` and ``alpha_mag``, and
+    each of those states is read at every (ell, theta, phi) point through one
+    broadcast pass of ``moments``' formula.  Raises ValueError where g or
+    alpha_mag is negative or not finite, and UnreliableStateError, with
+    ``moments``' text, at the first pair in C order whose state fails at the
+    schedule's ceiling.
     """
-    if not state.reliable:
-        raise UnreliableStateError(
-            f"tail mass {state.tail_mass:.3e} exceeds tolerance {DEFAULT_TAIL_TOLERANCE:.1e}"
-        )
-    real, theta, rotation = state.real, state.theta, state.rotation
-    angle_a = theta + rotation
-    x_mean = math.sqrt(2.0) * (math.cos(angle_a) * real.a + math.cos(theta) * real.b)
-    x_second = (
-        math.cos(2.0 * angle_a) * real.aa
-        + math.cos(2.0 * theta) * real.bb
-        + 0.5 * (real.adag_a + real.a_adag + real.bdag_b + real.b_bdag)
-        + 2.0 * math.cos(rotation) * real.ab
-        + 2.0 * math.cos(angle_a + theta) * real.adag_b
+    pairs = np.broadcast(g, alpha_mag)
+    walked = []
+    for pair in pairs:
+        g_value, magnitude = (float(v) for v in pair)
+        if not (0.0 <= g_value < math.inf and 0.0 <= magnitude < math.inf):
+            raise ValueError(
+                f"g and alpha_mag must be finite and >= 0, got {g_value!r} and {magnitude!r}"
+            )
+        cutoff, real = _walk(g_value, magnitude, CUTOFF_SCHEDULE)
+        _check_reliable(real.tail_mass)
+        walked.append((cutoff, *real[1:]))
+    # one row per pair: the cutoff, the tail mass and the expectations
+    columns = np.array(walked).T.reshape(len(walked[0]), *pairs.shape)
+    real = _RealState(None, *columns[1:])
+    x_mean, x_second, photons = _read(real, theta, 2.0 * np.asarray(ell) * phi)
+    shape = np.broadcast_shapes(np.shape(x_mean), np.shape(x_second))
+    cutoffs, tails, photons = (
+        np.broadcast_to(field, shape) for field in (columns[0].astype(int), real.tail_mass, photons)
     )
-    return OracleReport(
-        x_mean=x_mean,
-        x_second_moment=x_second,
-        photon_number=real.adag_a + real.bdag_b,
-        cutoff_used=state.cutoff,
-        tail_mass=state.tail_mass,
-    )
+    return OracleReport(x_mean, x_second, photons, cutoffs, tails)

@@ -1,24 +1,26 @@
 """Cross-validation harness: closed forms vs phase-space engine vs Fock oracle.
 
-Runs a parameter grid through all three routes and tracks the worst deviation
-per checked quantity.  Oracle comparisons are held to an absolute tolerance;
-engine comparisons (exact linear algebra) to a guarded-relative one.  The
-loss scaling laws (mean shrinks by sqrt(T), second moment relaxes as
-``T <X^2> + 1 - T``) are checked against the lossy chain, whose loss stage
-sits between the rotation and the coupler, on seeded random configurations.
+Each preset is one open grid, ``np.ix_`` over its axes of g, |alpha|^2, ell,
+theta and phi, with |alpha| the square root of each |alpha|^2.  Three routes
+evaluate the whole grid in one broadcast pass each: ``metrology``'s closed
+forms, the engine's ``lossless_chain``, and the oracle's ``grid_moments``,
+which builds one real state per (g, |alpha|) pair and reads it at every
+(ell, theta, phi) point.  Oracle comparisons are held to an absolute
+tolerance; engine comparisons (exact linear algebra) to a guarded-relative
+one.  The loss scaling laws (mean shrinks by sqrt(T), second moment relaxes
+as ``T <X^2> + 1 - T``) are checked against ``lossy_chain``, whose loss stage
+sits between the rotation and the coupler, on seeded random draws, drawn
+into columns.
 
-The engine side is one batched pass: ``lossless_chain`` runs the whole grid
-and ``lossy_chain`` all loss draws as stacked products, each element and the
-output state checked per point.  Every check is an array of deviations, from the
-engine or from the oracle (which evolves one point at a time), against
-``metrology``'s broadcast closed forms; its first worst point, a nan first
-of all, is the one reported, with every field printed by ``repr`` so that the
-point re-runs to the same deviation.
+Every check is an array of deviations against the closed forms; its first
+worst point in C order, a nan first of all, is the one reported.  Only that
+point is built as an ``ExperimentConfig``, and it is printed with every field
+by ``repr`` and with |alpha|^2 as the preset gives it or the draw yields it,
+so that the point re-runs to the same deviation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -100,43 +102,69 @@ class ValidationReport:
         return "\n".join(self.lines())
 
 
-def _describe(config: ExperimentConfig) -> str:
-    """The point as it re-runs: every field by ``repr``, and ``alpha_sq`` as
-    ``alpha_mag * alpha_mag``, whose square root is ``alpha_mag`` again
-    wherever the square is a normal double (as in ``cli.render_config``)."""
+def _describe(config: ExperimentConfig, alpha_sq: float) -> str:
+    """The point as it re-runs: every field by ``repr``, with ``alpha_sq`` as
+    the preset gives it or the draw yields it; ``config.alpha_mag`` is its
+    square root."""
     return (
-        f"g={config.g!r},ell={config.ell!r},alpha_sq={config.alpha_mag * config.alpha_mag!r},"
+        f"g={config.g!r},ell={config.ell!r},alpha_sq={alpha_sq!r},"
         f"theta={config.theta!r},phi={config.phi!r},T={config.transmissivity!r}"
     )
 
 
-def grid_configs(preset: str) -> list[ExperimentConfig]:
-    """The preset's grid, one config per point."""
+def _grid(preset: str) -> tuple:
+    """The preset's open grid, ``np.ix_`` over its axes, as the columns g,
+    ell, alpha_sq, theta, phi and transmissivity (1.0)."""
     if preset not in _PRESET_TABLE:
         raise ValueError(f"unknown preset {preset!r} (expected {PRESETS[0]!r} or {PRESETS[1]!r})")
     axes, _ = _PRESET_TABLE[preset]
-    return [
-        ExperimentConfig(g=g, ell=ell, alpha_mag=math.sqrt(asq), theta=float(th), phi=float(ph))
-        for g, asq, ell, th, ph in itertools.product(*axes)
+    g, alpha_sq, ell, theta, phi = np.ix_(*axes)
+    return g, ell, alpha_sq, theta, phi, 1.0
+
+
+def _loss_draws(count: int) -> tuple:
+    """``count`` seeded draws of lossy working points, the same on every run,
+    as the columns g, ell, alpha_sq, theta, phi and transmissivity."""
+    rng = default_rng(_LOSS_SEED)
+    # rng.uniform(low, high) is low + (high - low) * rng.random(), in one
+    # third of the call's time
+    unit, integers = rng.random, rng.integers
+    two_pi = 2.0 * math.pi
+    draws = [
+        (
+            2.5 * unit(),
+            integers(1, 6),
+            0.25 + (100.0 - 0.25) * unit(),
+            two_pi * unit(),
+            two_pi * unit(),
+            0.05 + (1.0 - 0.05) * unit(),
+        )
+        for _ in range(count)
     ]
+    return tuple(np.array(draws).reshape(count, 6).T)
+
+
+def _config(g, ell, alpha_sq, theta, phi, transmissivity) -> ExperimentConfig:
+    return ExperimentConfig(
+        g=g, ell=ell, alpha_mag=math.sqrt(alpha_sq), theta=theta, phi=phi,
+        transmissivity=transmissivity,
+    )
+
+
+def _configs(columns: tuple) -> list[ExperimentConfig]:
+    """One config per point of ``columns``, in C order."""
+    flat = (c.ravel().tolist() for c in np.broadcast_arrays(*columns))
+    return [_config(*point) for point in zip(*flat)]
+
+
+def grid_configs(preset: str) -> list[ExperimentConfig]:
+    """The preset's grid, one config per point of its open grid, in C order."""
+    return _configs(_grid(preset))
 
 
 def random_lossy_configs(count: int) -> list[ExperimentConfig]:
     """``count`` seeded draws of lossy working points, the same on every run."""
-    rng = default_rng(_LOSS_SEED)
-    out = []
-    for _ in range(count):
-        out.append(
-            ExperimentConfig(
-                g=float(rng.uniform(0.0, 2.5)),
-                ell=int(rng.integers(1, 6)),
-                alpha_mag=math.sqrt(float(rng.uniform(0.25, 100.0))),
-                theta=float(rng.uniform(0.0, 2.0 * math.pi)),
-                phi=float(rng.uniform(0.0, 2.0 * math.pi)),
-                transmissivity=float(rng.uniform(0.05, 1.0)),
-            )
-        )
-    return out
+    return _configs(_loss_draws(count))
 
 
 def _rel(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
@@ -144,30 +172,26 @@ def _rel(actual: np.ndarray, expected: np.ndarray) -> np.ndarray:
     return np.abs(actual - expected) / np.maximum(1.0, np.abs(expected))
 
 
-def _columns(configs: list[ExperimentConfig]) -> np.ndarray:
-    """Rows g, ell, alpha_mag, theta, phi, transmissivity, each over ``configs``."""
-    return np.array(
-        [(c.g, c.ell, c.alpha_mag, c.theta, c.phi, c.transmissivity) for c in configs]
-    ).T
-
-
 def _record(
     name: str,
     tolerance: float,
     deviations: np.ndarray,
-    configs: list[ExperimentConfig],
+    points: list[np.ndarray],
     cutoffs: np.ndarray | None = None,
     tail_masses: np.ndarray | None = None,
 ) -> CheckResult:
-    """The check ``name`` over ``deviations``, one per config.  The worst is
-    the first nan, which fails the check, or else the first largest value
-    (``np.argmax`` finds either); all zeros report 0 at no point.  Oracle
-    checks pass the cutoff and tail mass of each state."""
+    """The check ``name`` over ``deviations``, one per point of ``points``,
+    the columns g, ell, alpha_sq, theta, phi and transmissivity broadcast to
+    the shape of ``deviations``.  The worst is the first nan in C order, which
+    fails the check, or else the first largest value (``np.argmax`` finds
+    either); all zeros report 0 at no point.  Only the worst point is built as
+    a config.  Oracle checks pass the cutoff and tail mass of each state."""
     check = CheckResult(name, tolerance)
-    i = int(np.argmax(deviations))
+    i = np.unravel_index(np.argmax(deviations), deviations.shape)
     # positive, or nan
     if not deviations[i] <= 0.0:
-        check.worst, check.worst_at = float(deviations[i]), _describe(configs[i])
+        point = [column[i].item() for column in points]
+        check.worst, check.worst_at = float(deviations[i]), _describe(_config(*point), point[2])
         if cutoffs is not None:
             check.cutoff, check.tail_mass = int(cutoffs[i]), float(tail_masses[i])
     return check
@@ -177,51 +201,52 @@ def run_validation(preset: str = "quick") -> ValidationReport:
     """Run the oracle-vs-closed-form and engine-vs-closed-form grids plus the
     loss-law draws; nonzero worst deviation above tolerance fails the report."""
     start = time.perf_counter()
-    configs = grid_configs(preset)
+    grid = _grid(preset)
     _, draw_count = _PRESET_TABLE[preset]
-    draws = random_lossy_configs(draw_count)
-    checks = _grid_checks(configs) + _loss_checks(draws)
+    draws = _loss_draws(draw_count)
+    checks = _grid_checks(grid) + _loss_checks(draws)
     return ValidationReport(
         preset=preset,
-        point_count=len(configs),
-        loss_draws=len(draws),
+        point_count=np.broadcast(*grid).size,
+        loss_draws=draw_count,
         elapsed_seconds=time.perf_counter() - start,
         checks=checks,
     )
 
 
-def _grid_checks(configs: list[ExperimentConfig]) -> list[CheckResult]:
-    """The oracle and engine checks over the lossless grid ``configs``."""
-    g, ell, alpha_mag, theta, phi, _ = _columns(configs)
+def _grid_checks(grid: tuple) -> list[CheckResult]:
+    """The oracle and engine checks over the lossless ``grid``, columns g,
+    ell, alpha_sq, theta, phi and transmissivity (1.0) that broadcast."""
+    g, ell, alpha_sq, theta, phi, _ = grid
+    alpha_mag = np.sqrt(alpha_sq)
     mean_cf = metrology.signal_table(g, ell, alpha_mag, theta, phi, 1.0)
     second_cf = metrology.second_moment_table(g, ell, alpha_mag, theta, phi, 1.0)
     photon_cf = metrology.photon_number_table(g, ell, alpha_mag, theta, phi, 1.0)
     state = lossless_chain(g, ell, alpha_mag, theta, phi)
-
-    oracle = [fock_oracle.moments(fock_oracle.evolve(config)) for config in configs]
-    mean_oracle, second_oracle, photon_oracle, cutoffs, tails = np.array(
-        [(r.x_mean, r.x_second_moment, r.photon_number, r.cutoff_used, r.tail_mass) for r in oracle]
-    ).T
-    gauge = (cutoffs, tails)
+    oracle = fock_oracle.grid_moments(g, alpha_mag, ell, theta, phi)
+    gauge = (oracle.cutoff_used, oracle.tail_mass)
+    points = np.broadcast_arrays(*grid)
     return [
         _record("signal mean: oracle vs closed form", ORACLE_TOL,
-                np.abs(mean_oracle - mean_cf), configs, *gauge),
+                np.abs(oracle.x_mean - mean_cf), points, *gauge),
         _record("second moment: oracle vs closed form", ORACLE_TOL,
-                np.abs(second_oracle - second_cf), configs, *gauge),
+                np.abs(oracle.x_second_moment - second_cf), points, *gauge),
         _record("photon number: oracle vs closed form", ORACLE_TOL,
-                np.abs(photon_oracle - photon_cf), configs, *gauge),
+                np.abs(oracle.photon_number - photon_cf), points, *gauge),
         _record("signal mean: engine vs closed form", ENGINE_TOL,
-                _rel(quadrature_mean(state), mean_cf), configs),
+                _rel(quadrature_mean(state), mean_cf), points),
         _record("second moment: engine vs closed form", ENGINE_TOL,
-                _rel(quadrature_second_moment(state), second_cf), configs),
+                _rel(quadrature_second_moment(state), second_cf), points),
         _record("photon number: engine vs closed form", ENGINE_TOL,
-                _rel(photon_number(state), photon_cf), configs),
+                _rel(photon_number(state), photon_cf), points),
     ]
 
 
-def _loss_checks(draws: list[ExperimentConfig]) -> list[CheckResult]:
-    """The loss laws checked against the lossy chain over the ``draws``."""
-    columns = _columns(draws)
+def _loss_checks(draws: tuple) -> list[CheckResult]:
+    """The loss laws checked against the lossy chain over the ``draws``,
+    columns g, ell, alpha_sq, theta, phi and transmissivity."""
+    g, ell, alpha_sq, theta, phi, t = draws
+    columns = (g, ell, np.sqrt(alpha_sq), theta, phi, t)
     lossy = lossy_chain(*columns)
     mean_law = metrology.signal_table(*columns)
     second_law = metrology.second_moment_table(*columns)

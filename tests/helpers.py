@@ -24,6 +24,13 @@ def random_config(rng, g_max=2.5, ell_max=5, alpha_sq_range=(0.25, 100.0), lossy
     )
 
 
+def config_columns(configs):
+    """Rows g, ell, alpha_mag, theta, phi, transmissivity, each over ``configs``."""
+    return np.array(
+        [(c.g, c.ell, c.alpha_mag, c.theta, c.phi, c.transmissivity) for c in configs]
+    ).T
+
+
 def random_two_mode_state(rng):
     """A valid (pure) Gaussian state from random element draws: the lossless
     chain, stage by stage, at a drawn input, gain and rotation."""

@@ -35,9 +35,14 @@ from oam_interferometry.cli import (
     to_csv,
 )
 from oam_interferometry.validation import (
+    PRESETS,
+    _LOSS_SEED,
+    _PRESET_TABLE,
     _describe,
+    _grid,
     _grid_checks,
     _loss_checks,
+    _loss_draws,
     _record,
     grid_configs,
     random_lossy_configs,
@@ -491,44 +496,108 @@ class TestValidateHarness:
         assert "signal mean: engine vs closed form" in failed
         assert not any("oracle" in name for name in failed)
 
-    def _configs(self, count):
-        return [
-            ExperimentConfig(g=g, ell=1, alpha_mag=1.0, theta=0.0, phi=0.0) for g in range(count)
-        ]
+    def _points(self, count):
+        # g = 0, 1, ..., count - 1 at one working point, as broadcast columns
+        return np.broadcast_arrays(np.arange(float(count)), 1, 2.0, 0.0, 0.5, 1.0)
 
     def test_nan_deviation_is_the_worst_and_fails(self):
-        configs = self._configs(4)
-        check = _record("x", 1e-9, np.array([1e-12, math.nan, 1.0, math.nan]), configs)
+        check = _record("x", 1e-9, np.array([1e-12, math.nan, 1.0, math.nan]), self._points(4))
         assert math.isnan(check.worst)
-        assert check.worst_at == _describe(configs[1])
+        assert check.worst_at == "g=1.0,ell=1,alpha_sq=2.0,theta=0.0,phi=0.5,T=1.0"
         assert not check.passed
 
     def test_all_zero_deviations_report_zero_at_no_point(self):
-        configs = self._configs(3)
-        check = _record("x", 1e-9, np.zeros(3), configs, np.full(3, 40.0), np.zeros(3))
+        check = _record("x", 1e-9, np.zeros(3), self._points(3), np.full(3, 40.0), np.zeros(3))
         assert (check.worst, check.worst_at, check.cutoff, check.tail_mass) == (0.0, "", None, None)
         assert check.passed
 
+    def test_worst_point_of_an_open_grid_is_its_first_in_c_order(self):
+        grid = np.ix_((0.1, 0.2), (1, 2, 3), (1.0, 4.0))
+        deviations = np.zeros((2, 3, 2))
+        deviations[1, 0, 1] = deviations[1, 2, 0] = 3.0
+        check = _record("x", 1.0, deviations, np.broadcast_arrays(*grid[:2], grid[2], 0.3, 0.7, 1.0))
+        assert check.worst == 3.0
+        assert check.worst_at == "g=0.2,ell=1,alpha_sq=4.0,theta=0.3,phi=0.7,T=1.0"
+
+    def test_describe_prints_alpha_sq_as_given(self):
+        # |alpha| = sqrt(2) squares to 2.0000000000000004; the point prints
+        # the preset's 2.0, whose square root is |alpha| again
+        config = ExperimentConfig(g=0.3, ell=2, alpha_mag=math.sqrt(2.0), theta=0.1, phi=1.4)
+        assert config.alpha_mag * config.alpha_mag == 2.0000000000000004
+        assert _describe(config, 2.0) == "g=0.3,ell=2,alpha_sq=2.0,theta=0.1,phi=1.4,T=1.0"
+        drawn = dataclasses.replace(config, alpha_mag=math.sqrt(52.637733014072374), transmissivity=0.5)
+        assert _describe(drawn, 52.637733014072374) == (
+            "g=0.3,ell=2,alpha_sq=52.637733014072374,theta=0.1,phi=1.4,T=0.5"
+        )
+
+    def test_quick_names_its_points_by_the_presets_alpha_sq(self):
+        text = run_validation("quick").render()
+        assert "alpha_sq=2.0," in text
+        assert "alpha_sq=2.0000000000000004" not in text
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_grid_configs_list_the_open_grid_in_c_order(self, preset):
+        axes, _ = _PRESET_TABLE[preset]
+        expected = [
+            ExperimentConfig(g=g, ell=ell, alpha_mag=math.sqrt(asq), theta=th, phi=ph)
+            for g, asq, ell, th, ph in itertools.product(*axes)
+        ]
+        assert grid_configs(preset) == expected
+        columns = [np.ravel(c).tolist() for c in np.broadcast_arrays(*_grid(preset))]
+        assert [(c.g, c.ell, c.alpha_mag, c.theta, c.phi, c.transmissivity) for c in expected] == [
+            (g, ell, math.sqrt(asq), th, ph, t) for g, ell, asq, th, ph, t in zip(*columns)
+        ]
+        assert run_validation(preset).point_count == len(expected)
+
+    def test_random_lossy_configs_list_the_drawn_columns(self):
+        g, ell, alpha_sq, theta, phi, t = (c.tolist() for c in _loss_draws(100))
+        assert all(type(c.ell) is int for c in random_lossy_configs(100))
+        assert [
+            (c.g, c.ell, c.alpha_mag, c.theta, c.phi, c.transmissivity)
+            for c in random_lossy_configs(100)
+        ] == list(zip(g, ell, map(math.sqrt, alpha_sq), theta, phi, t))
+
+    def test_loss_draws_are_the_seeded_uniform_draws(self):
+        rng = np.random.default_rng(_LOSS_SEED)
+        two_pi = 2.0 * math.pi
+        drawn = [
+            (rng.uniform(0.0, 2.5), rng.integers(1, 6), rng.uniform(0.25, 100.0),
+             rng.uniform(0.0, two_pi), rng.uniform(0.0, two_pi), rng.uniform(0.05, 1.0))
+            for _ in range(1000)
+        ]
+        columns = _loss_draws(1000)
+        assert all(len(c) == 1000 for c in columns)
+        assert np.array(drawn).T.tobytes() == np.array(columns).tobytes()
+
     def test_every_worst_point_of_full_reruns_to_its_deviation(self):
-        # each printed point rebuilds its config exactly, and that one point
-        # alone gives the reported deviation bit for bit
+        # each printed point is a point of the grid or of the draws, and that
+        # point alone, as a one-point grid or a single draw, gives the
+        # reported deviation, cutoff and tail bit for bit
         report = run_validation("full")
+        grid = np.broadcast_arrays(*_grid("full"))
+        draws = _loss_draws(report.loss_draws)
         for check in report.checks:
             field = dict(item.split("=") for item in check.worst_at.split(","))
-            config = ExperimentConfig(
-                g=float(field["g"]),
-                ell=int(field["ell"]),
-                alpha_mag=math.sqrt(float(field["alpha_sq"])),
-                theta=float(field["theta"]),
-                phi=float(field["phi"]),
-                transmissivity=float(field["T"]),
+            point = (
+                float(field["g"]),
+                int(field["ell"]),
+                float(field["alpha_sq"]),
+                float(field["theta"]),
+                float(field["phi"]),
+                float(field["T"]),
             )
+            config = ExperimentConfig(
+                g=point[0], ell=point[1], alpha_mag=math.sqrt(point[2]),
+                theta=point[3], phi=point[4], transmissivity=point[5],
+            )
+            assert _describe(config, point[2]) == check.worst_at
             lossy = check.name.startswith("loss scaling")
-            assert _describe(config) == check.worst_at
-            drawn = random_lossy_configs(report.loss_draws) if lossy else grid_configs("full")
-            assert config in drawn
-            rerun = {c.name: c for c in (_loss_checks if lossy else _grid_checks)([config])}
+            columns = draws if lossy else grid
+            assert point in zip(*(np.ravel(c).tolist() for c in columns))
+            one = tuple(np.array([value]) for value in point)
+            rerun = {c.name: c for c in (_loss_checks if lossy else _grid_checks)(one)}
             assert rerun[check.name].worst == check.worst, check.name
+            assert rerun[check.name].worst_at == check.worst_at
             assert (rerun[check.name].cutoff, rerun[check.name].tail_mass) == (
                 check.cutoff,
                 check.tail_mass,

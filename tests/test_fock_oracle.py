@@ -18,7 +18,7 @@ from oam_interferometry import (
     mean_photon_number,
     moments,
 )
-from oam_interferometry import fock_oracle
+from oam_interferometry import fock_oracle, validation
 from oam_interferometry.fock_oracle import DEFAULT_TAIL_TOLERANCE, _real_state
 from oam_interferometry.validation import ORACLE_TOL, grid_configs
 from helpers import flip_mode_b_ladder, random_config
@@ -353,6 +353,93 @@ class TestFactoredRead:
             if not tracing:
                 tracemalloc.stop()
         assert peak < 81**2 * 16 / 20
+
+
+def _open_grid(gs, alpha_sqs, ells, thetas, phis):
+    """``np.ix_`` over the axes, as validate builds a preset's grid, with
+    |alpha| the square root of each |alpha|^2."""
+    g, alpha_sq, ell, theta, phi = np.ix_(gs, alpha_sqs, ells, thetas, phis)
+    return g, np.sqrt(alpha_sq), ell, theta, phi
+
+
+class TestGridRead:
+    """``grid_moments`` walks the schedule once per (g, |alpha|) pair and
+    reads every (ell, theta, phi) point of the pair in one broadcast pass; at
+    every point it equals ``moments(evolve(config))`` bit for bit."""
+
+    # 0.5 stays at cutoff 40; 0.8 reaches 60 at |alpha|^2 = 4, and 1.0
+    # reaches 60 at |alpha|^2 = 1 and 80 at 4
+    ESCALATING = ((0.5, 0.8, 1.0), (1.0, 4.0), (1, 3), (0.0, 0.4, 2.5), (0.2, 1.9))
+
+    def _assert_equals_per_point(self, grid):
+        report = fock_oracle.grid_moments(*grid)
+        g, alpha_mag, ell, theta, phi = np.broadcast_arrays(*grid)
+        fields = ("x_mean", "x_second_moment", "photon_number", "cutoff_used", "tail_mass")
+        assert all(np.shape(getattr(report, name)) == g.shape for name in fields)
+        for index in np.ndindex(g.shape):
+            config = ExperimentConfig(
+                g=g[index], ell=ell[index], alpha_mag=alpha_mag[index], theta=theta[index], phi=phi[index]
+            )
+            expected = moments(evolve(config))
+            for name in fields:
+                got, want = getattr(report, name)[index].item(), getattr(expected, name)
+                assert type(got) is type(want) and got == want, (name, index)
+        return report
+
+    @pytest.mark.parametrize("preset", ["quick", "full"])
+    def test_preset_grids(self, preset):
+        axes, _ = validation._PRESET_TABLE[preset]
+        report = self._assert_equals_per_point(_open_grid(*axes))
+        assert np.all(report.cutoff_used == 40)
+
+    def test_grid_that_escalates_to_60_and_80(self):
+        report = self._assert_equals_per_point(_open_grid(*self.ESCALATING))
+        assert set(np.unique(report.cutoff_used)) == {40, 60, 80}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gs=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=3),
+        alpha_sqs=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3),
+        ells=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        thetas=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=3),
+        phis=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=3),
+    )
+    def test_small_open_grids(self, gs, alpha_sqs, ells, thetas, phis):
+        self._assert_equals_per_point(_open_grid(gs, alpha_sqs, ells, thetas, phis))
+
+    def test_one_schedule_walk_per_pair(self, monkeypatch):
+        real_state = fock_oracle._real_state.__wrapped__
+        calls = []
+        monkeypatch.setattr(
+            fock_oracle, "_real_state", lambda *key: calls.append(key) or real_state(*key)
+        )
+        fock_oracle.grid_moments(*_open_grid(*self.ESCALATING))
+        # each pair, in C order, walks the schedule up to the cutoff where it passes
+        passed_at = {(0.8, 4.0): 60, (1.0, 1.0): 60, (1.0, 4.0): 80}
+        expected = [
+            (g, math.sqrt(alpha_sq), cutoff)
+            for g in (0.5, 0.8, 1.0)
+            for alpha_sq in (1.0, 4.0)
+            for cutoff in (40, 60, 80)
+            if cutoff <= passed_at.get((g, alpha_sq), 40)
+        ]
+        assert calls == expected
+
+    def test_unreliable_pair_raises_moments_text(self):
+        # g = 0.1 at |alpha|^2 = 1000 spreads past cutoff 80; the other pair is fine
+        grid = _open_grid((0.1,), (1.0, 1000.0), (1,), (0.1,), (0.2,))
+        config = ExperimentConfig(g=0.1, ell=1, alpha_mag=math.sqrt(1000.0), theta=0.1, phi=0.2)
+        with pytest.raises(UnreliableStateError) as per_point:
+            moments(evolve(config))
+        with pytest.raises(UnreliableStateError, match=f"^{re.escape(str(per_point.value))}$"):
+            fock_oracle.grid_moments(*grid)
+
+    @pytest.mark.parametrize(
+        "g, alpha_mag", [(-0.1, 1.0), (0.1, -1.0), (math.inf, 1.0), (0.1, math.nan)]
+    )
+    def test_pair_outside_the_domain_is_rejected(self, g, alpha_mag):
+        with pytest.raises(ValueError, match="^g and alpha_mag must be finite and >= 0"):
+            fock_oracle.grid_moments(np.array([0.1, g]), alpha_mag, 1, 0.0, 0.0)
 
 
 class TestAgainstCouplerReference:

@@ -30,11 +30,10 @@ from oam_interferometry.phase_space import MAX_GAIN
 from oam_interferometry.validation import (
     ENGINE_TOL,
     LOSS_LAW_TOL,
-    _columns,
     grid_configs,
     random_lossy_configs,
 )
-from helpers import guarded_rel, random_config
+from helpers import config_columns, guarded_rel, random_config
 from reference import (
     LossChannel,
     apply_element,
@@ -152,7 +151,7 @@ class TestPhotonNumber:
     def test_is_the_table_form_bit_for_bit(self):
         rng = np.random.default_rng(3)
         configs = [random_config(rng, lossy=True) for _ in range(200)] + grid_configs("quick")
-        g, ell, alpha_mag, theta, phi, t = _columns(configs)
+        g, ell, alpha_mag, theta, phi, t = config_columns(configs)
         table = metrology.photon_number_table(g, ell, alpha_mag, theta, phi, t)
         assert [mean_photon_number(cfg) for cfg in configs] == table.tolist()
 
@@ -275,7 +274,7 @@ class TestBatchedChains:
     )
     def test_stacks_equal_the_per_point_states(self, configs):
         configs = configs()
-        columns = _columns(configs)
+        columns = config_columns(configs)
         for batched, run in (
             (lossless_chain(*columns[:5]), run_lossless),
             (lossy_chain(*columns), run_lossy),
@@ -403,8 +402,8 @@ class TestOneStatePerChain:
             lambda: run_lossy(
                 _cfg(g=0.7, ell=2, alpha_mag=1.5, theta=0.3, phi=1.1, transmissivity=0.4)
             ),
-            lambda: lossless_chain(*_columns(grid_configs("quick"))[:5]),
-            lambda: lossy_chain(*_columns(random_lossy_configs(30))),
+            lambda: lossless_chain(*config_columns(grid_configs("quick"))[:5]),
+            lambda: lossy_chain(*config_columns(random_lossy_configs(30))),
         ],
         ids=["run_lossless", "run_lossy", "lossless_chain", "lossy_chain"],
     )
