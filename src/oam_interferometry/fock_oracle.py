@@ -333,12 +333,13 @@ def grid_moments(g, alpha_mag, ell, theta, phi) -> OracleReport:
         cutoff, real = _walk(g_value, magnitude, CUTOFF_SCHEDULE)
         _check_reliable(real.tail_mass)
         walked.append((cutoff, *real[1:]))
-    # one row per pair: the cutoff, the tail mass and the expectations
+    # one array per field over the pairs' shape: the cutoff, the tail mass
+    # and the ten expectations
     columns = np.array(walked).T.reshape(len(walked[0]), *pairs.shape)
     real = _RealState(None, *columns[1:])
     x_mean, x_second, photons = _read(real, theta, 2.0 * np.asarray(ell) * phi)
-    shape = np.broadcast_shapes(np.shape(x_mean), np.shape(x_second))
     cutoffs, tails, photons = (
-        np.broadcast_to(field, shape) for field in (columns[0].astype(int), real.tail_mass, photons)
+        np.broadcast_to(field, x_mean.shape)
+        for field in (columns[0].astype(int), real.tail_mass, photons)
     )
     return OracleReport(x_mean, x_second, photons, cutoffs, tails)

@@ -139,9 +139,9 @@ class _Steps:
         One-variable factors (hyperbolics, squares) go through ``math``:
         numpy's cosh and sinh differ from libm in the last place on about a
         quarter of inputs, and numpy's ``x**2`` is ``x*x``, not ``pow``.  On an
-        open grid ``x`` is one axis, so this costs one call per axis value;
-        ``validate`` passes flat columns, so there it is one call per point
-        (1,728 per factor in ``full``).  An element where ``fn`` raises is nan;
+        open grid, as ``validate`` passes its presets, ``x`` is one axis, so
+        this costs one call per axis value; the loss draws are flat columns,
+        one call per draw.  An element where ``fn`` raises is nan;
         with scalar inputs the error is raised if ``where`` holds.
         """
         if self.scalar:
