@@ -176,7 +176,7 @@ def _record(
     name: str,
     tolerance: float,
     deviations: np.ndarray,
-    points: list[np.ndarray],
+    points: tuple,
     cutoffs: np.ndarray | None = None,
     tail_masses: np.ndarray | None = None,
 ) -> CheckResult:

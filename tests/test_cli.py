@@ -515,7 +515,7 @@ class TestValidateHarness:
         grid = np.ix_((0.1, 0.2), (1, 2, 3), (1.0, 4.0))
         deviations = np.zeros((2, 3, 2))
         deviations[1, 0, 1] = deviations[1, 2, 0] = 3.0
-        check = _record("x", 1.0, deviations, np.broadcast_arrays(*grid[:2], grid[2], 0.3, 0.7, 1.0))
+        check = _record("x", 1.0, deviations, np.broadcast_arrays(*grid, 0.3, 0.7, 1.0))
         assert check.worst == 3.0
         assert check.worst_at == "g=0.2,ell=1,alpha_sq=4.0,theta=0.3,phi=0.7,T=1.0"
 
