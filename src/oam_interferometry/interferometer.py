@@ -2,9 +2,10 @@
 balanced-beam-splitter exit, with an optional loss stage in both arms.
 
 Both chains live in the 4-dimensional phase space of modes A and B and run
-in one pass.  The elements are built first, in the order of the chain, each a
-checked ``SymplecticOp``: the amplifier ``opa_matrix(g)``, the rotation
-``angular_displacement_matrix(ell, phi)`` and the cached coupler
+in one pass.  The elements are built first, in the order of the chain, as
+raw matrices with the entries of ``opa_matrix(g)`` and
+``angular_displacement_matrix(ell, phi)``, each checked symplectic by the
+check ``SymplecticOp`` runs, without building one; the coupler is the cached
 ``bs_matrix()``.  The coherent input is then checked (a magnitude >= 0, a
 finite angle, a finite displaced mean) and pushed through them on raw
 arrays, from the vacuum, whose covariance is the identity:
@@ -22,9 +23,12 @@ loss as the 8x8 dilation.
 ``lossless_chain`` and ``lossy_chain`` run a whole grid of working points at
 once: the parameters are broadcast arrays, each element is one stacked
 product over them, and every element and the output state are checked per
-point.  ``run_lossless`` and ``run_lossy`` are the same chains at one point.
-``ExperimentConfig`` and ``mean_photon_number`` live in ``metrology`` and are
-re-exported here.
+point.  Where no parameter is an array with ``ndim > 0`` the same chain runs
+at one point on Python floats (``phase_space._parameters`` picks by shape),
+with the same entries, checks and error texts, and gives the bytes that
+point gives inside a stack.  ``run_lossless`` and ``run_lossy`` are the
+chains at one config.  ``ExperimentConfig`` and ``mean_photon_number`` live
+in ``metrology`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -35,11 +39,13 @@ from .metrology import ExperimentConfig, mean_photon_number
 from .phase_space import (
     GaussianState,
     _attenuated,
+    _check_symplectic,
     _evolved,
+    _opa,
+    _parameters,
+    _rotation,
     _shifted,
-    angular_displacement_matrix,
     bs_matrix,
-    opa_matrix,
 )
 
 __all__ = [
@@ -56,8 +62,8 @@ __all__ = [
 def _rotated(g, ell, alpha_mag, theta, phi):
     """``R = AD OPA`` and the displaced input mean ``d``: the elements are
     built and checked before the input, the amplifier first."""
-    amplifier = opa_matrix(g).matrix
-    rotation = angular_displacement_matrix(ell, phi).matrix
+    amplifier = _check_symplectic(_opa(g), "OPA")
+    rotation = _check_symplectic(_rotation(ell, phi), "AD")
     return rotation @ amplifier, _shifted(alpha_mag, theta)
 
 
@@ -65,15 +71,16 @@ def lossless_chain(g, ell, alpha_mag, theta, phi) -> GaussianState:
     """Two-mode chain over broadcast parameter arrays: displace input A,
     amplify, rotate, recombine.  The inputs must lie in ExperimentConfig's
     domain; the result is a stack of states over their broadcast shape."""
-    r, d = _rotated(g, ell, alpha_mag, theta, phi)
+    r, d = _rotated(*_parameters(g, ell, alpha_mag, theta, phi))
     return GaussianState(*_evolved(bs_matrix().matrix @ r, d, None))
 
 
 def lossy_chain(g, ell, alpha_mag, theta, phi, transmissivity) -> GaussianState:
     """The lossless chain over broadcast parameter arrays, with loss of
     transmissivity T in both arms between the rotation and the coupler."""
-    r, d = _rotated(g, ell, alpha_mag, theta, phi)
-    lossy = _attenuated(*_evolved(r, d, None), transmissivity)
+    *point, t = _parameters(g, ell, alpha_mag, theta, phi, transmissivity)
+    r, d = _rotated(*point)
+    lossy = _attenuated(*_evolved(r, d, None), t)
     return GaussianState(*_evolved(bs_matrix().matrix, *lossy))
 
 

@@ -15,25 +15,33 @@ sqrt(T) mean``, ``cov -> T cov + (1 - T) I``: a virtual beam splitter against
 vacuum environment modes followed by the partial trace over the environments,
 in closed form (the tests keep that 8x8 dilation as their reference).
 
-The interferometer chains run three stages on raw ``(mean, cov)`` arrays:
-``_shifted`` (the coherent input on the vacuum, with its checks),
-``_evolved`` (one element) and ``_attenuated`` (the loss channel, with the
-range check on ``T``); they check only the state they return.
+The interferometer chains take their parameters through ``_parameters`` and
+run on raw ``(mean, cov)`` arrays: ``_opa`` and ``_rotation`` give the
+element matrices, each checked by ``_check_symplectic``, the check
+``SymplecticOp`` runs, without building one; ``_shifted`` is the coherent
+input on the vacuum, with its checks; ``_evolved`` applies one element and
+``_attenuated`` the loss channel, with the range check on ``T``.  Only the
+chain's output is built as a ``GaussianState``.
 
-Everything here broadcasts over leading axes.  An element built from arrays
-of parameters is a stack of matrices, shape ``(..., 2m, 2m)``, and a state
-may hold a stack of means ``(..., 2m)`` and covariances ``(..., 2m, 2m)``;
-each stage is then one stacked product, and each matrix of a stack goes
-through the same arithmetic as a single element, so a stack of states equals
-the states built one point at a time, bit for bit.  One-variable factors
-(cosh, sinh, cos, sin and squares) go through ``math``: numpy's cosh and sinh
-differ from libm in the last place on some inputs, and numpy's ``x**2`` is
-``x*x``, not ``pow``.
+One working point, where no parameter is an array with ``ndim > 0``, runs
+on Python floats: ``math`` for the one-variable factors, plain comparisons
+for the range checks, one ``np.array`` per element matrix and no
+``np.errstate``, as Python float arithmetic goes to inf or nan without a
+warning.  Otherwise everything broadcasts over leading axes.  An element
+built from arrays of parameters is a stack of matrices, shape ``(..., 2m,
+2m)``, and a state may hold a stack of means ``(..., 2m)`` and covariances
+``(..., 2m, 2m)``; each stage is then one stacked product.  Both take the
+same entries, checks and error texts, and each matrix of a stack goes
+through the same arithmetic as a single element, so a stack of states
+equals the states built one point at a time, bit for bit.  One-variable
+factors (cosh, sinh, cos, sin and squares) go through ``math`` on stacks
+too: numpy's cosh and sinh differ from libm in the last place on some
+inputs, and numpy's ``x**2`` is ``x*x``, not ``pow``.
 
-Every element and every ``GaussianState`` is checked when it is built, each
-matrix of a stack on its own, with tolerances that scale with the entries,
-because rounding in ``S Omega S^T`` grows like ``max|S|^2`` (``cosh^2 g`` for
-the amplifier) and in ``S cov S^T`` like ``max|cov|`` (``cosh 2g``):
+Every element and every ``GaussianState`` is checked, each matrix of a stack
+on its own, with tolerances that scale with the entries, because rounding in
+``S Omega S^T`` grows like ``max|S|^2`` (``cosh^2 g`` for the amplifier) and
+in ``S cov S^T`` like ``max|cov|`` (``cosh 2g``):
 
 * an element is symplectic when ``symplectic_defect(S) <= SYMPLECTIC_TOL *
   max(1, max|S|^2)``;
@@ -41,17 +49,19 @@ the amplifier) and in ``S cov S^T`` like ``max|cov|`` (``cosh 2g``):
   max(1, max|cov|)``.
 
 ``symplectic_defect`` itself stays absolute.  Both comparisons fail on NaN,
-and a mean or covariance with an infinite or NaN entry is rejected as not finite.
-The amplifier accepts ``|g| <= MAX_GAIN`` and raises a ``ValueError`` naming
-``g`` beyond it; near ``g = 355.2`` ``cosh 2g`` leaves the double range.  The
-rotation names ``phi`` where it is not finite, and ``2 ell phi`` where that
-product leaves the double range; the coherent input names ``alpha_mag`` where
-it is negative and ``theta`` where it is not finite.  A stack with one failing
-matrix, state or parameter raises the error that point raises on its own.
+and a mean or covariance with an infinite or NaN entry is rejected as not
+finite; a stack of no states passes.  The amplifier accepts ``|g| <=
+MAX_GAIN`` and raises a ``ValueError`` naming ``g`` beyond it; near ``g =
+355.2`` ``cosh 2g`` leaves the double range.  The rotation names ``phi``
+where it is not finite, and ``2 ell phi`` where that product leaves the
+double range; the coherent input names ``alpha_mag`` where it is negative
+and ``theta`` where it is not finite.  A stack with one failing matrix,
+state or parameter raises the error that point raises on its own.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -83,16 +93,38 @@ MAX_GAIN = 350.0
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
+# the two-mode vacuum's covariance, which loss mixes in
+_VACUUM_COV = _readonly(np.eye(4))
+
+
+def _parameters(*values) -> list:
+    """One working point as Python floats where no value is an array with
+    ``ndim > 0``; otherwise float64 values that broadcast to a stack."""
+    if all(isinstance(v, (float, int)) or not np.ndim(v) for v in values):
+        return [float(v) for v in values]
+    return [np.float64(v) for v in values]
+
+
+# holds no state, so one serves every call
+_UNGUARDED = contextlib.nullcontext()
+
+
+def _quiet(x):
+    """Numpy's floating-point warnings off for arithmetic on a numpy ``x``;
+    Python floats go to inf or nan without one and need no ``np.errstate``."""
+    return _UNGUARDED if type(x) is float else np.errstate(all="ignore")
+
+
 def _libm(fn, x):
-    """``fn`` applied to each element of ``x`` as a Python float, in the
-    shape of ``x``; an error ``fn`` raises propagates."""
-    x = np.float64(x)
-    if not x.ndim:
-        return np.float64(fn(float(x)))
+    """``fn`` applied to each element of ``x`` as a Python float: a float for
+    a scalar, an array in the shape of an array; an error ``fn`` raises
+    propagates."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
     return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
@@ -103,7 +135,13 @@ def _square(x: float) -> float:
 
 def _any(bad) -> bool:
     """Whether ``bad`` holds for any matrix or state of a stack."""
-    return bool(bad.any() if bad.ndim else bad)
+    return bool(bad.any()) if isinstance(bad, np.ndarray) else bool(bad)
+
+
+def _all(ok) -> bool:
+    """Whether ``ok`` holds for every matrix or state of a stack; true for a
+    stack of none."""
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
 
 
 def _within(deviation, tolerance: float, scale):
@@ -113,13 +151,47 @@ def _within(deviation, tolerance: float, scale):
     return (deviation <= tolerance) | (deviation <= tolerance * scale)
 
 
-def _first(values, bad) -> float:
-    """The first entry of ``values`` where ``bad`` holds."""
-    return float(np.asarray(values)[bad][0])
+def _first(values, ok) -> float:
+    """The first entry of ``values`` where ``ok`` fails."""
+    return float(values[~ok][0]) if isinstance(ok, np.ndarray) else float(values)
+
+
+def _per_state(x, axes: int):
+    """``x`` with ``axes`` trailing axes where it is an array, so that each
+    point of a stack scales its own state."""
+    return x[(...,) + (None,) * axes] if isinstance(x, np.ndarray) else x
+
+
+def _array(entries, like) -> np.ndarray:
+    """``entries``, a tuple of floats or a tuple of rows of them, as one
+    ``np.array`` where ``like`` is a scalar; else as a stack over its shape,
+    each entry a float or an array shaped like ``like``, filled entry by entry
+    from zeros, where a zero float entry reads +0.0."""
+    if not isinstance(like, np.ndarray):
+        return np.array(entries)
+    rows = entries if isinstance(entries[0], tuple) else (entries,)
+    out = np.zeros(like.shape + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            if isinstance(entry, np.ndarray) or entry != 0.0:
+                out[..., i, j] = entry
+    return out if rows is entries else out.reshape(like.shape + out.shape[-1:])
+
+
+def _peak(x: np.ndarray):
+    """``max|x|`` over the last two axes: one value per matrix of a stack.
+    The reduction is ``ndarray.max``'s without its Python wrapper."""
+    return np.maximum.reduce(np.abs(x), axis=(-2, -1))
 
 
 def _check_mean(mean: np.ndarray) -> None:
-    if not np.abs(mean).max() < math.inf:
+    """Raises unless every entry of ``mean`` is finite; one state's entries
+    go through ``math``."""
+    if mean.ndim == 1:
+        finite = all(map(math.isfinite, mean.tolist()))
+    else:
+        finite = bool(np.isfinite(mean).all())
+    if not finite:
         raise ValueError("mean must be finite")
 
 
@@ -142,7 +214,18 @@ def symplectic_defect(matrix: np.ndarray):
     """Max-abs deviation of ``S Omega S^T`` from ``Omega``; one value per
     matrix of a stack."""
     w = omega(matrix.shape[-1] // 2)
-    return np.abs(matrix @ w @ matrix.swapaxes(-1, -2) - w).max(axis=(-2, -1))
+    return _peak(matrix @ w @ matrix.swapaxes(-1, -2) - w)
+
+
+def _check_symplectic(matrix: np.ndarray, label: str) -> np.ndarray:
+    """``matrix``, once each matrix of it is found symplectic within the
+    scaled tolerance; raises naming ``label`` and the first defect."""
+    peak = _peak(matrix)
+    defect = symplectic_defect(matrix)
+    ok = _within(defect, SYMPLECTIC_TOL, peak * peak)
+    if not _all(ok):
+        raise ValueError(f"{label}: not symplectic (defect {_first(defect, ok):.3e})")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -170,14 +253,13 @@ class GaussianState:
         if cov.shape != mean.shape + mean.shape[-1:]:
             raise ValueError("cov must be square and match the mean vector")
         _check_mean(mean)
-        peak = np.abs(cov).max(axis=(-2, -1))
-        if _any(~(peak < math.inf)):
+        peak = _peak(cov)
+        if not _all(peak < math.inf):
             raise ValueError("cov must be finite")
         cov_t = cov.swapaxes(-1, -2)
-        asymmetry = np.abs(cov - cov_t).max(axis=(-2, -1))
-        if _any(~_within(asymmetry, SYMMETRY_TOL, peak)):
+        if not _all(_within(_peak(cov - cov_t), SYMMETRY_TOL, peak)):
             raise ValueError("cov must be symmetric")
-        cov = 0.5 * (cov + cov_t)
+        cov = (cov + cov_t) * 0.5
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "cov", _readonly(cov))
 
@@ -198,38 +280,29 @@ class SymplecticOp:
         m = np.array(self.matrix, dtype=float)
         if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
             raise ValueError("matrix must be square with even dimension")
-        peak = np.abs(m).max(axis=(-2, -1))
-        defect = symplectic_defect(m)
-        bad = ~_within(defect, SYMPLECTIC_TOL, peak * peak)
-        if _any(bad):
-            raise ValueError(f"{self.label}: not symplectic (defect {_first(defect, bad):.3e})")
-        object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "matrix", _readonly(_check_symplectic(m, self.label)))
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    """Whether every entry of ``x`` is finite; one value goes through ``math``."""
-    return math.isfinite(x) if not x.ndim else bool(np.isfinite(x).all())
+def _all_finite(x) -> bool:
+    """Whether every entry of ``x`` is finite; a scalar goes through ``math``."""
+    return bool(np.isfinite(x).all()) if isinstance(x, np.ndarray) else math.isfinite(x)
 
 
-# a shift past the double range is inf or nan, and the check rejects it
-@np.errstate(all="ignore")
 def _shifted(magnitude, angle) -> np.ndarray:
     """The two-mode vacuum's mean with mode A shifted by a coherent
     amplitude: a new array over the broadcast stack.  Raises on a negative
     magnitude, then on an angle that is not finite, then on a shifted mean
     that is not finite."""
-    magnitude = np.float64(magnitude)
     if _any(magnitude < 0):
         raise ValueError("alpha_mag must be >= 0")
-    angle = np.float64(angle)
     if not _all_finite(angle):
         raise ValueError("theta must be finite")
-    shift_x = 2.0 * magnitude * _libm(math.cos, angle)
-    shift_p = 2.0 * magnitude * _libm(math.sin, angle)
-    # added to zeros, so a -0.0 shift reads +0.0
-    out = np.zeros(shift_x.shape + (4,))
-    out[..., 0] += shift_x
-    out[..., 1] += shift_p
+    # a shift past the double range is inf or nan, and the check rejects it
+    with _quiet(magnitude):
+        shift_x = 2.0 * magnitude * _libm(math.cos, angle)
+        shift_p = 2.0 * magnitude * _libm(math.sin, angle)
+    # added to zero, so a -0.0 shift reads +0.0
+    out = _array((0.0 + shift_x, 0.0 + shift_p, 0.0, 0.0), shift_x)
     _check_mean(out)
     return out
 
@@ -249,30 +322,48 @@ def _evolved(s: np.ndarray, mean: np.ndarray, cov: np.ndarray | None):
 
 
 def _attenuated(mean: np.ndarray, cov: np.ndarray, transmissivity):
-    """The pure-loss channel in every mode: ``(sqrt(T) mean, T cov + (1 - T)
-    I)`` over broadcast stacks; raises first if T lies outside [0, 1]."""
-    t = np.float64(transmissivity)
-    if _any(~((t >= 0.0) & (t <= 1.0))):
+    """The pure-loss channel in both modes of a two-mode state: ``(sqrt(T)
+    mean, T cov + (1 - T) I)`` over broadcast stacks; raises first if T lies
+    outside [0, 1]."""
+    t = transmissivity
+    if not _all((t >= 0.0) & (t <= 1.0)):
         raise ValueError("transmissivity must lie in [0, 1]")
-    eye = np.eye(cov.shape[-1])
-    return np.sqrt(t)[..., None] * mean, t[..., None, None] * cov + (1.0 - t)[..., None, None] * eye
+    # arrays on the left: a float on the left would try its own product first
+    loss = cov * _per_state(t, 2) + _VACUUM_COV * _per_state(1.0 - t, 2)
+    return mean * _per_state(_libm(math.sqrt, t), 1), loss
+
+
+def _opa(g) -> np.ndarray:
+    """The amplifier's matrix at gain ``g``, not yet checked symplectic;
+    raises naming ``g`` beyond ``MAX_GAIN``."""
+    ok = abs(g) <= MAX_GAIN
+    if not _all(ok):
+        raise ValueError(f"g = {_first(g, ok)} is outside the engine's range |g| <= {MAX_GAIN:g}")
+    ch, sh = _libm(math.cosh, g), _libm(math.sinh, g)
+    rows = ((ch, 0.0, sh, 0.0), (0.0, ch, 0.0, -sh), (sh, 0.0, ch, 0.0), (0.0, -sh, 0.0, ch))
+    return _array(rows, g)
+
+
+def _rotation(ell, phi) -> np.ndarray:
+    """The angular displacement's matrix, not yet checked symplectic; raises
+    on an ``ell`` that is not a positive integer, then names ``phi`` or
+    ``2 ell phi`` where it is not finite."""
+    if not _all((ell >= 1) & (ell % 1 == 0)):
+        raise ValueError("ell must be a positive integer")
+    with _quiet(phi):
+        delta = 2.0 * ell * phi
+    if not _all_finite(delta):
+        # a finite phi can still take 2 ell phi past the double range
+        raise ValueError(f"{'2 ell phi' if _all_finite(phi) else 'phi'} must be finite")
+    c, s = _libm(math.cos, delta), _libm(math.sin, delta)
+    rows = ((c, -s, 0.0, 0.0), (s, c, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+    return _array(rows, delta)
 
 
 def opa_matrix(g) -> SymplecticOp:
     """Two-mode squeezer (parametric amplifier) of gain ``g`` on modes (A, B);
     an array of gains gives a stack."""
-    g = np.float64(g)
-    outside = ~(np.abs(g) <= MAX_GAIN)
-    if _any(outside):
-        raise ValueError(
-            f"g = {_first(g, outside)} is outside the engine's range |g| <= {MAX_GAIN:g}"
-        )
-    ch, sh = _libm(math.cosh, g), _libm(math.sinh, g)
-    m = np.zeros(g.shape + (4, 4))
-    m[..., 0, 0] = m[..., 1, 1] = m[..., 2, 2] = m[..., 3, 3] = ch
-    m[..., 0, 2] = m[..., 2, 0] = sh
-    m[..., 1, 3] = m[..., 3, 1] = -sh
-    return SymplecticOp(m, "OPA")
+    return SymplecticOp(_opa(*_parameters(g)), "OPA")
 
 
 def angular_displacement_matrix(ell, phi) -> SymplecticOp:
@@ -282,22 +373,7 @@ def angular_displacement_matrix(ell, phi) -> SymplecticOp:
     ``ell`` is the OAM quantum number; a relative rotation ``phi`` between the
     Dove prisms imprints the doubled phase ``2 ell phi`` on the helical mode.
     """
-    ell = np.float64(ell)
-    if _any(~((ell >= 1) & (ell % 1 == 0))):
-        raise ValueError("ell must be a positive integer")
-    phi = np.float64(phi)
-    with np.errstate(over="ignore"):
-        delta = 2.0 * ell * phi
-    if not _all_finite(delta):
-        # a finite phi can still take 2 ell phi past the double range
-        raise ValueError(f"{'2 ell phi' if _all_finite(phi) else 'phi'} must be finite")
-    c, s = _libm(math.cos, delta), _libm(math.sin, delta)
-    m = np.zeros(delta.shape + (4, 4))
-    m[..., 0, 0] = m[..., 1, 1] = c
-    m[..., 0, 1] = -s
-    m[..., 1, 0] = s
-    m[..., 2, 2] = m[..., 3, 3] = 1.0
-    return SymplecticOp(m, "AD")
+    return SymplecticOp(_rotation(*_parameters(ell, phi)), "AD")
 
 
 @functools.cache

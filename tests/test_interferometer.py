@@ -259,6 +259,47 @@ def _error(call):
     return str(raised.value)
 
 
+def _raised(call):
+    """The type and text of what ``call`` raises, with RuntimeWarning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(Exception) as raised:
+            call()
+    return type(raised.value), str(raised.value)
+
+
+def _stacked(point, index):
+    """Three-point columns with ``point`` at ``index`` among two working points."""
+    other = (0.4, 3, 2.0, 1.1, 2.3, 0.8)
+    return tuple(
+        np.array([value if i == index else spare for i in range(3)])
+        for value, spare in zip(point, other)
+    )
+
+
+# T at each end of its range and next to it
+_EDGE_T = (0.0, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), 1.0)
+
+# inputs that fail, each with the text that names it
+_FAILING = [
+    (dict(g=400.0), "g = 400.0 is outside the engine's range |g| <= 350"),
+    (dict(g=math.nan), "g = nan is outside the engine's range |g| <= 350"),
+    (dict(ell=0), "ell must be a positive integer"),
+    (dict(ell=1.5), "ell must be a positive integer"),
+    (dict(ell=math.nan), "ell must be a positive integer"),
+    (dict(phi=math.nan), "phi must be finite"),
+    (dict(phi=math.inf), "phi must be finite"),
+    (dict(ell=5, phi=1e308), "2 ell phi must be finite"),
+    (dict(alpha_mag=-1.0), "alpha_mag must be >= 0"),
+    (dict(theta=math.inf), "theta must be finite"),
+    (dict(theta=math.nan), "theta must be finite"),
+    (dict(alpha_mag=1e308, theta=0.0), "mean must be finite"),
+    (dict(transmissivity=-0.1), "transmissivity must lie in [0, 1]"),
+    (dict(transmissivity=1.1), "transmissivity must lie in [0, 1]"),
+    (dict(transmissivity=math.nan), "transmissivity must lie in [0, 1]"),
+]
+
+
 class TestBatchedChains:
     """The stacked chains that validate runs against the per-point reference."""
 
@@ -283,8 +324,66 @@ class TestBatchedChains:
             reference = [run(cfg) for cfg in configs]
             for name in ("mean", "cov"):
                 want = np.array([getattr(state, name) for state in reference])
-                got = getattr(batched, name)
-                assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want))), name
+                assert getattr(batched, name).tobytes() == want.tobytes(), name
+
+    @given(
+        g=st.one_of(st.floats(0.0, 3.0), st.floats(0.0, MAX_GAIN), st.just(MAX_GAIN)),
+        ell=st.integers(1, 5),
+        alpha_sq=st.one_of(st.just(0.0), st.floats(0.0, 100.0), st.floats(1e4, 1e12)),
+        theta=st.floats(0.0, 2.0 * math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        t=st.one_of(st.sampled_from(_EDGE_T), st.floats(0.0, 1.0)),
+        index=st.integers(0, 2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_point_has_its_bytes_inside_a_stack(self, g, ell, alpha_sq, theta, phi, t, index):
+        point = (g, ell, math.sqrt(alpha_sq), theta, phi, t)
+        stack = _stacked(point, index)
+        for alone, stacked in (
+            (lossless_chain(*point[:5]), lossless_chain(*stack[:5])),
+            (lossy_chain(*point), lossy_chain(*stack)),
+        ):
+            assert alone.mean.shape == (4,)
+            assert alone.mean.tobytes() == stacked.mean[index].tobytes()
+            assert alone.cov.tobytes() == stacked.cov[index].tobytes()
+
+    @pytest.mark.parametrize(
+        "lossy,bad,text",
+        [
+            pytest.param(
+                lossy,
+                bad,
+                text,
+                id=f"{'lossy' if lossy else 'lossless'}-"
+                + ",".join(f"{k}={v}" for k, v in bad.items()),
+            )
+            for lossy in (False, True)
+            for bad, text in _FAILING
+            # the lossless chain takes no T
+            if lossy or "transmissivity" not in bad
+        ],
+    )
+    def test_a_failing_point_raises_what_it_raises_inside_a_stack(self, lossy, bad, text):
+        point = dict(g=1.0, ell=2, alpha_mag=1.5, theta=0.3, phi=0.7, transmissivity=0.6)
+        point.update(bad)
+        point = tuple(point.values())
+        chain, point = (lossy_chain, point) if lossy else (lossless_chain, point[:5])
+        alone = _raised(lambda: chain(*point))
+        assert alone == (ValueError, text)
+        assert _raised(lambda: chain(*_stacked(point, 1))) == alone
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: lossless_chain(np.array([]), 1, 1.0, 0.0, 0.0),
+            lambda: lossy_chain(1.0, 1, 1.0, 0.0, 0.0, np.array([])),
+        ],
+        ids=["lossless-no-gains", "lossy-no-transmissivities"],
+    )
+    def test_an_empty_stack_gives_no_states(self, call):
+        state = call()
+        assert state.mean.shape == (0, 4)
+        assert state.cov.shape == (0, 4, 4)
 
     def test_non_symplectic_element_of_a_stack_is_rejected(self):
         stack = opa_matrix(np.array([0.5, 10.0, 2.0])).matrix.copy()
